@@ -32,6 +32,25 @@ def _fmt(x):
     return format(float(x), ".12g")
 
 
+def _series_csv(name, times, maxp, trp):
+    """site_series.csv text, one block of rows per node.
+
+    The t column is formatted once. Each node's rows come from one
+    %-format over its interleaved (t, maxp, trp) cells; "%.12g" writes the
+    same digits as _fmt.
+    """
+    count = len(times)
+    cells = [None] * (3 * count)
+    cells[0::3] = [_fmt(t) for t in times.tolist()]
+    prefix = name.replace("%", "%%")
+    blocks = ["molecule,node,t,maxp,trp\n"]
+    for k in range(maxp.shape[1]):
+        cells[1::3] = maxp[:, k].tolist()
+        cells[2::3] = trp[:, k].tolist()
+        blocks.append((f"{prefix},{k + 1},%s,%.12g,%.12g\n" * count) % tuple(cells))
+    return "".join(blocks)
+
+
 def _guarded(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -166,17 +185,12 @@ def simulate(molecule, t_max, dt, gamma_scale, out, from_manifest):
     started = time.perf_counter()
     g = graphs.load_molecule(cfg["molecule"])
     prop = ctqw.propagator(ctqw.hamiltonian(g, cfg["gamma_scale"]))
-    series = ctqw.time_series(prop, cfg["t_max"], cfg["dt"])
-    reports = metrics.site_reports(g, series)
+    times, (maxp, trp) = ctqw.evolve(prop, cfg["t_max"], cfg["dt"],
+                                     metrics.site_observables)
+    reports = metrics.site_means(g, maxp, trp)
 
-    times = series.times
-    rows = []
-    for k in range(1, g.node_count + 1):
-        s = metrics.site_series(series, k)
-        for t, mp, tp in zip(times, s.maxp, s.trp):
-            rows.append((g.name, str(k), _fmt(t), _fmt(mp), _fmt(tp)))
     series_path = os.path.join(out, "site_series.csv")
-    _write_csv(series_path, ("molecule", "node", "t", "maxp", "trp"), rows)
+    _atomic_write(series_path, _series_csv(g.name, times, maxp, trp))
 
     report_path = os.path.join(out, "site_report.csv")
     _write_csv(
@@ -263,8 +277,10 @@ def stability(molecule, t_max, dt, gamma_scale, out, from_manifest):
     for name in cfg["molecules"]:
         g = graphs.load_molecule(name)
         prop = ctqw.propagator(ctqw.hamiltonian(g, cfg["gamma_scale"]))
-        series = ctqw.time_series(prop, cfg["t_max"], cfg["dt"])
-        entries.append(metrics.stability_entry(g, series, cfg["t_max"], cfg["dt"]))
+        _, (_, trp) = ctqw.evolve(prop, cfg["t_max"], cfg["dt"], metrics.site_observables)
+        entries.append(metrics.StabilityEntry(molecule=g.name, mean_trp=float(trp.mean()),
+                                              t_max=float(cfg["t_max"]),
+                                              dt=float(cfg["dt"])))
     report = metrics.stability_order(entries)
     stability_path = os.path.join(out, "stability.csv")
     _write_csv(

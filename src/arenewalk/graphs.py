@@ -17,7 +17,7 @@ CATALOG = ("benzene", "naphthalene", "anthracene", "phenanthrene")
 
 @dataclass(frozen=True, eq=False)
 class MoleculeGraph:
-    """Connected undirected graph with positive edge weights.
+    """Connected undirected graph with finite positive edge weights.
 
     edges hold (i, j, weight) with 1-based node indices, stored with i < j.
     classes, when present, partition the nodes into symmetry-equivalent
@@ -48,8 +48,8 @@ class MoleculeGraph:
             if i == j:
                 raise ValueError(f"self-loop at node {i}")
             w = float(w)
-            if not w > 0:
-                raise ValueError(f"edge ({i}, {j}) weight must be > 0, got {w}")
+            if not 0 < w < np.inf:
+                raise ValueError(f"edge ({i}, {j}) weight must be finite and > 0, got {w}")
             key = (min(i, j), max(i, j))
             if key in seen:
                 raise ValueError(f"duplicate edge ({i}, {j})")

@@ -51,45 +51,42 @@ class SiteReport:
     class_id: str | None = None
 
 
-def maxp(series, node):
-    """MAXP(node, t): columnwise max over walkers, one value per sample."""
+def site_observables(mats):
+    """MAXP and TRP per (sample, site) of occupancy matrices shaped
+    (samples, walkers, sites): the max over walkers, and the walker mean
+    after dropping one max and one min. Both arrays are (samples, sites)."""
+    n = mats.shape[1]
+    if n < 3:
+        raise ValueError(f"TRP needs at least 3 walkers, got {n}")
+    top = mats.max(axis=1)
+    # clip absorbs 1e-16-scale roundoff; the exact values lie in [0, 1]
+    trimmed = (mats.sum(axis=1) - top - mats.min(axis=1)) / (n - 2)
+    return np.clip(top, 0.0, 1.0), np.clip(trimmed, 0.0, 1.0)
+
+
+def _site_column(series, node):
     times, mats = _stack(series)
     _check_node(node, mats.shape[2])
-    return np.clip(mats[:, :, node - 1].max(axis=1), 0.0, 1.0)
+    # reduce every site, as the streamed pass does: numpy sums a single
+    # column in another order, which can move the last bit
+    mp, tp = site_observables(mats)
+    return times, mp[:, node - 1], tp[:, node - 1]
+
+
+def maxp(series, node):
+    """MAXP(node, t): columnwise max over walkers, one value per sample."""
+    return _site_column(series, node)[1]
 
 
 def trp(series, node):
     """TRP(node, t): drop one max and one min across walkers, mean the rest."""
-    times, mats = _stack(series)
-    n = mats.shape[1]
-    if n < 3:
-        raise ValueError(f"TRP needs at least 3 walkers, got {n}")
-    _check_node(node, mats.shape[2])
-    col = mats[:, :, node - 1]
-    # clip absorbs 1e-16-scale roundoff; the exact value lies in [0, 1]
-    return np.clip((col.sum(axis=1) - col.max(axis=1) - col.min(axis=1)) / (n - 2), 0.0, 1.0)
-
-
-def _maxp_matrix(mats):
-    return np.clip(mats.max(axis=1), 0.0, 1.0)
-
-
-def _trp_matrix(mats):
-    n = mats.shape[1]
-    if n < 3:
-        raise ValueError(f"TRP needs at least 3 walkers, got {n}")
-    return np.clip((mats.sum(axis=1) - mats.max(axis=1) - mats.min(axis=1)) / (n - 2), 0.0, 1.0)
+    return _site_column(series, node)[2]
 
 
 def site_series(series, node):
     """Bundle MAXP and TRP series for one site."""
-    times, mats = _stack(series)
-    return SiteSeries(
-        node=node,
-        times=times,
-        maxp=maxp(series, node),
-        trp=trp(series, node),
-    )
+    times, mp, tp = _site_column(series, node)
+    return SiteSeries(node=node, times=times, maxp=mp, trp=tp)
 
 
 def time_means(s, class_id=None):
@@ -106,13 +103,19 @@ def time_means(s, class_id=None):
 
 def site_reports(g, series):
     """Time-mean report per site, class-tagged by the smallest class member."""
+    times, mats = _stack(series)
+    return site_means(g, *site_observables(mats))
+
+
+def site_means(g, mp, tp):
+    """Time-mean report per site from (samples, sites) MAXP and TRP arrays,
+    class-tagged by the smallest class member."""
+    if len(mp) == 0:
+        raise ValueError("empty series")
     classes = graphs.equivalence_classes(g)
     class_of = {m: g.labels[cls[0] - 1] for cls in classes for m in cls}
-    times, mats = _stack(series)
-    if len(times) == 0:
-        raise ValueError("empty series")
-    mp = _maxp_matrix(mats).mean(axis=0)
-    tp = _trp_matrix(mats).mean(axis=0)
+    mp = mp.mean(axis=0)
+    tp = tp.mean(axis=0)
     return tuple(
         SiteReport(node=k, maxp_mean=float(mp[k - 1]), trp_mean=float(tp[k - 1]),
                    class_id=class_of[k])
@@ -153,7 +156,7 @@ def detect_period(series, revival_tol=1e-3):
 def overall_mean_trp(series):
     """TRP averaged over every site and sample; the stability score."""
     times, mats = _stack(series)
-    return float(_trp_matrix(mats).mean())
+    return float(site_observables(mats)[1].mean())
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -10,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import arenewalk as aw
-from arenewalk.cli import main
+from arenewalk.cli import _fmt, main
 from arenewalk.errors import ComputationError
 
 
@@ -131,6 +133,96 @@ def test_simulate_rejects_bad_grid(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("argv", [["simulate", "-m", "benzene"],
+                                  ["stability", "-m", "benzene", "-m", "naphthalene"]])
+def test_rejects_grid_above_sample_ceiling(runner, tmp_path, argv):
+    # 2e302 samples, refused by the ceiling; code without it would still
+    # fail before allocating, in numpy's size check, so this run is safe
+    res = runner.invoke(main, [*argv, "--dt", "1e-300", "--out", str(tmp_path / "x")])
+    assert res.exit_code == 2
+    assert "configuration error" in res.output
+    assert "above the limit of 10000000" in res.output
+    assert not os.path.exists(tmp_path / "x")
+
+
+def test_simulate_rejects_infinite_weight(runner, tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_text("name: bad\nnodes: 3\nedges:\n  - [1, 2, .inf]\n  - [2, 3, 1.5]\n")
+    out = tmp_path / "x"
+    res = runner.invoke(
+        main, ["simulate", "-m", str(path), "--t-max", "1", "--out", str(out)]
+    )
+    assert res.exit_code == 2
+    assert "finite" in res.output
+    assert not os.path.exists(out / "site_series.csv")
+
+
+def write_csv_text(header, rows):
+    return "".join(",".join(row) + "\n" for row in [header, *rows]).encode()
+
+
+def unstreamed_observables(g, t_max, dt):
+    """The arithmetic simulate and stability used before streaming: B(t)
+    from one einsum over the whole grid, MAXP/TRP series one site column at
+    a time, and report means from the all-site reduction."""
+    p = aw.propagator(aw.hamiltonian(g))
+    times = np.arange(int(np.floor(t_max / dt + 1e-9)) + 1) * dt
+    Q, n = p.eigenvectors, g.node_count
+    phases = np.exp(-1j * np.outer(times, p.eigenvalues))
+    B = np.abs(np.einsum("jl,tl,kl->tjk", Q, phases, Q, optimize=True)) ** 2
+    columns = []
+    for k in range(n):
+        col = B[:, :, k]
+        columns.append((np.clip(col.max(axis=1), 0.0, 1.0), np.clip(
+            (col.sum(axis=1) - col.max(axis=1) - col.min(axis=1)) / (n - 2), 0.0, 1.0)))
+    mp_all = np.clip(B.max(axis=1), 0.0, 1.0)
+    tp_all = np.clip((B.sum(axis=1) - B.max(axis=1) - B.min(axis=1)) / (n - 2), 0.0, 1.0)
+    return times, columns, mp_all, tp_all
+
+
+@pytest.mark.parametrize("molecule", ["anthracene", "percent"])
+def test_simulate_bytes_match_unstreamed_rows(runner, tmp_path, molecule):
+    if molecule == "percent":
+        # a '%' in the name must reach the CSV verbatim
+        g0 = aw.load_molecule("naphthalene")
+        edges = "".join(f"  - [{i}, {j}, {w!r}]\n" for i, j, w in g0.edges)
+        molecule = str(tmp_path / "percent.yaml")
+        Path(molecule).write_text(f"name: 50%s-ring\nnodes: 10\nedges:\n{edges}")
+    out = str(tmp_path / "run")
+    res = runner.invoke(
+        main, ["simulate", "-m", molecule, "--t-max", "5", "--dt", "0.01", "--out", out]
+    )
+    assert res.exit_code == 0, res.output
+    g = aw.load_molecule(molecule)
+    times, columns, mp_all, tp_all = unstreamed_observables(g, 5.0, 0.01)
+    rows = [(g.name, str(k), _fmt(t), _fmt(mp), _fmt(tp))
+            for k, (mp_col, tp_col) in enumerate(columns, start=1)
+            for t, mp, tp in zip(times, mp_col, tp_col)]
+    assert read_bytes(os.path.join(out, "site_series.csv")) == write_csv_text(
+        ("molecule", "node", "t", "maxp", "trp"), rows)
+    classes = {m: g.labels[c[0] - 1] for c in aw.equivalence_classes(g) for m in c}
+    report = [(g.name, str(k), classes[k], _fmt(mp), _fmt(tp))
+              for k, mp, tp in zip(range(1, g.node_count + 1),
+                                   mp_all.mean(axis=0), tp_all.mean(axis=0))]
+    assert read_bytes(os.path.join(out, "site_report.csv")) == write_csv_text(
+        ("molecule", "node", "class", "maxp_mean", "trp_mean"), report)
+
+
+def test_readme_molecule_file_simulates(runner, tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)
+    path = tmp_path / "readme.yaml"
+    path.write_text(block)
+    out = str(tmp_path / "run")
+    res = runner.invoke(
+        main, ["simulate", "-m", str(path), "--t-max", "1", "--dt", "0.5", "--out", out]
+    )
+    assert res.exit_code == 0, res.output
+    nodes = aw.load_molecule(str(path)).node_count
+    assert nodes >= 3
+    assert len(read_csv(os.path.join(out, "site_series.csv"))) == 1 + 3 * nodes
+
+
 def test_out_env_var(runner, tmp_path):
     out = str(tmp_path / "envrun")
     res = runner.invoke(
@@ -218,6 +310,22 @@ def test_stability_orders_molecules(runner, tmp_path):
     assert rows[0] == ["molecule", "mean_trp", "rank"]
     assert rows[1][0] == "benzene" and rows[1][2] == "1"
     assert rows[2][0] == "anthracene" and rows[2][2] == "2"
+
+
+def test_stability_bytes_match_unstreamed(runner, tmp_path):
+    out = str(tmp_path / "stab")
+    res = runner.invoke(main, ["stability", *[a for m in aw.CATALOG for a in ("-m", m)],
+                               "--t-max", "5", "--dt", "0.01", "--out", out])
+    assert res.exit_code == 0, res.output
+    entries = []
+    for name in aw.CATALOG:
+        tp_all = unstreamed_observables(aw.load_molecule(name), 5.0, 0.01)[3]
+        entries.append(aw.StabilityEntry(molecule=name, mean_trp=float(tp_all.mean()),
+                                         t_max=5.0, dt=0.01))
+    rows = [(r.molecule, _fmt(r.mean_trp), str(r.rank))
+            for r in aw.stability_order(entries).rows]
+    assert read_bytes(os.path.join(out, "stability.csv")) == write_csv_text(
+        ("molecule", "mean_trp", "rank"), rows)
 
 
 def test_stability_needs_two_molecules(runner, tmp_path):

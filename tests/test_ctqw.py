@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 import arenewalk as aw
+from arenewalk import ctqw
 from arenewalk.graphs import MoleculeGraph
 
 
@@ -123,6 +124,19 @@ def test_series_grid_counts():
         aw.time_series(p, t_max=0.0, dt=0.1)
     with pytest.raises(ValueError):
         aw.time_series(p, t_max=1.0, dt=-0.1)
+    # rejected before allocating: these grids hold 2e302 and infinitely many samples
+    with pytest.raises(ValueError, match="samples"):
+        aw.time_series(p, t_max=200.0, dt=1e-300)
+    with pytest.raises(ValueError, match="samples"):
+        aw.time_series(p, t_max=float("inf"), dt=0.01)
+
+
+def test_sample_ceiling_boundary(monkeypatch):
+    p = aw.propagator(aw.hamiltonian(aw.load_molecule("benzene")))
+    monkeypatch.setattr(ctqw, "MAX_SAMPLES", 100)
+    assert len(aw.time_series(p, t_max=0.99, dt=0.01)) == 100
+    with pytest.raises(ValueError, match="above the limit of 100"):
+        aw.time_series(p, t_max=1.0, dt=0.01)
 
 
 def test_series_matches_single_shot():
@@ -141,3 +155,39 @@ def test_series_bistochastic_and_symmetric(full_series):
         npt.assert_allclose(M, M.transpose(0, 2, 1), atol=1e-12)
         assert M.min() >= 0.0
         assert M.max() <= 1.0 + 1e-12
+
+
+def whole_grid_series(p, t_max, dt):
+    """B(t) from one einsum over the whole grid: the unblocked reference."""
+    times = np.arange(int(np.floor(t_max / dt + 1e-9)) + 1) * dt
+    Q = p.eigenvectors
+    phases = np.exp(-1j * np.outer(times, p.eigenvalues))
+    return np.abs(np.einsum("jl,tl,kl->tjk", Q, phases, Q, optimize=True)) ** 2
+
+
+@pytest.mark.parametrize("t_max", [0.005, 0.05, 50.0])
+def test_blocked_series_equals_whole_grid(t_max):
+    # 1, 6 and 5001 samples; the last spans two default blocks for N = 14
+    for name in aw.CATALOG:
+        p = aw.propagator(aw.hamiltonian(aw.load_molecule(name)))
+        ref = whole_grid_series(p, t_max, 0.01)
+        assert np.array_equal(aw.time_series(p, t_max=t_max, dt=0.01).matrices, ref)
+
+
+# t_max 5, dt 0.01 gives 501 samples: blocks of 7 leave a ragged 4-sample
+# tail, blocks of 10 a single sample that evolve folds into the block before
+@pytest.mark.parametrize("block", [None, 7, 10])
+def test_streamed_observables_equal_series(monkeypatch, block):
+    for name in aw.CATALOG:
+        g = aw.load_molecule(name)
+        p = aw.propagator(aw.hamiltonian(g))
+        series = aw.time_series(p, t_max=5.0, dt=0.01)
+        if block is not None:
+            monkeypatch.setattr(ctqw, "BLOCK_BYTES", 16 * g.node_count ** 2 * block)
+            assert np.array_equal(aw.time_series(p, t_max=5.0, dt=0.01).matrices,
+                                  series.matrices)
+        times, (mp, tp) = aw.evolve(p, 5.0, 0.01, aw.site_observables)
+        assert np.array_equal(times, series.times)
+        for k in range(1, g.node_count + 1):
+            assert np.array_equal(mp[:, k - 1], aw.maxp(series, k))
+            assert np.array_equal(tp[:, k - 1], aw.trp(series, k))

@@ -200,6 +200,7 @@ def test_load_molecule_missing_field(tmp_path):
         ((1, 2, -1.0),),
         ((1, 3, 1.0),),                  # endpoint out of range
         ((1, 2, 1.0), (2, 1, 1.2)),      # duplicate bond
+        ((1, 2, float("inf")),),         # infinite weight
     ],
 )
 def test_invalid_edges_rejected(edges):
