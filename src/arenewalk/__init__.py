@@ -29,16 +29,10 @@ from .ctqw import (
 )
 from .dtqw import (
     DirectedWalkState,
-    LineWalkState,
     NodeRanking,
-    angle_coin,
     arc_order,
-    degree_coin,
-    directed_line_step,
     directed_step,
     directed_walk_state,
-    line_step,
-    localized_line_state,
     node_probabilities,
     rank_nodes,
 )
@@ -81,7 +75,6 @@ __all__ = [
     "DirectedWalkState",
     "EvolutionSeries",
     "Hamiltonian",
-    "LineWalkState",
     "MODE_CATALOG",
     "ModePattern",
     "ModeReport",
@@ -93,15 +86,12 @@ __all__ = [
     "StabilityEntry",
     "StabilityReport",
     "adjacency",
-    "angle_coin",
     "arc_order",
     "badger_bond_order",
     "badger_force_constant",
     "classify_modes",
-    "degree_coin",
     "degrees",
     "detect_period",
-    "directed_line_step",
     "directed_step",
     "directed_walk_state",
     "equivalence_classes",
@@ -109,11 +99,9 @@ __all__ = [
     "evolve_ensemble",
     "hamiltonian",
     "laplacian",
-    "line_step",
     "load_matrix_file",
     "load_molecule",
     "local_force_constants",
-    "localized_line_state",
     "maxp",
     "node_probabilities",
     "overall_mean_trp",

@@ -235,8 +235,8 @@ def rank(molecule, steps, start, coin_degree, out, from_manifest):
     g = graphs.load_molecule(cfg["molecule"])
     if cfg.get("steps") is None:
         cfg["steps"] = 10 * g.node_count ** 2
-    ranking = dtqw.rank_nodes(g, steps=cfg["steps"], start=cfg["start"],
-                              coin=cfg["coin_degree"])
+    ranking = dtqw.rank_nodes(g, steps=cfg["steps"], start=cfg.get("start"),
+                              coin=cfg.get("coin_degree"))
     ranks_path = os.path.join(out, "ranks.csv")
     _write_csv(
         ranks_path,

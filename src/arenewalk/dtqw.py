@@ -1,20 +1,22 @@
-"""Discrete-time quantum walks.
+"""Directed discrete-time quantum walk on a molecule graph.
 
-Two families live here. The line-walk primitives (line_step,
-directed_line_step) evolve a two-level coin on the integer line; the
-directed variant moves only one coin component per step. The graph walk
-(directed_walk_state, directed_step, rank_nodes) runs a single walker
-over a molecule graph and ranks sites by how much probability flows
-through them: sites accumulating the least are the most reactive.
+A single walker (directed_walk_state, directed_step) moves over the
+graph, and rank_nodes ranks sites by how much probability flows through
+them: sites accumulating the least are the most reactive.
 
-Graph walk construction: node x of degree d owns d arc slots, one per
-incident edge in ascending-neighbor order (the fixed cyclic arc order).
-Amplitudes live on (slot, component) with components {stay, move}. Each
-step applies the per-node degree coin at every slot, then routes the
-stay component one position around its node's slot ring and the move
-component across its edge to the partner slot on the far node. Both
-routes are permutations, so a step is exactly unitary and only the move
-component traverses the graph.
+Construction: node x of degree d owns d arc slots, one per incident edge
+in ascending-neighbor order (the fixed cyclic arc order). Amplitudes live
+on (slot, component) with components {stay, move}. Each step applies the
+per-node degree coin at every slot, then routes the stay component one
+position around its node's slot ring and the move component across its
+edge to the partner slot on the far node. Both routes are permutations,
+so a step is exactly unitary and only the move component traverses the
+graph.
+
+The coin [[a, b], [b, -a]] with a = sqrt(1 / (alpha + 1)),
+b = sqrt(alpha / (alpha + 1)) and alpha = degree / 2 is real orthogonal,
+the routes are permutations and the start is real, so amplitudes stay
+real: they are float64 arrays.
 """
 from __future__ import annotations
 
@@ -25,113 +27,6 @@ import numpy as np
 
 from . import graphs
 from .errors import ComputationError
-
-
-@dataclass(frozen=True, eq=False)
-class LineWalkState:
-    """Walker on the integer line; index i holds position origin + i."""
-
-    origin: int
-    up: np.ndarray
-    down: np.ndarray
-
-    def __post_init__(self):
-        up = np.asarray(self.up, dtype=complex)
-        down = np.asarray(self.down, dtype=complex)
-        if up.ndim != 1 or up.shape != down.shape:
-            raise ValueError("up and down must be 1-D arrays of equal length")
-        object.__setattr__(self, "up", up)
-        object.__setattr__(self, "down", down)
-        norm = float(np.sum(np.abs(up) ** 2 + np.abs(down) ** 2))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"state norm must be 1 within 1e-12, got {norm!r}")
-
-    def positions(self):
-        return np.arange(self.up.size) + self.origin
-
-    def probabilities(self):
-        """(positions, probability per position)."""
-        return self.positions(), np.abs(self.up) ** 2 + np.abs(self.down) ** 2
-
-
-def localized_line_state(position=0, coin="up"):
-    """Unit amplitude at one position in one coin component."""
-    if coin not in ("up", "down"):
-        raise ValueError(f"coin must be 'up' or 'down', got {coin!r}")
-    one = np.ones(1, dtype=complex)
-    zero = np.zeros(1, dtype=complex)
-    if coin == "up":
-        return LineWalkState(position, one, zero)
-    return LineWalkState(position, zero, one)
-
-
-def angle_coin(theta):
-    """Unitary 2x2 coin [[cos t, -i sin t], [-i sin t, cos t]]."""
-    c = math.cos(theta)
-    s = -1j * math.sin(theta)
-    return np.array([[c, s], [s, c]])
-
-
-def _apply_angle_coin(state, theta):
-    c = math.cos(theta)
-    s = -1j * math.sin(theta)
-    return c * state.up + s * state.down, s * state.up + c * state.down
-
-
-def line_step(state, theta):
-    """One coin-then-shift step: up moves to x - 1, down moves to x + 1."""
-    u, d = _apply_angle_coin(state, theta)
-    n = u.size
-    up_new = np.zeros(n + 2, dtype=complex)
-    down_new = np.zeros(n + 2, dtype=complex)
-    up_new[:n] = u
-    down_new[2:] = d
-    return LineWalkState(state.origin - 1, up_new, down_new)
-
-
-def directed_line_step(state, theta, sign="plus", mover="up"):
-    """One directed step: only `mover` shifts (by +1 for plus, -1 for minus),
-    the other coin component stays in place."""
-    if sign not in ("plus", "minus"):
-        raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    if mover not in ("up", "down"):
-        raise ValueError(f"mover must be 'up' or 'down', got {mover!r}")
-    u, d = _apply_angle_coin(state, theta)
-    shift = 1 if sign == "plus" else -1
-    n = u.size
-    new_origin = state.origin + min(shift, 0)
-    off = state.origin - new_origin
-    up_new = np.zeros(n + 1, dtype=complex)
-    down_new = np.zeros(n + 1, dtype=complex)
-    if mover == "up":
-        up_new[off + shift:off + shift + n] = u
-        down_new[off:off + n] = d
-    else:
-        down_new[off + shift:off + shift + n] = d
-        up_new[off:off + n] = u
-    return LineWalkState(new_origin, up_new, down_new)
-
-
-def degree_coin(g, node, kind="unweighted"):
-    """Real orthogonal 2x2 coin for one node, alpha = degree / 2.
-
-    kind selects the degree notion: edge count (default) or summed edge
-    weight.
-    """
-    if not 1 <= node <= g.node_count:
-        raise ValueError(f"node {node} outside [1, {g.node_count}]")
-    if kind == "unweighted":
-        d = float(graphs.degrees(g)[node - 1])
-    elif kind == "weighted":
-        d = float(graphs.weighted_degrees(g)[node - 1])
-    else:
-        raise ValueError(f"kind must be 'unweighted' or 'weighted', got {kind!r}")
-    if d <= 0:
-        raise ValueError(f"node {node} is isolated")
-    alpha = d / 2.0
-    a = math.sqrt(1.0 / (alpha + 1.0))
-    b = math.sqrt(alpha / (alpha + 1.0))
-    return np.array([[a, b], [b, -a]])
 
 
 class _ArcLayout:
@@ -176,8 +71,8 @@ class _ArcLayout:
 
 @dataclass(frozen=True, eq=False)
 class DirectedWalkState:
-    """Single-walker state on a molecule graph: one stay and one move
-    amplitude per (node, arc slot) pair."""
+    """Single-walker state on a molecule graph: one real (float64) stay and
+    one move amplitude per (node, arc slot) pair."""
 
     graph: graphs.MoleculeGraph
     coin: str
@@ -195,34 +90,45 @@ def arc_order(g):
     return {x + 1: tuple(int(y) + 1 for y in lay.nbrs[x]) for x in range(lay.n)}
 
 
+def _is_int(x):
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def directed_walk_state(g, start=1, coin="unweighted"):
     """Initial state: the start node's slots share the stay amplitude equally."""
     lay = _ArcLayout(g, coin)
+    if not _is_int(start):
+        raise ValueError(f"start must be an integer node, got {start!r}")
     if not 1 <= start <= lay.n:
         raise ValueError(f"start node {start} outside [1, {lay.n}]")
-    stay = np.zeros(lay.nsub, dtype=complex)
-    move = np.zeros(lay.nsub, dtype=complex)
+    stay = np.zeros(lay.nsub)
+    move = np.zeros(lay.nsub)
     base = lay.first[start - 1]
     d = lay.deg[start - 1]
     stay[base:base + d] = 1.0 / math.sqrt(d)
     return DirectedWalkState(g, coin, stay, move, lay)
 
 
-def directed_step(state):
-    """One coin-then-route step; exactly norm-preserving."""
-    lay = state.layout
-    c = lay.a * state.stay + lay.b * state.move
-    m = lay.b * state.stay - lay.a * state.move
+def _step(lay, stay, move):
+    """Coin then route the amplitude arrays; returns the new (stay, move)."""
+    c = lay.a * stay + lay.b * move
+    m = lay.b * stay - lay.a * move
     stay_new = np.empty_like(c)
     move_new = np.empty_like(m)
     stay_new[lay.cyc_next] = c
     move_new[lay.cross] = m
-    return DirectedWalkState(state.graph, state.coin, stay_new, move_new, lay)
+    return stay_new, move_new
+
+
+def directed_step(state):
+    """One coin-then-route step; exactly norm-preserving."""
+    stay, move = _step(state.layout, state.stay, state.move)
+    return DirectedWalkState(state.graph, state.coin, stay, move, state.layout)
 
 
 def node_probabilities(state):
     """Occupancy per node (both coin components), index 0 = node 1."""
-    p = np.abs(state.stay) ** 2 + np.abs(state.move) ** 2
+    p = state.stay ** 2 + state.move ** 2
     return np.bincount(state.layout.node_of, weights=p, minlength=state.layout.n)
 
 
@@ -272,20 +178,15 @@ def rank_nodes(g, steps=None, start=1, coin="unweighted", tie_tol=1e-6):
     n = g.node_count
     if steps is None:
         steps = 10 * n * n
-    if not isinstance(steps, (int, np.integer)) or steps < 1:
+    if not _is_int(steps) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
     state = directed_walk_state(g, start=start, coin=coin)
     lay = state.layout
     stay, move = state.stay, state.move
     occ = np.zeros(n)
     for _ in range(int(steps)):
-        c = lay.a * stay + lay.b * move
-        m = lay.b * stay - lay.a * move
-        stay = np.empty_like(c)
-        move = np.empty_like(m)
-        stay[lay.cyc_next] = c
-        move[lay.cross] = m
-        p = np.abs(stay) ** 2 + np.abs(move) ** 2
+        stay, move = _step(lay, stay, move)
+        p = stay ** 2 + move ** 2
         occ += np.bincount(lay.node_of, weights=p, minlength=n)
     if abs(float(p.sum()) - 1.0) > 1e-9:
         raise ComputationError(f"walk norm drifted to {p.sum()!r}; refusing to rank")

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 
 import arenewalk as aw
 from arenewalk.cli import _fmt, main
+from arenewalk.dtqw import _dense_ranks
 from arenewalk.errors import ComputationError
 
 
@@ -293,6 +294,78 @@ def test_rank_weighted_coin_flag(runner, tmp_path):
     rows = read_csv(os.path.join(out, "ranks.csv"))[1:]
     top = {int(r[0]) for r in rows if r[3] == "1"}
     assert top == {11, 12}
+
+
+def complex_ranking(g, start, coin):
+    """Pooled scores and ranks per node from the walk as it ran before
+    amplitudes became real: complex128 stay/move through an inline
+    coin-and-route loop."""
+    lay = aw.directed_walk_state(g, start=start, coin=coin).layout
+    n = g.node_count
+    stay = np.zeros(lay.nsub, dtype=complex)
+    move = np.zeros(lay.nsub, dtype=complex)
+    d = lay.deg[start - 1]
+    stay[lay.first[start - 1]:lay.first[start - 1] + d] = 1.0 / np.sqrt(d)
+    occ = np.zeros(n)
+    for _ in range(10 * n * n):
+        c = lay.a * stay + lay.b * move
+        m = lay.b * stay - lay.a * move
+        stay = np.empty_like(c)
+        move = np.empty_like(m)
+        stay[lay.cyc_next] = c
+        move[lay.cross] = m
+        occ += np.bincount(lay.node_of, weights=np.abs(stay) ** 2 + np.abs(move) ** 2,
+                           minlength=n)
+    classes = aw.equivalence_classes(g)
+    class_scores = np.array([occ[[m - 1 for m in cls]].mean() for cls in classes])
+    scores, ranks = [0.0] * n, [0] * n
+    for cls, cs, cr in zip(classes, class_scores, _dense_ranks(class_scores)):
+        for member in cls:
+            scores[member - 1], ranks[member - 1] = float(cs), int(cr)
+    return tuple(scores), tuple(ranks)
+
+
+@pytest.mark.parametrize("coin", ["unweighted", "weighted"])
+@pytest.mark.parametrize("molecule", aw.CATALOG)
+def test_rank_bytes_match_complex_walk(runner, tmp_path, molecule, coin):
+    g = aw.load_molecule(molecule)
+    for start in (1, g.node_count // 2, g.node_count):
+        scores, ranks = complex_ranking(g, start, coin)
+        # the real walk reproduces every bit of the scores, not only 12 digits
+        assert aw.rank_nodes(g, start=start, coin=coin).scores == scores
+        out = str(tmp_path / f"s{start}")
+        res = runner.invoke(main, ["rank", "-m", molecule, "--coin-degree", coin,
+                                   "--start", str(start), "--out", out])
+        assert res.exit_code == 0, res.output
+        rows = [(str(k), g.labels[k - 1], _fmt(scores[k - 1]), str(ranks[k - 1]))
+                for k in range(1, g.node_count + 1)]
+        assert read_bytes(os.path.join(out, "ranks.csv")) == write_csv_text(
+            ("node", "label", "score", "rank"), rows)
+
+
+MISSING = object()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("start", "3"), ("start", 2.0), ("steps", True),
+    pytest.param("start", MISSING, id="start-missing"),
+    pytest.param("coin_degree", MISSING, id="coin_degree-missing"),
+])
+def test_rank_replay_rejects_malformed_config(runner, tmp_path, key, value):
+    out = str(tmp_path / "rank")
+    assert runner.invoke(main, ["rank", "-m", "benzene", "--out", out]).exit_code == 0
+    path = os.path.join(out, "manifest.json")
+    doc = json.load(open(path))
+    if value is MISSING:
+        del doc["config"][key]
+    else:
+        doc["config"][key] = value
+    Path(path).write_text(json.dumps(doc))
+    replay = str(tmp_path / "replay")
+    res = runner.invoke(main, ["rank", "--from-manifest", path, "--out", replay])
+    assert res.exit_code == 2, res.output
+    assert "configuration error:" in res.output
+    assert not os.path.exists(os.path.join(replay, "ranks.csv"))
 
 
 # ---------------------------------------------------------------- stability

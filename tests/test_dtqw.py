@@ -1,15 +1,14 @@
-"""Discrete-time walks: line walks, degree coins, graph walk, rankings."""
+"""Directed discrete-time walk: coin, steps, rankings."""
 
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arenewalk as aw
-from arenewalk.dtqw import LineWalkState
 from arenewalk.errors import ComputationError
 from arenewalk.graphs import MoleculeGraph
 
@@ -23,137 +22,66 @@ def star(d):
     )
 
 
-def prob_map(state):
-    pos, probs = state.probabilities()
-    return dict(zip((int(x) for x in pos), probs))
-
-
-# ---------------------------------------------------------------- line walk
-
-def test_localized_state_norm():
-    s = aw.localized_line_state(coin="up")
-    _, probs = s.probabilities()
-    npt.assert_allclose(probs.sum(), 1.0)
-    assert prob_map(s)[0] == 1.0
-
-
-def test_localized_state_rejects_bad_coin():
-    with pytest.raises(ValueError):
-        aw.localized_line_state(coin="sideways")
-
-
-def test_line_state_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        LineWalkState(origin=0, up=np.array([0.5 + 0j]), down=np.array([0.5 + 0j]))
-
-
-def test_line_step_theta_zero_moves_up_left():
-    s = aw.line_step(aw.localized_line_state(coin="up"), 0.0)
-    assert prob_map(s)[-1] == pytest.approx(1.0)
-
-
-def test_line_step_theta_zero_moves_down_right():
-    s = aw.line_step(aw.localized_line_state(coin="down"), 0.0)
-    assert prob_map(s)[1] == pytest.approx(1.0)
-
-
-def test_line_step_balanced_split():
-    s = aw.line_step(aw.localized_line_state(coin="up"), np.pi / 4)
-    pm = prob_map(s)
-    npt.assert_allclose([pm[-1], pm[1]], [0.5, 0.5], atol=1e-12)
-
-
-def test_line_walk_norm_drift():
-    s = aw.localized_line_state(coin="up")
-    for _ in range(2000):
-        s = aw.line_step(s, 0.613)
-    total = np.abs(s.up) ** 2 + np.abs(s.down) ** 2
-    npt.assert_allclose(total.sum(), 1.0, atol=1e-12)
-
-
-def test_directed_line_step_theta_zero():
-    # identity coin, default mover "up": up hops +1, down stays put
-    s = aw.directed_line_step(aw.localized_line_state(coin="up"), 0.0)
-    assert prob_map(s)[1] == pytest.approx(1.0)
-    s2 = aw.directed_line_step(aw.localized_line_state(coin="down"), 0.0)
-    assert prob_map(s2)[0] == pytest.approx(1.0)
-
-
-def test_directed_line_step_minus_sign():
-    s = aw.directed_line_step(aw.localized_line_state(coin="up"), 0.0, sign="minus")
-    assert prob_map(s)[-1] == pytest.approx(1.0)
-
-
-def test_directed_line_step_down_mover():
-    s = aw.directed_line_step(
-        aw.localized_line_state(coin="down"), 0.0, mover="down"
+@st.composite
+def connected_graphs(draw):
+    """Connected graphs on 3-12 nodes, weights in [1, 2]: a random spanning
+    tree plus random extra edges."""
+    n = draw(st.integers(min_value=3, max_value=12))
+    weight = st.floats(min_value=1.0, max_value=2.0)
+    edges = {(draw(st.integers(1, k - 1)), k): draw(weight) for k in range(2, n + 1)}
+    extra = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] < e[1])
+    for pair in draw(st.lists(extra, max_size=n)):
+        edges.setdefault(pair, draw(weight))
+    return MoleculeGraph(
+        name="random", node_count=n, edges=tuple((i, j, w) for (i, j), w in edges.items())
     )
-    assert prob_map(s)[1] == pytest.approx(1.0)
 
 
-def test_directed_line_step_validation():
-    s = aw.localized_line_state()
-    with pytest.raises(ValueError):
-        aw.directed_line_step(s, 0.0, sign="sideways")
-    with pytest.raises(ValueError):
-        aw.directed_line_step(s, 0.0, mover="both")
+# ---------------------------------------------------------------- coin
 
+def coin_coefficients(g, node, coin="unweighted"):
+    """(a, b) of the coin [[a, b], [b, -a]] at every arc slot of `node`."""
+    lay = aw.directed_walk_state(g, coin=coin).layout
+    slots = lay.node_of == node - 1
+    return lay.a[slots], lay.b[slots]
 
-def test_directed_line_two_steps_quarter():
-    s = aw.localized_line_state(coin="up")
-    for _ in range(2):
-        s = aw.directed_line_step(s, np.pi / 4)
-    pm = prob_map(s)
-    npt.assert_allclose([pm[0], pm[1], pm[2]], [0.25, 0.5, 0.25], atol=1e-12)
-
-
-@given(st.floats(min_value=-10.0, max_value=10.0, allow_nan=False))
-def test_angle_coin_unitary(theta):
-    C = aw.angle_coin(theta)
-    npt.assert_allclose(C.conj().T @ C, np.eye(2), atol=1e-12)
-
-
-# ---------------------------------------------------------------- degree coin
 
 def test_degree_coin_benzene_balanced():
     # all sites degree 2: alpha = 1 gives the balanced +-matrix
-    g = aw.load_molecule("benzene")
-    C = aw.degree_coin(g, 1)
+    lay = aw.directed_walk_state(aw.load_molecule("benzene")).layout
     r = math.sqrt(0.5)
-    npt.assert_allclose(C, [[r, r], [r, -r]], atol=1e-12)
+    npt.assert_allclose(lay.a, r, atol=1e-12)
+    npt.assert_allclose(lay.b, r, atol=1e-12)
 
 
 def test_degree_coin_branch_site():
     # degree 3: alpha = 1.5, stay weight sqrt(1/2.5), move weight sqrt(1.5/2.5)
-    g = aw.load_molecule("naphthalene")
-    C = aw.degree_coin(g, 4)
-    npt.assert_allclose(C[0, 0], math.sqrt(0.4), atol=1e-12)
-    npt.assert_allclose(C[0, 1], math.sqrt(0.6), atol=1e-12)
-    npt.assert_allclose(C[1, 1], -math.sqrt(0.4), atol=1e-12)
+    a, b = coin_coefficients(aw.load_molecule("naphthalene"), 4)
+    assert a.size == 3
+    npt.assert_allclose(a, math.sqrt(0.4), atol=1e-12)
+    npt.assert_allclose(b, math.sqrt(0.6), atol=1e-12)
 
 
 @pytest.mark.parametrize("d", range(1, 11))
 def test_degree_coin_orthogonal_all_degrees(d):
-    C = aw.degree_coin(star(d), 1)
-    npt.assert_allclose(C.T @ C, np.eye(2), atol=1e-12)
+    a, b = coin_coefficients(star(d), 1)
+    assert a.size == d
+    npt.assert_allclose(a**2 + b**2, 1.0, atol=1e-12)
+    npt.assert_allclose(b / a, math.sqrt(d / 2.0), atol=1e-12)
 
 
 def test_degree_coin_weighted_kind():
     g = aw.load_molecule("naphthalene")
-    Cw = aw.degree_coin(g, 4, kind="weighted")
+    a, b = coin_coefficients(g, 4, coin="weighted")
     alpha = aw.weighted_degrees(g)[3] / 2.0
-    npt.assert_allclose(Cw[0, 0], math.sqrt(1.0 / (alpha + 1.0)), atol=1e-12)
-    npt.assert_allclose(Cw.T @ Cw, np.eye(2), atol=1e-12)
+    npt.assert_allclose(a, math.sqrt(1.0 / (alpha + 1.0)), atol=1e-12)
+    npt.assert_allclose(b, math.sqrt(alpha / (alpha + 1.0)), atol=1e-12)
+    npt.assert_allclose(a**2 + b**2, 1.0, atol=1e-12)
 
 
 def test_degree_coin_validation():
-    g = aw.load_molecule("benzene")
     with pytest.raises(ValueError):
-        aw.degree_coin(g, 0)
-    with pytest.raises(ValueError):
-        aw.degree_coin(g, 7)
-    with pytest.raises(ValueError):
-        aw.degree_coin(g, 1, kind="nonsense")
+        aw.directed_walk_state(aw.load_molecule("benzene"), coin="nonsense")
 
 
 # ---------------------------------------------------------------- graph walk
@@ -179,6 +107,9 @@ def test_directed_walk_state_bad_start():
         aw.directed_walk_state(g, start=0)
     with pytest.raises(ValueError):
         aw.directed_walk_state(g, start=7)
+    for start in ("3", 2.0, True):
+        with pytest.raises(ValueError, match="integer"):
+            aw.directed_walk_state(g, start=start)
 
 
 def test_directed_step_exactly_unitary_long_run():
@@ -188,6 +119,18 @@ def test_directed_step_exactly_unitary_long_run():
         s = aw.directed_step(s)
     norm = (np.abs(s.stay) ** 2 + np.abs(s.move) ** 2).sum()
     npt.assert_allclose(norm, 1.0, atol=1e-11)
+
+
+@settings(max_examples=5, deadline=None)
+@given(connected_graphs())
+def test_directed_step_norm_on_random_graphs(g):
+    for coin in ("unweighted", "weighted"):
+        s = aw.directed_walk_state(g, start=1, coin=coin)
+        for _ in range(10_000):
+            s = aw.directed_step(s)
+        assert s.stay.dtype == np.float64 and s.move.dtype == np.float64
+        norm = (s.stay**2 + s.move**2).sum()
+        npt.assert_allclose(norm, 1.0, atol=1e-11)
 
 
 def test_directed_step_spreads_probability():
@@ -287,6 +230,8 @@ def test_rank_nodes_validation():
         aw.rank_nodes(g, steps=0)
     with pytest.raises(ValueError):
         aw.rank_nodes(g, steps=2.5)
+    with pytest.raises(ValueError):
+        aw.rank_nodes(g, steps=True)
     with pytest.raises(ValueError):
         aw.rank_nodes(g, start=99)
     with pytest.raises(ValueError):
