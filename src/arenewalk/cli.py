@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import io
 import json
+import numbers
 import os
 import platform
 import sys
@@ -123,6 +124,20 @@ def _load_manifest_config(path, command):
     return config
 
 
+def _check_ctqw_config(cfg):
+    """Raise ValueError unless a simulate or stability config holds real
+    numbers for the grid and the rate, and a list of strings for
+    stability's molecules; a replayed manifest reaches here unchecked.
+    load_molecule checks a single molecule name."""
+    for key in ("t_max", "dt", "gamma_scale"):
+        value = cfg.get(key)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{key} must be a real number, got {value!r}")
+    names = cfg.get("molecules", [])
+    if not isinstance(names, list) or not all(isinstance(m, str) for m in names):
+        raise ValueError(f"molecules must be a list of strings, got {names!r}")
+
+
 _OUT_OPTION = click.option(
     "--out", type=click.Path(file_okay=False), default=".", show_default=True,
     envvar="ARENEWALK_OUT",
@@ -182,6 +197,7 @@ def simulate(molecule, t_max, dt, gamma_scale, out, from_manifest):
                "gamma_scale": gamma_scale}
     if cfg.get("molecule") is None:
         raise click.UsageError("--molecule is required (or use --from-manifest)")
+    _check_ctqw_config(cfg)
     started = time.perf_counter()
     g = graphs.load_molecule(cfg["molecule"])
     prop = ctqw.propagator(ctqw.hamiltonian(g, cfg["gamma_scale"]))
@@ -270,6 +286,7 @@ def stability(molecule, t_max, dt, gamma_scale, out, from_manifest):
     else:
         cfg = {"molecules": list(molecule), "t_max": t_max, "dt": dt,
                "gamma_scale": gamma_scale}
+    _check_ctqw_config(cfg)
     if len(cfg.get("molecules", ())) < 2:
         raise click.UsageError("stability needs at least two --molecule flags")
     started = time.perf_counter()

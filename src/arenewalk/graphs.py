@@ -6,6 +6,7 @@ after construction and safe to share between threads.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -101,6 +102,9 @@ def load_molecule(name):
     (list of [i, j, weight], 1-based) and optional `classes` (list of
     lists of node indices) and `labels` (list of strings, one per node).
     """
+    # open() would read an integer as a file descriptor
+    if not isinstance(name, (str, os.PathLike)):
+        raise ValueError(f"molecule must be a name or a path, got {name!r}")
     if name in CATALOG:
         text = (resources.files("arenewalk.data") / f"{name}.yaml").read_text()
     else:

@@ -346,14 +346,12 @@ def test_rank_bytes_match_complex_walk(runner, tmp_path, molecule, coin):
 MISSING = object()
 
 
-@pytest.mark.parametrize("key, value", [
-    ("start", "3"), ("start", 2.0), ("steps", True),
-    pytest.param("start", MISSING, id="start-missing"),
-    pytest.param("coin_degree", MISSING, id="coin_degree-missing"),
-])
-def test_rank_replay_rejects_malformed_config(runner, tmp_path, key, value):
-    out = str(tmp_path / "rank")
-    assert runner.invoke(main, ["rank", "-m", "benzene", "--out", out]).exit_code == 0
+def replay_malformed(runner, tmp_path, argv, key, value):
+    """Run argv, set (or with MISSING delete) one key of its manifest's
+    config and replay that; returns the replay's result and output dir."""
+    out = str(tmp_path / "run")
+    res = runner.invoke(main, [*argv, "--out", out])
+    assert res.exit_code == 0, res.output
     path = os.path.join(out, "manifest.json")
     doc = json.load(open(path))
     if value is MISSING:
@@ -362,10 +360,46 @@ def test_rank_replay_rejects_malformed_config(runner, tmp_path, key, value):
         doc["config"][key] = value
     Path(path).write_text(json.dumps(doc))
     replay = str(tmp_path / "replay")
-    res = runner.invoke(main, ["rank", "--from-manifest", path, "--out", replay])
+    return runner.invoke(main, [argv[0], "--from-manifest", path, "--out", replay]), replay
+
+
+@pytest.mark.parametrize("key, value", [
+    ("start", "3"), ("start", 2.0), ("steps", True), ("molecule", 5),
+    pytest.param("start", MISSING, id="start-missing"),
+    pytest.param("coin_degree", MISSING, id="coin_degree-missing"),
+])
+def test_rank_replay_rejects_malformed_config(runner, tmp_path, key, value):
+    res, replay = replay_malformed(runner, tmp_path, ["rank", "-m", "benzene"], key, value)
     assert res.exit_code == 2, res.output
     assert "configuration error:" in res.output
     assert not os.path.exists(os.path.join(replay, "ranks.csv"))
+
+
+CTQW_ARGV = {
+    "simulate": ["simulate", "-m", "benzene", "--t-max", "1", "--dt", "0.5"],
+    "stability": ["stability", "-m", "benzene", "-m", "naphthalene", "--t-max", "1",
+                  "--dt", "0.5"],
+}
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("simulate", "t_max", "5"), ("simulate", "t_max", True), ("simulate", "dt", "0.5"),
+    ("simulate", "dt", None), ("simulate", "gamma_scale", True),
+    ("simulate", "gamma_scale", [1.0]), ("simulate", "molecule", 5),
+    ("simulate", "molecule", ["benzene"]),
+    pytest.param("simulate", "t_max", MISSING, id="simulate-t_max-missing"),
+    ("stability", "t_max", "5"), ("stability", "dt", True),
+    ("stability", "gamma_scale", True), ("stability", "gamma_scale", "2"),
+    ("stability", "molecules", "benzene,naphthalene"),
+    ("stability", "molecules", ["benzene", 6]),
+    ("stability", "molecules", {"benzene": 1, "naphthalene": 2}),
+    pytest.param("stability", "dt", MISSING, id="stability-dt-missing"),
+])
+def test_ctqw_replay_rejects_malformed_config(runner, tmp_path, command, key, value):
+    res, replay = replay_malformed(runner, tmp_path, CTQW_ARGV[command], key, value)
+    assert res.exit_code == 2, res.output
+    assert "configuration error:" in res.output
+    assert not os.path.exists(replay)
 
 
 # ---------------------------------------------------------------- stability

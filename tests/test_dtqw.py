@@ -1,6 +1,8 @@
 """Directed discrete-time walk: coin, steps, rankings."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arenewalk as aw
+from arenewalk import dtqw
 from arenewalk.errors import ComputationError
 from arenewalk.graphs import MoleculeGraph
 
@@ -35,6 +38,29 @@ def connected_graphs(draw):
     return MoleculeGraph(
         name="random", node_count=n, edges=tuple((i, j, w) for (i, j), w in edges.items())
     )
+
+
+def reference_step(lay, stay, move):
+    """Coin then route, as two arrays: the step the gather reproduces."""
+    c = lay.a * stay + lay.b * move
+    m = lay.b * stay - lay.a * move
+    stay_new = np.empty_like(c)
+    move_new = np.empty_like(m)
+    stay_new[lay.cyc_next] = c
+    move_new[lay.cross] = m
+    return stay_new, move_new
+
+
+def reference_occupancy(g, steps, start=1, coin="unweighted"):
+    """Per-node occupancy summed over `steps` steps, one bincount per step."""
+    state = aw.directed_walk_state(g, start=start, coin=coin)
+    lay = state.layout
+    stay, move = state.stay, state.move
+    occ = np.zeros(g.node_count)
+    for _ in range(steps):
+        stay, move = reference_step(lay, stay, move)
+        occ += np.bincount(lay.node_of, weights=stay**2 + move**2, minlength=g.node_count)
+    return occ
 
 
 # ---------------------------------------------------------------- coin
@@ -133,6 +159,19 @@ def test_directed_step_norm_on_random_graphs(g):
         npt.assert_allclose(norm, 1.0, atol=1e-11)
 
 
+@pytest.mark.parametrize("coin", ["unweighted", "weighted"])
+@pytest.mark.parametrize("molecule", aw.CATALOG)
+def test_directed_step_equals_coin_then_route(molecule, coin):
+    g = aw.load_molecule(molecule)
+    for start in (1, g.node_count):
+        s = aw.directed_walk_state(g, start=start, coin=coin)
+        stay, move = s.stay, s.move
+        for _ in range(40):
+            s = aw.directed_step(s)
+            stay, move = reference_step(s.layout, stay, move)
+            assert np.array_equal(s.stay, stay) and np.array_equal(s.move, move)
+
+
 def test_directed_step_spreads_probability():
     g = aw.load_molecule("naphthalene")
     s = aw.directed_walk_state(g, start=1)
@@ -193,6 +232,49 @@ def test_rank_scores_pooled_within_classes():
     for cls in g.classes:
         assert len({r.scores[n - 1] for n in cls}) == 1
         assert len({r.ranks[n - 1] for n in cls}) == 1
+
+
+def assert_blocked_walk_exact(g, coin):
+    # steps around the history block length; unpooled scores are the occupancy
+    rows = dtqw._block_rows(aw.directed_walk_state(g).layout.nsub)
+    unpooled = dataclasses.replace(g, classes=None)
+    for steps in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
+        occ = reference_occupancy(g, steps, coin=coin)
+        ranking = aw.rank_nodes(unpooled, steps=steps, coin=coin)
+        assert np.array_equal(ranking.scores, occ)
+        pooled = aw.rank_nodes(g, steps=steps, coin=coin).scores
+        for cls in aw.equivalence_classes(g):
+            mean = occ[[m - 1 for m in cls]].mean()
+            assert all(pooled[m - 1] == mean for m in cls)
+
+
+@pytest.mark.parametrize("coin", ["unweighted", "weighted"])
+@pytest.mark.parametrize("molecule", aw.CATALOG)
+def test_rank_nodes_blocked_equals_per_step_loop(molecule, coin):
+    assert_blocked_walk_exact(aw.load_molecule(molecule), coin)
+
+
+@settings(max_examples=5, deadline=None)
+@given(connected_graphs())
+def test_rank_nodes_blocked_equals_per_step_loop_random_graphs(g):
+    for coin in ("unweighted", "weighted"):
+        assert_blocked_walk_exact(g, coin)
+
+
+def test_rank_nodes_history_memory_bounded():
+    g = aw.load_molecule("naphthalene")
+    nsub = aw.directed_walk_state(g).layout.nsub
+    rows = dtqw._block_rows(nsub)
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            aw.rank_nodes(g, steps=steps)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(40 * rows) - peak(2 * rows) < rows * 2 * nsub * 8
 
 
 def test_rank_nodes_deterministic():

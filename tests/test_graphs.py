@@ -183,6 +183,9 @@ def test_load_molecule_from_file(tmp_path):
 def test_load_molecule_unknown_name():
     with pytest.raises(ValueError):
         aw.load_molecule("coronene")
+    for name in (0, True, ["benzene"]):
+        with pytest.raises(ValueError, match="name or a path"):
+            aw.load_molecule(name)
 
 
 def test_load_molecule_missing_field(tmp_path):
