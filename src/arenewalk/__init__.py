@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .bondorder import (
     badger_bond_order,
     badger_force_constant,
-    load_matrix_file,
     local_force_constants,
     wilson_residual,
 )
@@ -30,7 +29,6 @@ from .ctqw import (
 from .dtqw import (
     DirectedWalkState,
     NodeRanking,
-    arc_order,
     directed_step,
     directed_walk_state,
     node_probabilities,
@@ -51,6 +49,7 @@ from .metrics import (
     MODE_CATALOG,
     ModePattern,
     ModeReport,
+    SiteObservables,
     SiteReport,
     SiteSeries,
     StabilityEntry,
@@ -58,14 +57,12 @@ from .metrics import (
     classify_modes,
     detect_period,
     maxp,
-    overall_mean_trp,
-    site_means,
+    observe,
     site_observables,
     site_reports,
     site_series,
     stability_entry,
     stability_order,
-    time_means,
     trp,
 )
 
@@ -81,12 +78,12 @@ __all__ = [
     "MoleculeGraph",
     "NodeRanking",
     "Propagator",
+    "SiteObservables",
     "SiteReport",
     "SiteSeries",
     "StabilityEntry",
     "StabilityReport",
     "adjacency",
-    "arc_order",
     "badger_bond_order",
     "badger_force_constant",
     "classify_modes",
@@ -99,21 +96,18 @@ __all__ = [
     "evolve_ensemble",
     "hamiltonian",
     "laplacian",
-    "load_matrix_file",
     "load_molecule",
     "local_force_constants",
     "maxp",
     "node_probabilities",
-    "overall_mean_trp",
+    "observe",
     "propagator",
     "rank_nodes",
-    "site_means",
     "site_observables",
     "site_reports",
     "site_series",
     "stability_entry",
     "stability_order",
-    "time_means",
     "time_series",
     "trp",
     "unitary",

@@ -13,7 +13,6 @@ geometry or spectra is out of scope.
 from __future__ import annotations
 
 import numpy as np
-import yaml
 
 from .errors import ComputationError
 
@@ -75,27 +74,3 @@ def local_force_constants(F, D, cond_limit=1e12):
     quad = np.einsum("im,im->m", D.conj(), np.linalg.solve(K, D))
     return (1.0 / quad.real).copy()
 
-
-def load_matrix_file(path):
-    """Read F/G/D/Lambda from a YAML file; matrices as row-lists, Lambda flat.
-
-    Returns a dict holding numpy arrays for whichever of the four fields
-    are present.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ValueError(f"malformed matrix file {path!r}: {exc}")
-    if not isinstance(doc, dict):
-        raise ValueError(f"malformed matrix file {path!r}: expected a mapping")
-    out = {}
-    for key in ("F", "G", "D"):
-        if key in doc:
-            mat = np.array(doc[key], dtype=float)
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-                raise ValueError(f"field {key} in {path!r} must be a square matrix")
-            out[key] = mat
-    if "Lambda" in doc:
-        out["Lambda"] = np.array(doc["Lambda"], dtype=float).ravel()
-    return out

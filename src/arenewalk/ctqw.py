@@ -38,21 +38,12 @@ class Propagator:
     eigenvectors: np.ndarray
 
 
-class EvolutionSeries(list):
-    """Ordered list of (t, B) pairs with stacked-array views for bulk math."""
+@dataclass(frozen=True, eq=False)
+class EvolutionSeries:
+    """B(t) on a time grid: times (samples,) and matrices (samples, N, N)."""
 
-    def __init__(self, times, matrices):
-        super().__init__(zip(times.tolist(), list(matrices)))
-        self._times = times
-        self._matrices = matrices
-
-    @property
-    def times(self):
-        return self._times
-
-    @property
-    def matrices(self):
-        return self._matrices
+    times: np.ndarray
+    matrices: np.ndarray
 
 
 def hamiltonian(g, gamma_scale=1.0):

@@ -88,7 +88,6 @@ class _ArcLayout:
         self.node_of = node_of
         self.first = first
         self.deg = deg
-        self.nbrs = nbrs
         self.cyc_next = cyc_next
         self.cross = cross
         self.a = np.sqrt(1.0 / (alpha + 1.0))[node_of]
@@ -105,15 +104,6 @@ class DirectedWalkState:
     stay: np.ndarray
     move: np.ndarray
     layout: _ArcLayout = field(repr=False)
-
-
-def arc_order(g):
-    """Cyclic incident-edge order used at each node: ascending neighbor index.
-
-    Returns {node: tuple of neighbor nodes}, 1-based.
-    """
-    lay = _ArcLayout(g)
-    return {x + 1: tuple(int(y) + 1 for y in lay.nbrs[x]) for x in range(lay.n)}
 
 
 def _is_int(x):

@@ -14,6 +14,12 @@ import numpy as np
 import yaml
 
 CATALOG = ("benzene", "naphthalene", "anthracene", "phenanthrene")
+# Characters that would split or quote a CSV cell the CLI writes unquoted.
+_CSV_BREAKING = frozenset(',"\r\n')
+
+
+def _is_index(x):
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,7 +39,7 @@ class MoleculeGraph:
 
     def __post_init__(self):
         n = self.node_count
-        if not isinstance(n, int) or n < 1:
+        if not _is_index(n) or n < 1:
             raise ValueError(f"node_count must be a positive integer, got {n!r}")
         canon = []
         seen = set()
@@ -42,7 +48,7 @@ class MoleculeGraph:
                 i, j, w = edge
             except (TypeError, ValueError):
                 raise ValueError(f"edge {edge!r} is not an (i, j, weight) triple")
-            if not (isinstance(i, int) and isinstance(j, int)):
+            if not (_is_index(i) and _is_index(j)):
                 raise ValueError(f"edge {edge!r} has non-integer endpoints")
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"edge {edge!r} endpoint outside [1, {n}]")
@@ -61,11 +67,19 @@ class MoleculeGraph:
             object.__setattr__(self, "labels", tuple(f"C{k}" for k in range(1, n + 1)))
         elif len(self.labels) != n:
             raise ValueError("labels length must equal node_count")
+        for text in (self.name, *self.labels):
+            if not isinstance(text, str) or _CSV_BREAKING.intersection(text):
+                raise ValueError(
+                    f"name and labels must be strings without ',', '\"', CR or LF, "
+                    f"got {text!r}"
+                )
         if self.classes is not None:
             flat = []
             canon_classes = []
             for cls in self.classes:
-                members = sorted(int(x) for x in cls)
+                if not all(_is_index(x) for x in cls):
+                    raise ValueError(f"class {cls!r} has non-integer members")
+                members = sorted(cls)
                 if not members:
                     raise ValueError("empty equivalence class")
                 flat.extend(members)

@@ -5,6 +5,11 @@ a high time mean marks localization (double-bond character). TRP(k, t)
 is the mean occupancy after dropping exactly one maximum and one minimum
 across walkers; a high time mean marks participation in the delocalized
 cloud, and its all-site average orders molecules by stability.
+
+SiteObservables holds both per (sample, site). observe streams it from a
+propagator without keeping B(t); the per-site series, the site reports
+and the stability score all read it, and reduce a full EvolutionSeries
+(or a list of (t, B) pairs) to it first.
 """
 from __future__ import annotations
 
@@ -12,12 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import graphs
-from .ctqw import EvolutionSeries
+from . import ctqw, graphs
 
 
 def _stack(series):
-    if isinstance(series, EvolutionSeries):
+    if isinstance(series, ctqw.EvolutionSeries):
         return series.times, series.matrices
     if len(series) == 0:
         raise ValueError("empty series")
@@ -36,6 +40,16 @@ class SiteSeries:
     """MAXP/TRP time series for one site."""
 
     node: int
+    times: np.ndarray
+    maxp: np.ndarray
+    trp: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class SiteObservables:
+    """MAXP and TRP per (sample, site) on a time grid: times is
+    (samples,), maxp and trp are (samples, sites)."""
+
     times: np.ndarray
     maxp: np.ndarray
     trp: np.ndarray
@@ -64,13 +78,27 @@ def site_observables(mats):
     return np.clip(top, 0.0, 1.0), np.clip(trimmed, 0.0, 1.0)
 
 
-def _site_column(series, node):
+def observe(p, t_max=200.0, dt=0.01):
+    """SiteObservables of a propagator on the grid t = 0, dt, 2*dt, ... up
+    to t_max inclusive, reduced block by block as B(t) is evolved."""
+    times, (mp, tp) = ctqw.evolve(p, t_max, dt, site_observables)
+    return SiteObservables(times, mp, tp)
+
+
+def _observables(series):
+    """A SiteObservables as is, or the reduction of a full series."""
+    if isinstance(series, SiteObservables):
+        return series
     times, mats = _stack(series)
-    _check_node(node, mats.shape[2])
-    # reduce every site, as the streamed pass does: numpy sums a single
+    return SiteObservables(times, *site_observables(mats))
+
+
+def _site_column(series, node):
+    obs = _observables(series)
+    _check_node(node, obs.maxp.shape[1])
+    # every site is reduced, as in the streamed pass: numpy sums a single
     # column in another order, which can move the last bit
-    mp, tp = site_observables(mats)
-    return times, mp[:, node - 1], tp[:, node - 1]
+    return obs.times, obs.maxp[:, node - 1], obs.trp[:, node - 1]
 
 
 def maxp(series, node):
@@ -89,33 +117,15 @@ def site_series(series, node):
     return SiteSeries(node=node, times=times, maxp=mp, trp=tp)
 
 
-def time_means(s, class_id=None):
-    """Arithmetic time means of a SiteSeries (the t = 0 sample included)."""
-    if len(s.times) == 0:
-        raise ValueError("empty series")
-    return SiteReport(
-        node=s.node,
-        maxp_mean=float(s.maxp.mean()),
-        trp_mean=float(s.trp.mean()),
-        class_id=class_id,
-    )
-
-
 def site_reports(g, series):
     """Time-mean report per site, class-tagged by the smallest class member."""
-    times, mats = _stack(series)
-    return site_means(g, *site_observables(mats))
-
-
-def site_means(g, mp, tp):
-    """Time-mean report per site from (samples, sites) MAXP and TRP arrays,
-    class-tagged by the smallest class member."""
-    if len(mp) == 0:
+    obs = _observables(series)
+    if len(obs.times) == 0:
         raise ValueError("empty series")
     classes = graphs.equivalence_classes(g)
     class_of = {m: g.labels[cls[0] - 1] for cls in classes for m in cls}
-    mp = mp.mean(axis=0)
-    tp = tp.mean(axis=0)
+    mp = obs.maxp.mean(axis=0)
+    tp = obs.trp.mean(axis=0)
     return tuple(
         SiteReport(node=k, maxp_mean=float(mp[k - 1]), trp_mean=float(tp[k - 1]),
                    class_id=class_of[k])
@@ -153,12 +163,6 @@ def detect_period(series, revival_tol=1e-3):
     return float(times[depart + int(back[0])])
 
 
-def overall_mean_trp(series):
-    """TRP averaged over every site and sample; the stability score."""
-    times, mats = _stack(series)
-    return float(site_observables(mats)[1].mean())
-
-
 @dataclass(frozen=True)
 class StabilityEntry:
     molecule: str
@@ -168,8 +172,9 @@ class StabilityEntry:
 
 
 def stability_entry(g, series, t_max, dt):
-    """Stability score for one molecule's sampled series."""
-    return StabilityEntry(molecule=g.name, mean_trp=overall_mean_trp(series),
+    """Stability score for one molecule: TRP averaged over every site and
+    sample."""
+    return StabilityEntry(molecule=g.name, mean_trp=float(_observables(series).trp.mean()),
                           t_max=float(t_max), dt=float(dt))
 
 

@@ -3,7 +3,6 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -154,26 +153,3 @@ def test_local_force_constants_positive_for_spd(n, seed):
     except ComputationError:
         return  # ill-conditioned draw, nothing to check
     assert np.all(k > 0)
-
-
-# ---------------------------------------------------------------- file loading
-
-def test_load_matrix_file(tmp_path):
-    doc = {
-        "F": [[2.0, 0.1], [0.1, 3.0]],
-        "G": [[1.0, 0.0], [0.0, 1.0]],
-        "D": [[1.0, 0.0], [0.0, 1.0]],
-        "Lambda": [2.0, 3.0],
-    }
-    path = tmp_path / "mats.yaml"
-    path.write_text(yaml.safe_dump(doc))
-    mats = aw.load_matrix_file(str(path))
-    npt.assert_array_equal(mats["F"], doc["F"])
-    npt.assert_array_equal(mats["Lambda"], [2.0, 3.0])
-
-
-def test_load_matrix_file_rejects_ragged(tmp_path):
-    path = tmp_path / "bad.yaml"
-    path.write_text(yaml.safe_dump({"F": [[1.0, 2.0], [3.0]]}))
-    with pytest.raises(ValueError):
-        aw.load_matrix_file(str(path))

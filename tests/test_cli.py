@@ -158,6 +158,18 @@ def test_simulate_rejects_infinite_weight(runner, tmp_path):
     assert not os.path.exists(out / "site_series.csv")
 
 
+@pytest.mark.parametrize("command", ["simulate", "rank"])
+def test_csv_breaking_name_exits_2(runner, tmp_path, command):
+    path = tmp_path / "bad.yaml"
+    path.write_text('name: "al,lyl"\nnodes: 3\nedges:\n  - [1, 2, 1.5]\n'
+                    '  - [2, 3, 1.5]\nlabels: [Ca, "C,b", Cc]\n')
+    out = tmp_path / "x"
+    res = runner.invoke(main, [command, "-m", str(path), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "configuration error" in res.output
+    assert not os.path.exists(out)
+
+
 def write_csv_text(header, rows):
     return "".join(",".join(row) + "\n" for row in [header, *rows]).encode()
 
@@ -258,6 +270,18 @@ def test_rank_start_within_class_identical_output(runner, tmp_path):
     assert read_bytes(os.path.join(out1, "ranks.csv")) == read_bytes(
         os.path.join(out5, "ranks.csv")
     )
+
+
+def test_rank_rejects_fractional_class_member(runner, tmp_path):
+    # int() would read 2.7 as node 2 and pool nodes 1 and 2
+    path = tmp_path / "bad.yaml"
+    path.write_text("name: allyl\nnodes: 3\nedges:\n  - [1, 2, 1.5]\n  - [2, 3, 1.2]\n"
+                    "classes: [[1, 2.7], [3]]\n")
+    out = tmp_path / "x"
+    res = runner.invoke(main, ["rank", "-m", str(path), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "non-integer" in res.output
+    assert not os.path.exists(out)
 
 
 def test_rank_matches_library(runner, tmp_path):

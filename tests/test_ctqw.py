@@ -119,7 +119,7 @@ def test_series_grid_counts():
     p = aw.propagator(aw.hamiltonian(aw.load_molecule("benzene")))
     s = aw.time_series(p, t_max=1.0, dt=0.5)
     npt.assert_allclose(s.times, [0.0, 0.5, 1.0])
-    assert len(aw.time_series(p, t_max=200.0, dt=0.01)) == 20001
+    assert len(aw.time_series(p, t_max=200.0, dt=0.01).times) == 20001
     with pytest.raises(ValueError):
         aw.time_series(p, t_max=0.0, dt=0.1)
     with pytest.raises(ValueError):
@@ -134,7 +134,7 @@ def test_series_grid_counts():
 def test_sample_ceiling_boundary(monkeypatch):
     p = aw.propagator(aw.hamiltonian(aw.load_molecule("benzene")))
     monkeypatch.setattr(ctqw, "MAX_SAMPLES", 100)
-    assert len(aw.time_series(p, t_max=0.99, dt=0.01)) == 100
+    assert len(aw.time_series(p, t_max=0.99, dt=0.01).times) == 100
     with pytest.raises(ValueError, match="above the limit of 100"):
         aw.time_series(p, t_max=1.0, dt=0.01)
 
@@ -186,8 +186,11 @@ def test_streamed_observables_equal_series(monkeypatch, block):
             monkeypatch.setattr(ctqw, "BLOCK_BYTES", 16 * g.node_count ** 2 * block)
             assert np.array_equal(aw.time_series(p, t_max=5.0, dt=0.01).matrices,
                                   series.matrices)
-        times, (mp, tp) = aw.evolve(p, 5.0, 0.01, aw.site_observables)
-        assert np.array_equal(times, series.times)
+        obs = aw.observe(p, 5.0, 0.01)
+        assert np.array_equal(obs.times, series.times)
         for k in range(1, g.node_count + 1):
-            assert np.array_equal(mp[:, k - 1], aw.maxp(series, k))
-            assert np.array_equal(tp[:, k - 1], aw.trp(series, k))
+            assert np.array_equal(obs.maxp[:, k - 1], aw.maxp(series, k))
+            assert np.array_equal(obs.trp[:, k - 1], aw.trp(series, k))
+        assert aw.site_reports(g, obs) == aw.site_reports(g, series)
+        assert (aw.stability_entry(g, obs, 5.0, 0.01)
+                == aw.stability_entry(g, series, 5.0, 0.01))

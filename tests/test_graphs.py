@@ -204,11 +204,59 @@ def test_load_molecule_missing_field(tmp_path):
         ((1, 3, 1.0),),                  # endpoint out of range
         ((1, 2, 1.0), (2, 1, 1.2)),      # duplicate bond
         ((1, 2, float("inf")),),         # infinite weight
+        ((True, 2, 1.0),),               # bool endpoint, which counts as node 1
+        ((1, 2.0, 1.0),),                # float endpoint
     ],
 )
 def test_invalid_edges_rejected(edges):
     with pytest.raises(ValueError):
         MoleculeGraph(name="bad", node_count=2, edges=edges)
+
+
+@pytest.mark.parametrize("count", [True, 2.0, "2"])
+def test_non_integer_node_count_rejected(count):
+    with pytest.raises(ValueError, match="node_count"):
+        MoleculeGraph(name="bad", node_count=count, edges=((1, 2, 1.0),))
+
+
+@pytest.mark.parametrize(
+    "classes",
+    [
+        ((1, 2.7), (3,)),                # int() would truncate 2.7 to node 2
+        ((True, 2), (3,)),
+        ((1, 2), ("3",)),
+    ],
+)
+def test_non_integer_class_members_rejected(classes):
+    with pytest.raises(ValueError, match="non-integer"):
+        MoleculeGraph(name="bad", node_count=3,
+                      edges=((1, 2, 1.0), (2, 3, 1.0)), classes=classes)
+
+
+@pytest.mark.parametrize(
+    "name, labels",
+    [
+        ("al,lyl", ()),
+        ('al"lyl', ()),
+        ("al\rlyl", ()),
+        ("al\nlyl", ()),
+        ("allyl", ("Ca", "C,b", "Cc")),
+        ("allyl", ("Ca", "Cb", "C\nc")),
+        (5, ()),
+        ("allyl", ("Ca", 2, "Cc")),
+    ],
+)
+def test_csv_breaking_text_rejected(name, labels):
+    with pytest.raises(ValueError, match="name and labels"):
+        MoleculeGraph(name=name, node_count=3,
+                      edges=((1, 2, 1.0), (2, 3, 1.0)), labels=labels)
+
+
+def test_csv_safe_punctuation_accepted():
+    g = MoleculeGraph(name="50%s-ring (1;2)", node_count=3,
+                      edges=((1, 2, 1.0), (2, 3, 1.0)), labels=("C'a", "C b", "C%c"))
+    assert g.name == "50%s-ring (1;2)"
+    assert g.labels == ("C'a", "C b", "C%c")
 
 
 def test_disconnected_graph_rejected():

@@ -1,5 +1,7 @@
 """Occupancy metrics, revival detection, stability order, mode matching."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 import arenewalk as aw
 from arenewalk.graphs import MoleculeGraph
-from arenewalk.metrics import SiteSeries, _two_means_threshold
+from arenewalk.metrics import _two_means_threshold
 
 
 def series_from_columns(*cols):
@@ -91,25 +93,6 @@ def test_node_validation():
 
 
 # ---------------------------------------------------------------- reports
-
-def test_time_means_constant_series():
-    s = SiteSeries(
-        node=1,
-        times=np.array([0.0, 1.0, 2.0]),
-        maxp=np.full(3, 0.6),
-        trp=np.full(3, 0.2),
-    )
-    rep = aw.time_means(s, class_id="C1")
-    assert rep.maxp_mean == pytest.approx(0.6)
-    assert rep.trp_mean == pytest.approx(0.2)
-    assert rep.class_id == "C1"
-
-
-def test_time_means_empty_series():
-    s = SiteSeries(node=1, times=np.array([]), maxp=np.array([]), trp=np.array([]))
-    with pytest.raises(ValueError):
-        aw.time_means(s)
-
 
 def test_benzene_site_means_frozen(full_series):
     g, s = full_series["benzene"]
@@ -194,8 +177,25 @@ def test_detect_period_accepts_site_series(full_series):
 def test_overall_mean_trp_matches_reports(full_series):
     g, s = full_series["benzene"]
     reports = aw.site_reports(g, s)
-    got = aw.overall_mean_trp(s)
+    got = aw.stability_entry(g, s, t_max=200.0, dt=0.01).mean_trp
     npt.assert_allclose(got, np.mean([r.trp_mean for r in reports]), atol=1e-12)
+
+
+def test_stability_entry_memory_bounded_by_outputs():
+    # doubling the grid adds 20000 samples; the per-site outputs grow by
+    # about 4.5 MB, a materialised B(t) stack would grow by 31 MB
+    g = aw.load_molecule("phenanthrene")
+    p = aw.propagator(aw.hamiltonian(g))
+
+    def peak(t_max):
+        tracemalloc.start()
+        try:
+            aw.stability_entry(g, aw.observe(p, t_max, 0.01), t_max, 0.01)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(400.0) - peak(200.0) < 20000 * g.node_count ** 2 * 8 / 2
 
 
 def test_stability_order_full_catalog(full_series):
