@@ -9,7 +9,6 @@ byte. Exit codes: 0 success, 2 configuration error, 3 computation error.
 from __future__ import annotations
 
 import functools
-import io
 import json
 import numbers
 import os
@@ -33,23 +32,15 @@ def _fmt(x):
     return format(float(x), ".12g")
 
 
-def _series_csv(name, obs):
-    """site_series.csv text of a SiteObservables, one block of rows per node.
-
-    The t column is formatted once. Each node's rows come from one
-    %-format over its interleaved (t, maxp, trp) cells; "%.12g" writes the
-    same digits as _fmt.
-    """
-    count = len(obs.times)
-    cells = [None] * (3 * count)
-    cells[0::3] = [_fmt(t) for t in obs.times.tolist()]
-    prefix = name.replace("%", "%%")
-    blocks = ["molecule,node,t,maxp,trp\n"]
-    for k in range(obs.maxp.shape[1]):
-        cells[1::3] = obs.maxp[:, k].tolist()
-        cells[2::3] = obs.trp[:, k].tolist()
-        blocks.append((f"{prefix},{k + 1},%s,%.12g,%.12g\n" * count) % tuple(cells))
-    return "".join(blocks)
+def _rows(row, *columns):
+    """CSV text of one line per entry of the columns: row is the %-format
+    of a single line, applied once to all lines' interleaved cells.
+    "%.12g" writes the same digits as _fmt, and "%d" as str(int)."""
+    count = len(columns[0])
+    cells = [None] * (len(columns) * count)
+    for k, column in enumerate(columns):
+        cells[k::len(columns)] = column
+    return (row * count) % tuple(cells)
 
 
 def _guarded(fn):
@@ -82,14 +73,6 @@ def _atomic_write(path, text):
         raise
 
 
-def _write_csv(path, header, rows):
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(row) + "\n")
-    _atomic_write(path, buf.getvalue())
-
-
 def _write_manifest(out_dir, command, config, outputs, wall_time):
     doc = {
         "command": command,
@@ -103,9 +86,8 @@ def _write_manifest(out_dir, command, config, outputs, wall_time):
         "outputs": outputs,
         "wall_time_s": round(wall_time, 6),
     }
-    path = os.path.join(out_dir, "manifest.json")
-    _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
+    _atomic_write(os.path.join(out_dir, "manifest.json"),
+                  json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _load_manifest_config(path, command):
@@ -122,6 +104,21 @@ def _load_manifest_config(path, command):
     if not isinstance(config, dict):
         raise ValueError(f"manifest {path!r} has no config mapping")
     return config
+
+
+def _run(command, cfg, out, from_manifest, tables):
+    """Run a writing subcommand. cfg (or the config replayed from
+    --from-manifest) goes to tables, which validates it, may fill in
+    resolved values and returns {file name: CSV text}; only then are the
+    files and manifest.json written to out and the "wrote" line printed."""
+    if from_manifest:
+        cfg = _load_manifest_config(from_manifest, command)
+    started = time.perf_counter()
+    files = tables(cfg)
+    for name, text in files.items():
+        _atomic_write(os.path.join(out, name), text)
+    _write_manifest(out, command, cfg, list(files), time.perf_counter() - started)
+    click.echo(f"{command}: wrote {', '.join(files)}, manifest.json to {out}")
 
 
 def _check_ctqw_config(cfg):
@@ -142,6 +139,12 @@ _OUT_OPTION = click.option(
     "--out", type=click.Path(file_okay=False), default=".", show_default=True,
     envvar="ARENEWALK_OUT",
     help="Output directory (env ARENEWALK_OUT overrides the default).",
+)
+
+
+_FROM_MANIFEST_OPTION = click.option(
+    "--from-manifest", type=click.Path(exists=True, dir_okay=False), default=None,
+    help="Replay the configuration of a previous run.",
 )
 
 
@@ -181,8 +184,7 @@ def cmd_list():
 @click.option("--gamma-scale", type=float, default=1.0, show_default=True,
               help="Global rate multiplier on the walk generator.")
 @_OUT_OPTION
-@click.option("--from-manifest", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="Replay the configuration of a previous run.")
+@_FROM_MANIFEST_OPTION
 @_guarded
 def simulate(molecule, t_max, dt, gamma_scale, out, from_manifest):
     """Run the continuous-time walk and write MAXP/TRP series and means.
@@ -190,33 +192,31 @@ def simulate(molecule, t_max, dt, gamma_scale, out, from_manifest):
     Writes site_series.csv (molecule,node,t,maxp,trp), site_report.csv
     (molecule,node,class,maxp_mean,trp_mean) and manifest.json.
     """
-    if from_manifest:
-        cfg = _load_manifest_config(from_manifest, "simulate")
-    else:
-        cfg = {"molecule": molecule, "t_max": t_max, "dt": dt,
-               "gamma_scale": gamma_scale}
+    cfg = {"molecule": molecule, "t_max": t_max, "dt": dt, "gamma_scale": gamma_scale}
+    _run("simulate", cfg, out, from_manifest, _simulate_tables)
+
+
+def _simulate_tables(cfg):
     if cfg.get("molecule") is None:
         raise click.UsageError("--molecule is required (or use --from-manifest)")
     _check_ctqw_config(cfg)
-    started = time.perf_counter()
     g = graphs.load_molecule(cfg["molecule"])
     prop = ctqw.propagator(ctqw.hamiltonian(g, cfg["gamma_scale"]))
     obs = metrics.observe(prop, cfg["t_max"], cfg["dt"])
     reports = metrics.site_reports(g, obs)
-
-    series_path = os.path.join(out, "site_series.csv")
-    _atomic_write(series_path, _series_csv(g.name, obs))
-
-    report_path = os.path.join(out, "site_report.csv")
-    _write_csv(
-        report_path,
-        ("molecule", "node", "class", "maxp_mean", "trp_mean"),
-        [(g.name, str(r.node), r.class_id, _fmt(r.maxp_mean), _fmt(r.trp_mean))
-         for r in reports],
-    )
-    _write_manifest(out, "simulate", cfg, ["site_series.csv", "site_report.csv"],
-                    time.perf_counter() - started)
-    click.echo(f"simulate: wrote site_series.csv, site_report.csv, manifest.json to {out}")
+    # t is formatted once; one block of rows per node, joined with the
+    # header in one pass (adding the header afterwards copies the whole text)
+    times = [_fmt(t) for t in obs.times.tolist()]
+    prefix = g.name.replace("%", "%%")
+    series = "".join(["molecule,node,t,maxp,trp\n"] + [
+        _rows(f"{prefix},{k + 1},%s,%.12g,%.12g\n",
+              times, obs.maxp[:, k].tolist(), obs.trp[:, k].tolist())
+        for k in range(g.node_count)])
+    report = "molecule,node,class,maxp_mean,trp_mean\n" + _rows(
+        "%s,%d,%s,%.12g,%.12g\n", [g.name] * len(reports), [r.node for r in reports],
+        [r.class_id for r in reports], [r.maxp_mean for r in reports],
+        [r.trp_mean for r in reports])
+    return {"site_series.csv": series, "site_report.csv": report}
 
 
 @main.command()
@@ -230,8 +230,7 @@ def simulate(molecule, t_max, dt, gamma_scale, out, from_manifest):
               default="unweighted", show_default=True,
               help="Degree notion used by the per-node coin.")
 @_OUT_OPTION
-@click.option("--from-manifest", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="Replay the configuration of a previous run.")
+@_FROM_MANIFEST_OPTION
 @_guarded
 def rank(molecule, steps, start, coin_degree, out, from_manifest):
     """Rank sites by reactivity with the directed graph walk.
@@ -239,29 +238,20 @@ def rank(molecule, steps, start, coin_degree, out, from_manifest):
     Writes ranks.csv (node,label,score,rank; rank 1 = most reactive) and
     manifest.json.
     """
-    if from_manifest:
-        cfg = _load_manifest_config(from_manifest, "rank")
-    else:
-        cfg = {"molecule": molecule, "steps": steps, "start": start,
-               "coin_degree": coin_degree}
+    cfg = {"molecule": molecule, "steps": steps, "start": start, "coin_degree": coin_degree}
+    _run("rank", cfg, out, from_manifest, _rank_tables)
+
+
+def _rank_tables(cfg):
     if cfg.get("molecule") is None:
         raise click.UsageError("--molecule is required (or use --from-manifest)")
-    started = time.perf_counter()
     g = graphs.load_molecule(cfg["molecule"])
     if cfg.get("steps") is None:
         cfg["steps"] = 10 * g.node_count ** 2
     ranking = dtqw.rank_nodes(g, steps=cfg["steps"], start=cfg.get("start"),
                               coin=cfg.get("coin_degree"))
-    ranks_path = os.path.join(out, "ranks.csv")
-    _write_csv(
-        ranks_path,
-        ("node", "label", "score", "rank"),
-        [(str(n), lab, _fmt(sc), str(rk))
-         for n, lab, sc, rk in zip(ranking.nodes, ranking.labels,
-                                   ranking.scores, ranking.ranks)],
-    )
-    _write_manifest(out, "rank", cfg, ["ranks.csv"], time.perf_counter() - started)
-    click.echo(f"rank: wrote ranks.csv, manifest.json to {out}")
+    return {"ranks.csv": "node,label,score,rank\n" + _rows(
+        "%d,%s,%.12g,%d\n", ranking.nodes, ranking.labels, ranking.scores, ranking.ranks)}
 
 
 @main.command()
@@ -271,8 +261,7 @@ def rank(molecule, steps, start, coin_degree, out, from_manifest):
 @click.option("--dt", type=float, default=0.01, show_default=True)
 @click.option("--gamma-scale", type=float, default=1.0, show_default=True)
 @_OUT_OPTION
-@click.option("--from-manifest", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="Replay the configuration of a previous run.")
+@_FROM_MANIFEST_OPTION
 @_guarded
 def stability(molecule, t_max, dt, gamma_scale, out, from_manifest):
     """Order molecules by overall mean TRP (most stable first).
@@ -280,15 +269,15 @@ def stability(molecule, t_max, dt, gamma_scale, out, from_manifest):
     Writes stability.csv (molecule,mean_trp,rank); near-ties within 2%
     share a rank and print as '~' in the order line.
     """
-    if from_manifest:
-        cfg = _load_manifest_config(from_manifest, "stability")
-    else:
-        cfg = {"molecules": list(molecule), "t_max": t_max, "dt": dt,
-               "gamma_scale": gamma_scale}
+    cfg = {"molecules": list(molecule), "t_max": t_max, "dt": dt,
+           "gamma_scale": gamma_scale}
+    _run("stability", cfg, out, from_manifest, _stability_tables)
+
+
+def _stability_tables(cfg):
     _check_ctqw_config(cfg)
     if len(cfg.get("molecules", ())) < 2:
         raise click.UsageError("stability needs at least two --molecule flags")
-    started = time.perf_counter()
     entries = []
     for name in cfg["molecules"]:
         g = graphs.load_molecule(name)
@@ -299,16 +288,11 @@ def stability(molecule, t_max, dt, gamma_scale, out, from_manifest):
         obs = metrics.observe(prop, cfg["t_max"], cfg["dt"])
         entries.append(metrics.stability_entry(g, obs, cfg["t_max"], cfg["dt"]))
     report = metrics.stability_order(entries)
-    stability_path = os.path.join(out, "stability.csv")
-    _write_csv(
-        stability_path,
-        ("molecule", "mean_trp", "rank"),
-        [(row.molecule, _fmt(row.mean_trp), str(row.rank)) for row in report.rows],
-    )
-    _write_manifest(out, "stability", cfg, ["stability.csv"],
-                    time.perf_counter() - started)
     click.echo(report.order_string())
-    click.echo(f"stability: wrote stability.csv, manifest.json to {out}")
+    rows = report.rows
+    return {"stability.csv": "molecule,mean_trp,rank\n" + _rows(
+        "%s,%.12g,%d\n", [r.molecule for r in rows], [r.mean_trp for r in rows],
+        [r.rank for r in rows])}
 
 
 @main.command("bond-order")
@@ -327,13 +311,11 @@ def cmd_bond_order(k):
 def export_graph(molecule, out):
     """Write a molecule's adjacency and Laplacian matrices as CSV."""
     g = graphs.load_molecule(molecule)
-    A = graphs.adjacency(g)
-    L = graphs.laplacian(g)
-    header = ("label",) + g.labels
-    for fname, M in (("adjacency.csv", A), ("laplacian.csv", L)):
-        rows = [(g.labels[i],) + tuple(_fmt(v) for v in M[i])
-                for i in range(g.node_count)]
-        _write_csv(os.path.join(out, fname), header, rows)
+    header = ",".join(("label",) + g.labels) + "\n"
+    row = "%s" + ",%.12g" * g.node_count + "\n"
+    for fname, M in (("adjacency.csv", graphs.adjacency(g)),
+                     ("laplacian.csv", graphs.laplacian(g))):
+        _atomic_write(os.path.join(out, fname), header + _rows(row, g.labels, *M.T.tolist()))
     click.echo(f"export-graph: wrote adjacency.csv, laplacian.csv to {out}")
 
 

@@ -47,9 +47,10 @@ class EvolutionSeries:
 
 
 def hamiltonian(g, gamma_scale=1.0):
-    """Walk generator for a molecule graph; rejects nonpositive gamma_scale."""
-    if not gamma_scale > 0:
-        raise ValueError(f"gamma_scale must be > 0, got {gamma_scale}")
+    """Walk generator for a molecule graph; rejects a gamma_scale that is
+    not finite and > 0."""
+    if not 0 < gamma_scale < np.inf:
+        raise ValueError(f"gamma_scale must be finite and > 0, got {gamma_scale}")
     return Hamiltonian(matrix=gamma_scale * graphs.laplacian(g), gamma_scale=float(gamma_scale))
 
 
@@ -80,8 +81,9 @@ def evolve_ensemble(p, t):
 def _sample_count(t_max, dt):
     if not t_max > 0:
         raise ValueError(f"t_max must be > 0, got {t_max}")
-    if not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
+    # an infinite dt would put NaN (0 * inf) on the grid
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
     # 1e-9 slack so t_max lands on the grid despite float division
     count = np.floor(t_max / dt + 1e-9) + 1
     if not count <= MAX_SAMPLES:

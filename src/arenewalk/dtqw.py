@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -93,6 +94,11 @@ class _ArcLayout:
         self.a = np.sqrt(1.0 / (alpha + 1.0))[node_of]
         self.b = np.sqrt(alpha / (alpha + 1.0))[node_of]
 
+    @cached_property
+    def gather(self):
+        """_gather(self), built on first use for directed_step."""
+        return _gather(self)
+
 
 @dataclass(frozen=True, eq=False)
 class DirectedWalkState:
@@ -106,14 +112,10 @@ class DirectedWalkState:
     layout: _ArcLayout = field(repr=False)
 
 
-def _is_int(x):
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 def directed_walk_state(g, start=1, coin="unweighted"):
     """Initial state: the start node's slots share the stay amplitude equally."""
     lay = _ArcLayout(g, coin)
-    if not _is_int(start):
+    if not graphs._is_int(start):
         raise ValueError(f"start must be an integer node, got {start!r}")
     if not 1 <= start <= lay.n:
         raise ValueError(f"start node {start} outside [1, {lay.n}]")
@@ -148,7 +150,7 @@ def _step(v, src, coef, out=None):
 def directed_step(state):
     """One coin-then-route step; exactly norm-preserving."""
     lay = state.layout
-    v = _step(np.concatenate((state.stay, state.move)), *_gather(lay))
+    v = _step(np.concatenate((state.stay, state.move)), *lay.gather)
     return DirectedWalkState(state.graph, state.coin, v[:lay.nsub], v[lay.nsub:], lay)
 
 
@@ -219,7 +221,7 @@ def rank_nodes(g, steps=None, start=1, coin="unweighted", tie_tol=1e-6):
     n = g.node_count
     if steps is None:
         steps = 10 * n * n
-    if not _is_int(steps) or steps < 1:
+    if not graphs._is_int(steps) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
     state = directed_walk_state(g, start=start, coin=coin)
     lay = state.layout

@@ -6,6 +6,7 @@ after construction and safe to share between threads.
 """
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, field
 from importlib import resources
@@ -18,8 +19,9 @@ CATALOG = ("benzene", "naphthalene", "anthracene", "phenanthrene")
 _CSV_BREAKING = frozenset(',"\r\n')
 
 
-def _is_index(x):
-    return isinstance(x, int) and not isinstance(x, bool)
+def _is_int(x):
+    """An integer (numpy's included) that is not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +41,7 @@ class MoleculeGraph:
 
     def __post_init__(self):
         n = self.node_count
-        if not _is_index(n) or n < 1:
+        if not _is_int(n) or n < 1:
             raise ValueError(f"node_count must be a positive integer, got {n!r}")
         canon = []
         seen = set()
@@ -48,12 +50,14 @@ class MoleculeGraph:
                 i, j, w = edge
             except (TypeError, ValueError):
                 raise ValueError(f"edge {edge!r} is not an (i, j, weight) triple")
-            if not (_is_index(i) and _is_index(j)):
+            if not (_is_int(i) and _is_int(j)):
                 raise ValueError(f"edge {edge!r} has non-integer endpoints")
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"edge {edge!r} endpoint outside [1, {n}]")
             if i == j:
                 raise ValueError(f"self-loop at node {i}")
+            if isinstance(w, bool) or not isinstance(w, numbers.Real):
+                raise ValueError(f"edge ({i}, {j}) weight must be a number, got {w!r}")
             w = float(w)
             if not 0 < w < np.inf:
                 raise ValueError(f"edge ({i}, {j}) weight must be finite and > 0, got {w}")
@@ -77,7 +81,7 @@ class MoleculeGraph:
             flat = []
             canon_classes = []
             for cls in self.classes:
-                if not all(_is_index(x) for x in cls):
+                if not all(_is_int(x) for x in cls):
                     raise ValueError(f"class {cls!r} has non-integer members")
                 members = sorted(cls)
                 if not members:
@@ -138,14 +142,21 @@ def load_molecule(name):
     missing = {"name", "nodes", "edges"} - doc.keys()
     if missing:
         raise ValueError(f"molecule file {name!r} missing fields: {sorted(missing)}")
+
+    def listed(value, what):
+        if not isinstance(value, list):
+            raise ValueError(f"molecule file {name!r}: {what} must be a list, got {value!r}")
+        return value
+
     classes = doc.get("classes")
     labels = doc.get("labels")
     return MoleculeGraph(
         name=str(doc["name"]),
         node_count=doc["nodes"],
-        edges=tuple(tuple(e) for e in doc["edges"]),
-        classes=tuple(tuple(c) for c in classes) if classes is not None else None,
-        labels=tuple(str(s) for s in labels) if labels is not None else (),
+        edges=tuple(tuple(listed(e, "each edge")) for e in listed(doc["edges"], "edges")),
+        classes=(tuple(tuple(listed(c, "each class")) for c in listed(classes, "classes"))
+                 if classes is not None else None),
+        labels=tuple(str(s) for s in listed(labels, "labels")) if labels is not None else (),
     )
 
 

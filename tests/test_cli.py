@@ -134,15 +134,24 @@ def test_simulate_rejects_bad_grid(runner, tmp_path):
     assert res.exit_code == 2
 
 
-@pytest.mark.parametrize("argv", [["simulate", "-m", "benzene"],
-                                  ["stability", "-m", "benzene", "-m", "naphthalene"]])
-def test_rejects_grid_above_sample_ceiling(runner, tmp_path, argv):
+SIMULATE_BENZENE = ["simulate", "-m", "benzene"]
+STABILITY_PAIR = ["stability", "-m", "benzene", "-m", "naphthalene"]
+
+
+@pytest.mark.parametrize("argv, dt, message", [
     # 2e302 samples, refused by the ceiling; code without it would still
-    # fail before allocating, in numpy's size check, so this run is safe
-    res = runner.invoke(main, [*argv, "--dt", "1e-300", "--out", str(tmp_path / "x")])
+    # fail before allocating, in numpy's size check, so these runs are safe
+    pytest.param(SIMULATE_BENZENE, "1e-300", "above the limit of 10000000", id="argv0"),
+    pytest.param(STABILITY_PAIR, "1e-300", "above the limit of 10000000", id="argv1"),
+    # an infinite step would put NaN on the grid and in every CSV
+    pytest.param(SIMULATE_BENZENE, "inf", "dt must be finite", id="simulate-dt-inf"),
+    pytest.param(STABILITY_PAIR, "inf", "dt must be finite", id="stability-dt-inf"),
+])
+def test_rejects_grid_above_sample_ceiling(runner, tmp_path, argv, dt, message):
+    res = runner.invoke(main, [*argv, "--dt", dt, "--out", str(tmp_path / "x")])
     assert res.exit_code == 2
     assert "configuration error" in res.output
-    assert "above the limit of 10000000" in res.output
+    assert message in res.output
     assert not os.path.exists(tmp_path / "x")
 
 
@@ -281,6 +290,22 @@ def test_rank_rejects_fractional_class_member(runner, tmp_path):
     res = runner.invoke(main, ["rank", "-m", str(path), "--out", str(out)])
     assert res.exit_code == 2, res.output
     assert "non-integer" in res.output
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("field", [
+    pytest.param("edges: [5, [2, 3, 1.0]]", id="scalar-edge"),
+    pytest.param("edges: [[1, 2, true], [2, 3, 1.5]]", id="bool-weight"),
+    pytest.param("edges: [[1, 2, 1.5], [2, 3, 1.5]]\nclasses: 5", id="scalar-classes"),
+])
+def test_rank_rejects_malformed_molecule_file(runner, tmp_path, field):
+    # each of these ended in a TypeError traceback or was read as weight 1.0
+    path = tmp_path / "bad.yaml"
+    path.write_text(f"name: allyl\nnodes: 3\n{field}\n")
+    out = tmp_path / "x"
+    res = runner.invoke(main, ["rank", "-m", str(path), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "configuration error" in res.output
     assert not os.path.exists(out)
 
 
@@ -499,6 +524,24 @@ def test_export_graph_round_trip(runner, tmp_path):
     rows = read_csv(os.path.join(out, "laplacian.csv"))
     L = np.array([[float(x) for x in row[1:]] for row in rows[1:]])
     npt.assert_allclose(L, aw.laplacian(g), atol=1e-12)
+
+
+@pytest.mark.parametrize("molecule", [*aw.CATALOG, "long-digits"])
+def test_export_graph_bytes(runner, tmp_path, molecule):
+    if molecule == "long-digits":
+        # catalog weights have at most 4 digits, so they would not catch a
+        # writer that drops digits
+        molecule = str(tmp_path / "thirds.yaml")
+        Path(molecule).write_text(f"name: thirds\nnodes: 3\nedges:\n  - [1, 2, {1 / 3!r}]\n"
+                                  f"  - [2, 3, {2 / 3!r}]\n")
+    out = str(tmp_path / "graph")
+    res = runner.invoke(main, ["export-graph", "-m", molecule, "--out", out])
+    assert res.exit_code == 0, res.output
+    g = aw.load_molecule(molecule)
+    for fname, M in (("adjacency.csv", aw.adjacency(g)), ("laplacian.csv", aw.laplacian(g))):
+        rows = [(g.labels[i], *(_fmt(v) for v in M[i])) for i in range(g.node_count)]
+        assert read_bytes(os.path.join(out, fname)) == write_csv_text(
+            ("label", *g.labels), rows)
 
 
 # ---------------------------------------------------------------- exit codes

@@ -34,6 +34,8 @@ def test_hamiltonian_scale():
         aw.hamiltonian(g, gamma_scale=0.0)
     with pytest.raises(ValueError):
         aw.hamiltonian(g, gamma_scale=-1.0)
+    with pytest.raises(ValueError, match="finite"):
+        aw.hamiltonian(g, gamma_scale=float("inf"))
 
 
 def test_two_node_spectrum():
@@ -124,6 +126,9 @@ def test_series_grid_counts():
         aw.time_series(p, t_max=0.0, dt=0.1)
     with pytest.raises(ValueError):
         aw.time_series(p, t_max=1.0, dt=-0.1)
+    # np.arange(1) * inf is NaN
+    with pytest.raises(ValueError, match="finite"):
+        aw.time_series(p, t_max=1.0, dt=float("inf"))
     # rejected before allocating: these grids hold 2e302 and infinitely many samples
     with pytest.raises(ValueError, match="samples"):
         aw.time_series(p, t_max=200.0, dt=1e-300)

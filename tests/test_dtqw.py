@@ -326,6 +326,18 @@ def test_rank_nodes_validation():
         aw.rank_nodes(g, coin="bogus")
 
 
+def test_directed_step_builds_gather_once(monkeypatch):
+    import arenewalk.dtqw as dtqw
+
+    calls = []
+    real = dtqw._gather
+    monkeypatch.setattr(dtqw, "_gather", lambda lay: calls.append(lay) or real(lay))
+    state = aw.directed_walk_state(aw.load_molecule("naphthalene"))
+    for _ in range(5):
+        state = aw.directed_step(state)
+    assert len(calls) == 1
+
+
 def test_rank_nodes_norm_guard(monkeypatch):
     # corrupt the coin so the walk leaks norm; the drift check must trip
     import arenewalk.dtqw as dtqw

@@ -195,6 +195,22 @@ def test_load_molecule_missing_field(tmp_path):
         aw.load_molecule(str(path))
 
 
+@pytest.mark.parametrize("fields", [
+    {"edges": 5},
+    {"edges": [5, [2, 3, 1.0]]},
+    {"classes": 5},
+    {"classes": [[1, 2], 3]},
+    {"labels": 5},
+])
+def test_load_molecule_rejects_non_list_entries(tmp_path, fields):
+    # tuple() on these raised TypeError before the graph was validated
+    doc = {"name": "allyl", "nodes": 3, "edges": [[1, 2, 1.5], [2, 3, 1.5]], **fields}
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(ValueError, match="must be a list"):
+        aw.load_molecule(str(path))
+
+
 @pytest.mark.parametrize(
     "edges",
     [
@@ -206,11 +222,18 @@ def test_load_molecule_missing_field(tmp_path):
         ((1, 2, float("inf")),),         # infinite weight
         ((True, 2, 1.0),),               # bool endpoint, which counts as node 1
         ((1, 2.0, 1.0),),                # float endpoint
+        ((1, 2, True),),                 # bool weight, which float() reads as 1.0
+        ((1, 2, "1.5"),),                # quoted weight
     ],
 )
 def test_invalid_edges_rejected(edges):
     with pytest.raises(ValueError):
         MoleculeGraph(name="bad", node_count=2, edges=edges)
+
+
+def test_integer_weights_and_numpy_indices_accepted():
+    g = MoleculeGraph(name="pair", node_count=np.int64(2), edges=((np.int64(1), 2, 2),))
+    assert g.edges == ((1, 2, 2.0),)
 
 
 @pytest.mark.parametrize("count", [True, 2.0, "2"])
