@@ -18,9 +18,9 @@ series = aw.time_series(prop, t_max=20.0, dt=0.01)
 
 print("benzene, site C1")
 print(f"{'t':>6} {'maxp':>8} {'trp':>8}")
-ss = aw.site_series(series, 1)
+obs = aw.observe(prop, t_max=20.0, dt=0.01)
 for i in range(0, 600, 100):
-    print(f"{ss.times[i]:6.2f} {ss.maxp[i]:8.4f} {ss.trp[i]:8.4f}")
+    print(f"{obs.times[i]:6.2f} {obs.maxp[i, 0]:8.4f} {obs.trp[i, 0]:8.4f}")
 
 # the ring walk revives: occupancies return to their t = 0 pattern
 T = aw.detect_period(series)

@@ -26,14 +26,7 @@ from .ctqw import (
     time_series,
     unitary,
 )
-from .dtqw import (
-    DirectedWalkState,
-    NodeRanking,
-    directed_step,
-    directed_walk_state,
-    node_probabilities,
-    rank_nodes,
-)
+from .dtqw import NodeRanking, rank_nodes
 from .errors import ComputationError
 from .graphs import (
     CATALOG,
@@ -51,25 +44,20 @@ from .metrics import (
     ModeReport,
     SiteObservables,
     SiteReport,
-    SiteSeries,
     StabilityEntry,
     StabilityReport,
     classify_modes,
     detect_period,
-    maxp,
     observe,
     site_observables,
     site_reports,
-    site_series,
     stability_entry,
     stability_order,
-    trp,
 )
 
 __all__ = [
     "CATALOG",
     "ComputationError",
-    "DirectedWalkState",
     "EvolutionSeries",
     "Hamiltonian",
     "MODE_CATALOG",
@@ -80,7 +68,6 @@ __all__ = [
     "Propagator",
     "SiteObservables",
     "SiteReport",
-    "SiteSeries",
     "StabilityEntry",
     "StabilityReport",
     "adjacency",
@@ -89,8 +76,6 @@ __all__ = [
     "classify_modes",
     "degrees",
     "detect_period",
-    "directed_step",
-    "directed_walk_state",
     "equivalence_classes",
     "evolve",
     "evolve_ensemble",
@@ -98,18 +83,14 @@ __all__ = [
     "laplacian",
     "load_molecule",
     "local_force_constants",
-    "maxp",
-    "node_probabilities",
     "observe",
     "propagator",
     "rank_nodes",
     "site_observables",
     "site_reports",
-    "site_series",
     "stability_entry",
     "stability_order",
     "time_series",
-    "trp",
     "unitary",
     "weighted_degrees",
     "wilson_residual",

@@ -18,6 +18,8 @@ from .errors import ComputationError
 
 BADGER_PREFACTOR = 0.29909
 BADGER_EXPONENT = 0.86585
+# Largest condition estimate of K that local_force_constants inverts.
+COND_LIMIT = 1e12
 
 
 def badger_bond_order(k_mu):
@@ -51,11 +53,11 @@ def wilson_residual(G, F, D, lam):
     return float(np.linalg.norm(G @ F @ D - D @ np.diag(lam), "fro"))
 
 
-def local_force_constants(F, D, cond_limit=1e12):
+def local_force_constants(F, D):
     """Local stretching force constant per mode column of D.
 
     With K = D^H F D, mode mu gets k_mu = 1 / (d_mu^H K^-1 d_mu). K must be
-    well conditioned; an estimate above cond_limit raises ComputationError
+    well conditioned; an estimate above COND_LIMIT raises ComputationError
     rather than silently pseudo-inverting.
     """
     F = np.asarray(F, dtype=float)
@@ -67,9 +69,9 @@ def local_force_constants(F, D, cond_limit=1e12):
         raise ValueError(f"D must match F, got {D.shape} vs {F.shape}")
     K = D.conj().T @ F @ D
     cond = np.linalg.cond(K)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > COND_LIMIT:
         raise ComputationError(
-            f"mode-coupling matrix K is ill-conditioned (estimate {cond:.3e} > {cond_limit:.1e})"
+            f"mode-coupling matrix K is ill-conditioned (estimate {cond:.3e} > {COND_LIMIT:.1e})"
         )
     quad = np.einsum("im,im->m", D.conj(), np.linalg.solve(K, D))
     return (1.0 / quad.real).copy()

@@ -1,8 +1,8 @@
 """Directed discrete-time quantum walk on a molecule graph.
 
-A single walker (directed_walk_state, directed_step) moves over the
-graph, and rank_nodes ranks sites by how much probability flows through
-them: sites accumulating the least are the most reactive.
+rank_nodes walks a single walker over the graph and ranks sites by how
+much probability flows through them: sites accumulating the least are
+the most reactive.
 
 Construction: node x of degree d owns d arc slots, one per incident edge
 in ascending-neighbor order (the fixed cyclic arc order). Amplitudes live
@@ -42,8 +42,7 @@ the walk's history never takes more than one block of memory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,7 +83,6 @@ class _ArcLayout:
             alpha = graphs.weighted_degrees(g) / 2.0
         else:
             alpha = deg / 2.0
-        self.n = n
         self.nsub = nsub
         self.node_of = node_of
         self.first = first
@@ -93,38 +91,6 @@ class _ArcLayout:
         self.cross = cross
         self.a = np.sqrt(1.0 / (alpha + 1.0))[node_of]
         self.b = np.sqrt(alpha / (alpha + 1.0))[node_of]
-
-    @cached_property
-    def gather(self):
-        """_gather(self), built on first use for directed_step."""
-        return _gather(self)
-
-
-@dataclass(frozen=True, eq=False)
-class DirectedWalkState:
-    """Single-walker state on a molecule graph: one real (float64) stay and
-    one move amplitude per (node, arc slot) pair."""
-
-    graph: graphs.MoleculeGraph
-    coin: str
-    stay: np.ndarray
-    move: np.ndarray
-    layout: _ArcLayout = field(repr=False)
-
-
-def directed_walk_state(g, start=1, coin="unweighted"):
-    """Initial state: the start node's slots share the stay amplitude equally."""
-    lay = _ArcLayout(g, coin)
-    if not graphs._is_int(start):
-        raise ValueError(f"start must be an integer node, got {start!r}")
-    if not 1 <= start <= lay.n:
-        raise ValueError(f"start node {start} outside [1, {lay.n}]")
-    stay = np.zeros(lay.nsub)
-    move = np.zeros(lay.nsub)
-    base = lay.first[start - 1]
-    d = lay.deg[start - 1]
-    stay[base:base + d] = 1.0 / math.sqrt(d)
-    return DirectedWalkState(g, coin, stay, move, lay)
 
 
 def _gather(lay):
@@ -147,13 +113,6 @@ def _step(v, src, coef, out=None):
     return np.add(w[:v.size], w[v.size:], out=out)
 
 
-def directed_step(state):
-    """One coin-then-route step; exactly norm-preserving."""
-    lay = state.layout
-    v = _step(np.concatenate((state.stay, state.move)), *lay.gather)
-    return DirectedWalkState(state.graph, state.coin, v[:lay.nsub], v[lay.nsub:], lay)
-
-
 def _node_sums(lay, p):
     """Per-node sums of slot values p (rows, slots), each node's slots
     added in slot order."""
@@ -162,12 +121,6 @@ def _node_sums(lay, p):
         nodes = np.nonzero(lay.deg > k)[0]
         sums[:, nodes] += p[:, lay.first[nodes] + k]
     return sums
-
-
-def node_probabilities(state):
-    """Occupancy per node (both coin components), index 0 = node 1."""
-    p = state.stay ** 2 + state.move ** 2
-    return _node_sums(state.layout, p[np.newaxis])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,7 +160,7 @@ def _dense_ranks(values, rel_tol=1e-6):
     return ranks
 
 
-def rank_nodes(g, steps=None, start=1, coin="unweighted", tie_tol=1e-6):
+def rank_nodes(g, steps=None, start=1, coin="unweighted"):
     """Rank sites by accumulated walker occupancy over a directed graph walk.
 
     The walker starts localized on `start` and runs for `steps` steps
@@ -223,12 +176,18 @@ def rank_nodes(g, steps=None, start=1, coin="unweighted", tie_tol=1e-6):
         steps = 10 * n * n
     if not graphs._is_int(steps) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
-    state = directed_walk_state(g, start=start, coin=coin)
-    lay = state.layout
+    lay = _ArcLayout(g, coin)
+    if not graphs._is_int(start):
+        raise ValueError(f"start must be an integer node, got {start!r}")
+    if not 1 <= start <= n:
+        raise ValueError(f"start node {start} outside [1, {n}]")
     s = lay.nsub
+    # the start node's slots share the stay amplitude equally
+    v = np.zeros(2 * s)
+    base, d = lay.first[start - 1], lay.deg[start - 1]
+    v[base:base + d] = 1.0 / math.sqrt(d)
     src, coef = _gather(lay)
     history = np.empty((min(_block_rows(s), steps), 2 * s))
-    v = np.concatenate((state.stay, state.move))
     occ = np.zeros(n)
     for done in range(0, steps, len(history)):
         block = history[:steps - done]
@@ -243,7 +202,7 @@ def rank_nodes(g, steps=None, start=1, coin="unweighted", tie_tol=1e-6):
         raise ComputationError(f"walk norm drifted to {p[-1].sum()!r}; refusing to rank")
     classes = graphs.equivalence_classes(g)
     class_scores = np.array([occ[[m - 1 for m in cls]].mean() for cls in classes])
-    class_ranks = _dense_ranks(class_scores, rel_tol=tie_tol)
+    class_ranks = _dense_ranks(class_scores)
     scores = np.zeros(n)
     ranks = np.zeros(n, dtype=int)
     for cls, cs, cr in zip(classes, class_scores, class_ranks):

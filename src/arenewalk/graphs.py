@@ -151,12 +151,12 @@ def load_molecule(name):
     classes = doc.get("classes")
     labels = doc.get("labels")
     return MoleculeGraph(
-        name=str(doc["name"]),
+        name=doc["name"],
         node_count=doc["nodes"],
         edges=tuple(tuple(listed(e, "each edge")) for e in listed(doc["edges"], "edges")),
         classes=(tuple(tuple(listed(c, "each class")) for c in listed(classes, "classes"))
                  if classes is not None else None),
-        labels=tuple(str(s) for s in listed(labels, "labels")) if labels is not None else (),
+        labels=tuple(listed(labels, "labels")) if labels is not None else (),
     )
 
 
@@ -190,13 +190,8 @@ def weighted_degrees(g):
 
 
 def equivalence_classes(g):
-    """Symmetry-equivalence partition of the nodes.
-
-    Accepts a MoleculeGraph or a name/path understood by load_molecule.
-    Graphs without stored class annotations get singleton classes.
-    """
-    if isinstance(g, str):
-        g = load_molecule(g)
+    """Symmetry-equivalence partition of the nodes: the stored classes, or
+    singleton classes for a graph without them."""
     if g.classes is not None:
         return g.classes
     return tuple((k,) for k in range(1, g.node_count + 1))

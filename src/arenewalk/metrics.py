@@ -6,10 +6,10 @@ is the mean occupancy after dropping exactly one maximum and one minimum
 across walkers; a high time mean marks participation in the delocalized
 cloud, and its all-site average orders molecules by stability.
 
-SiteObservables holds both per (sample, site). observe streams it from a
-propagator without keeping B(t); the per-site series, the site reports
-and the stability score all read it, and reduce a full EvolutionSeries
-(or a list of (t, B) pairs) to it first.
+SiteObservables holds both per (sample, site); one site's series is a
+column of it. observe streams it from a propagator without keeping B(t);
+the site reports and the stability score read it, and reduce a full
+EvolutionSeries to it first.
 """
 from __future__ import annotations
 
@@ -18,31 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ctqw, graphs
-
-
-def _stack(series):
-    if isinstance(series, ctqw.EvolutionSeries):
-        return series.times, series.matrices
-    if len(series) == 0:
-        raise ValueError("empty series")
-    times = np.array([t for t, _ in series], dtype=float)
-    mats = np.stack([np.asarray(B, dtype=float) for _, B in series])
-    return times, mats
-
-
-def _check_node(node, n):
-    if not 1 <= node <= n:
-        raise ValueError(f"node {node} outside [1, {n}]")
-
-
-@dataclass(frozen=True, eq=False)
-class SiteSeries:
-    """MAXP/TRP time series for one site."""
-
-    node: int
-    times: np.ndarray
-    maxp: np.ndarray
-    trp: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,35 +61,10 @@ def observe(p, t_max=200.0, dt=0.01):
 
 
 def _observables(series):
-    """A SiteObservables as is, or the reduction of a full series."""
+    """A SiteObservables as is, or the reduction of an EvolutionSeries."""
     if isinstance(series, SiteObservables):
         return series
-    times, mats = _stack(series)
-    return SiteObservables(times, *site_observables(mats))
-
-
-def _site_column(series, node):
-    obs = _observables(series)
-    _check_node(node, obs.maxp.shape[1])
-    # every site is reduced, as in the streamed pass: numpy sums a single
-    # column in another order, which can move the last bit
-    return obs.times, obs.maxp[:, node - 1], obs.trp[:, node - 1]
-
-
-def maxp(series, node):
-    """MAXP(node, t): columnwise max over walkers, one value per sample."""
-    return _site_column(series, node)[1]
-
-
-def trp(series, node):
-    """TRP(node, t): drop one max and one min across walkers, mean the rest."""
-    return _site_column(series, node)[2]
-
-
-def site_series(series, node):
-    """Bundle MAXP and TRP series for one site."""
-    times, mp, tp = _site_column(series, node)
-    return SiteSeries(node=node, times=times, maxp=mp, trp=tp)
+    return SiteObservables(series.times, *site_observables(series.matrices))
 
 
 def site_reports(g, series):
@@ -134,23 +84,15 @@ def site_reports(g, series):
 
 
 def detect_period(series, revival_tol=1e-3):
-    """Revival time of an occupancy series, or None.
+    """Revival time of an EvolutionSeries, or None.
 
     The series deviation from its t = 0 sample is scanned for a departure
     (first sample above revival_tol) followed by a return below it; the
     return time is the period. A series that never departs is constant at
-    this tolerance and reports the first positive sample. Accepts a full
-    (t, B) series or a single SiteSeries.
+    this tolerance and reports the first positive sample.
     """
-    if isinstance(series, SiteSeries):
-        times = series.times
-        dev = np.maximum(
-            np.abs(series.maxp - series.maxp[0]),
-            np.abs(series.trp - series.trp[0]),
-        )
-    else:
-        times, mats = _stack(series)
-        dev = np.abs(mats - mats[0]).max(axis=(1, 2))
+    times, mats = series.times, series.matrices
+    dev = np.abs(mats - mats[0]).max(axis=(1, 2))
     if len(times) < 2:
         return None
     above = np.nonzero(dev[1:] > revival_tol)[0]
@@ -202,11 +144,16 @@ def stability_order(entries, tie_band=0.02):
     """Sort molecules by mean TRP descending; near-ties share a rank.
 
     Adjacent entries whose relative gap is below tie_band are flagged as
-    tied. All entries must share one sampling grid.
+    tied. All entries must share one sampling grid, and no molecule name
+    may appear twice.
     """
     entries = list(entries)
     if len(entries) < 2:
         raise ValueError("stability ordering needs at least 2 molecules")
+    names = [e.molecule for e in entries]
+    repeated = sorted({m for m in names if names.count(m) > 1})
+    if repeated:
+        raise ValueError(f"molecules listed more than once: {repeated}")
     grids = {(e.t_max, e.dt) for e in entries}
     if len(grids) != 1:
         raise ValueError(f"mismatched sampling grids: {sorted(grids)}")

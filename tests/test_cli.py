@@ -12,8 +12,8 @@ import pytest
 from click.testing import CliRunner
 
 import arenewalk as aw
+from arenewalk import dtqw
 from arenewalk.cli import _fmt, main
-from arenewalk.dtqw import _dense_ranks
 from arenewalk.errors import ComputationError
 
 
@@ -83,12 +83,13 @@ def test_simulate_values_match_library(runner, tmp_path):
     assert res.exit_code == 0, res.output
     g = aw.load_molecule("naphthalene")
     s = aw.time_series(aw.propagator(aw.hamiltonian(g)), t_max=2.0, dt=1.0)
+    maxp, trp = aw.site_observables(s.matrices)
     rows = read_csv(os.path.join(out, "site_series.csv"))[1:]
     for row in rows:
         node, t = int(row[1]), float(row[2])
         i = int(round(t / 1.0))
-        npt.assert_allclose(float(row[3]), aw.maxp(s, node)[i], atol=1e-10)
-        npt.assert_allclose(float(row[4]), aw.trp(s, node)[i], atol=1e-10)
+        npt.assert_allclose(float(row[3]), maxp[i, node - 1], atol=1e-10)
+        npt.assert_allclose(float(row[4]), trp[i, node - 1], atol=1e-10)
 
 
 def test_simulate_deterministic_and_replayable(runner, tmp_path):
@@ -293,15 +294,22 @@ def test_rank_rejects_fractional_class_member(runner, tmp_path):
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("field", [
-    pytest.param("edges: [5, [2, 3, 1.0]]", id="scalar-edge"),
-    pytest.param("edges: [[1, 2, true], [2, 3, 1.5]]", id="bool-weight"),
-    pytest.param("edges: [[1, 2, 1.5], [2, 3, 1.5]]\nclasses: 5", id="scalar-classes"),
+CHAIN = "edges: [[1, 2, 1.5], [2, 3, 1.5]]"
+
+
+@pytest.mark.parametrize("name, field", [
+    pytest.param("allyl", "edges: [5, [2, 3, 1.0]]", id="scalar-edge"),
+    pytest.param("allyl", "edges: [[1, 2, true], [2, 3, 1.5]]", id="bool-weight"),
+    pytest.param("allyl", f"{CHAIN}\nclasses: 5", id="scalar-classes"),
+    pytest.param("5", CHAIN, id="numeric-name"),
+    pytest.param("allyl", f"{CHAIN}\nlabels: [1, 2, 3]", id="numeric-labels"),
+    pytest.param("allyl", f"{CHAIN}\nlabels: [{{a: 1}}, b, c]", id="mapping-label"),
 ])
-def test_rank_rejects_malformed_molecule_file(runner, tmp_path, field):
-    # each of these ended in a TypeError traceback or was read as weight 1.0
+def test_rank_rejects_malformed_molecule_file(runner, tmp_path, name, field):
+    # each of these ended in a TypeError traceback, was read as weight 1.0,
+    # or had its name or labels turned into strings by str()
     path = tmp_path / "bad.yaml"
-    path.write_text(f"name: allyl\nnodes: 3\n{field}\n")
+    path.write_text(f"name: {name}\nnodes: 3\n{field}\n")
     out = tmp_path / "x"
     res = runner.invoke(main, ["rank", "-m", str(path), "--out", str(out)])
     assert res.exit_code == 2, res.output
@@ -349,7 +357,7 @@ def complex_ranking(g, start, coin):
     """Pooled scores and ranks per node from the walk as it ran before
     amplitudes became real: complex128 stay/move through an inline
     coin-and-route loop."""
-    lay = aw.directed_walk_state(g, start=start, coin=coin).layout
+    lay = dtqw._ArcLayout(g, coin)
     n = g.node_count
     stay = np.zeros(lay.nsub, dtype=complex)
     move = np.zeros(lay.nsub, dtype=complex)
@@ -368,7 +376,7 @@ def complex_ranking(g, start, coin):
     classes = aw.equivalence_classes(g)
     class_scores = np.array([occ[[m - 1 for m in cls]].mean() for cls in classes])
     scores, ranks = [0.0] * n, [0] * n
-    for cls, cs, cr in zip(classes, class_scores, _dense_ranks(class_scores)):
+    for cls, cs, cr in zip(classes, class_scores, dtqw._dense_ranks(class_scores)):
         for member in cls:
             scores[member - 1], ranks[member - 1] = float(cs), int(cr)
     return tuple(scores), tuple(ranks)
@@ -482,6 +490,20 @@ def test_stability_bytes_match_unstreamed(runner, tmp_path):
             for r in aw.stability_order(entries).rows]
     assert read_bytes(os.path.join(out, "stability.csv")) == write_csv_text(
         ("molecule", "mean_trp", "rank"), rows)
+
+
+@pytest.mark.parametrize("second", ["benzene", "catalog-name-file"])
+def test_stability_rejects_repeated_molecule(runner, tmp_path, second):
+    if second == "catalog-name-file":
+        # a file whose name: repeats a catalog molecule's name
+        second = str(tmp_path / "ring.yaml")
+        Path(second).write_text("name: benzene\nnodes: 3\n" + CHAIN + "\n")
+    out = tmp_path / "x"
+    res = runner.invoke(main, ["stability", "-m", "benzene", "-m", second,
+                               "--t-max", "1", "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "more than once" in res.output
+    assert not os.path.exists(out)
 
 
 def test_stability_needs_two_molecules(runner, tmp_path):

@@ -4,6 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+from conftest import connected_graphs
+from hypothesis import given, settings
 
 import arenewalk as aw
 from arenewalk import ctqw
@@ -151,15 +153,24 @@ def test_series_matches_single_shot():
         npt.assert_allclose(B, aw.evolve_ensemble(p, t), atol=1e-12)
 
 
+def assert_bistochastic_and_symmetric(M):
+    npt.assert_allclose(M.sum(axis=2), 1.0, atol=1e-10)
+    npt.assert_allclose(M.sum(axis=1), 1.0, atol=1e-10)
+    npt.assert_allclose(M, M.transpose(0, 2, 1), atol=1e-12)
+    assert M.min() >= 0.0
+    assert M.max() <= 1.0 + 1e-12
+
+
 def test_series_bistochastic_and_symmetric(full_series):
     for name in aw.CATALOG:
-        _, s = full_series[name]
-        M = s.matrices
-        npt.assert_allclose(M.sum(axis=2), 1.0, atol=1e-10)
-        npt.assert_allclose(M.sum(axis=1), 1.0, atol=1e-10)
-        npt.assert_allclose(M, M.transpose(0, 2, 1), atol=1e-12)
-        assert M.min() >= 0.0
-        assert M.max() <= 1.0 + 1e-12
+        assert_bistochastic_and_symmetric(full_series[name][1].matrices)
+
+
+@settings(max_examples=20, deadline=None)
+@given(connected_graphs())
+def test_series_bistochastic_and_symmetric_random_graphs(g):
+    p = aw.propagator(aw.hamiltonian(g))
+    assert_bistochastic_and_symmetric(aw.time_series(p, t_max=20.0, dt=0.1).matrices)
 
 
 def whole_grid_series(p, t_max, dt):
@@ -193,9 +204,8 @@ def test_streamed_observables_equal_series(monkeypatch, block):
                                   series.matrices)
         obs = aw.observe(p, 5.0, 0.01)
         assert np.array_equal(obs.times, series.times)
-        for k in range(1, g.node_count + 1):
-            assert np.array_equal(obs.maxp[:, k - 1], aw.maxp(series, k))
-            assert np.array_equal(obs.trp[:, k - 1], aw.trp(series, k))
+        maxp, trp = aw.site_observables(series.matrices)
+        assert np.array_equal(obs.maxp, maxp) and np.array_equal(obs.trp, trp)
         assert aw.site_reports(g, obs) == aw.site_reports(g, series)
         assert (aw.stability_entry(g, obs, 5.0, 0.01)
                 == aw.stability_entry(g, series, 5.0, 0.01))

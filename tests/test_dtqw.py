@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from conftest import connected_graphs
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import arenewalk as aw
 from arenewalk import dtqw
@@ -25,21 +25,6 @@ def star(d):
     )
 
 
-@st.composite
-def connected_graphs(draw):
-    """Connected graphs on 3-12 nodes, weights in [1, 2]: a random spanning
-    tree plus random extra edges."""
-    n = draw(st.integers(min_value=3, max_value=12))
-    weight = st.floats(min_value=1.0, max_value=2.0)
-    edges = {(draw(st.integers(1, k - 1)), k): draw(weight) for k in range(2, n + 1)}
-    extra = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] < e[1])
-    for pair in draw(st.lists(extra, max_size=n)):
-        edges.setdefault(pair, draw(weight))
-    return MoleculeGraph(
-        name="random", node_count=n, edges=tuple((i, j, w) for (i, j), w in edges.items())
-    )
-
-
 def reference_step(lay, stay, move):
     """Coin then route, as two arrays: the step the gather reproduces."""
     c = lay.a * stay + lay.b * move
@@ -51,11 +36,27 @@ def reference_step(lay, stay, move):
     return stay_new, move_new
 
 
+def start_state(lay, start):
+    """Stay and move amplitudes of a walker on `start`: the start node's
+    slots share the stay amplitude equally."""
+    stay = np.zeros(lay.nsub)
+    base, d = lay.first[start - 1], lay.deg[start - 1]
+    stay[base:base + d] = 1.0 / math.sqrt(d)
+    return stay, np.zeros(lay.nsub)
+
+
+def walk(lay, v, steps):
+    """[stay | move] after `steps` steps of the walk's own step."""
+    src, coef = dtqw._gather(lay)
+    for _ in range(steps):
+        v = dtqw._step(v, src, coef)
+    return v
+
+
 def reference_occupancy(g, steps, start=1, coin="unweighted"):
     """Per-node occupancy summed over `steps` steps, one bincount per step."""
-    state = aw.directed_walk_state(g, start=start, coin=coin)
-    lay = state.layout
-    stay, move = state.stay, state.move
+    lay = dtqw._ArcLayout(g, coin)
+    stay, move = start_state(lay, start)
     occ = np.zeros(g.node_count)
     for _ in range(steps):
         stay, move = reference_step(lay, stay, move)
@@ -67,14 +68,14 @@ def reference_occupancy(g, steps, start=1, coin="unweighted"):
 
 def coin_coefficients(g, node, coin="unweighted"):
     """(a, b) of the coin [[a, b], [b, -a]] at every arc slot of `node`."""
-    lay = aw.directed_walk_state(g, coin=coin).layout
+    lay = dtqw._ArcLayout(g, coin)
     slots = lay.node_of == node - 1
     return lay.a[slots], lay.b[slots]
 
 
 def test_degree_coin_benzene_balanced():
     # all sites degree 2: alpha = 1 gives the balanced +-matrix
-    lay = aw.directed_walk_state(aw.load_molecule("benzene")).layout
+    lay = dtqw._ArcLayout(aw.load_molecule("benzene"))
     r = math.sqrt(0.5)
     npt.assert_allclose(lay.a, r, atol=1e-12)
     npt.assert_allclose(lay.b, r, atol=1e-12)
@@ -107,7 +108,7 @@ def test_degree_coin_weighted_kind():
 
 def test_degree_coin_validation():
     with pytest.raises(ValueError):
-        aw.directed_walk_state(aw.load_molecule("benzene"), coin="nonsense")
+        dtqw._ArcLayout(aw.load_molecule("benzene"), coin="nonsense")
 
 
 # ---------------------------------------------------------------- graph walk
@@ -125,65 +126,42 @@ def test_arc_order_ascending_neighbors():
     assert order("benzene", 6) == (1, 5)
 
 
-def test_directed_walk_state_start_support():
-    g = aw.load_molecule("naphthalene")
-    s = aw.directed_walk_state(g, start=4)
-    probs = aw.node_probabilities(s)
-    npt.assert_allclose(probs.sum(), 1.0, atol=1e-14)
-    npt.assert_allclose(probs[3], 1.0, atol=1e-14)
-
-
-def test_directed_walk_state_bad_start():
-    g = aw.load_molecule("benzene")
-    with pytest.raises(ValueError):
-        aw.directed_walk_state(g, start=0)
-    with pytest.raises(ValueError):
-        aw.directed_walk_state(g, start=7)
-    for start in ("3", 2.0, True):
-        with pytest.raises(ValueError, match="integer"):
-            aw.directed_walk_state(g, start=start)
-
-
 def test_directed_step_exactly_unitary_long_run():
-    g = aw.load_molecule("benzene")
-    s = aw.directed_walk_state(g, start=1)
-    for _ in range(100_000):
-        s = aw.directed_step(s)
-    norm = (np.abs(s.stay) ** 2 + np.abs(s.move) ** 2).sum()
-    npt.assert_allclose(norm, 1.0, atol=1e-11)
+    lay = dtqw._ArcLayout(aw.load_molecule("benzene"))
+    v = walk(lay, np.concatenate(start_state(lay, 1)), 100_000)
+    npt.assert_allclose((v**2).sum(), 1.0, atol=1e-11)
 
 
 @settings(max_examples=5, deadline=None)
 @given(connected_graphs())
 def test_directed_step_norm_on_random_graphs(g):
     for coin in ("unweighted", "weighted"):
-        s = aw.directed_walk_state(g, start=1, coin=coin)
-        for _ in range(10_000):
-            s = aw.directed_step(s)
-        assert s.stay.dtype == np.float64 and s.move.dtype == np.float64
-        norm = (s.stay**2 + s.move**2).sum()
-        npt.assert_allclose(norm, 1.0, atol=1e-11)
+        lay = dtqw._ArcLayout(g, coin)
+        v = walk(lay, np.concatenate(start_state(lay, 1)), 10_000)
+        assert v.dtype == np.float64
+        npt.assert_allclose((v**2).sum(), 1.0, atol=1e-11)
 
 
 @pytest.mark.parametrize("coin", ["unweighted", "weighted"])
 @pytest.mark.parametrize("molecule", aw.CATALOG)
 def test_directed_step_equals_coin_then_route(molecule, coin):
     g = aw.load_molecule(molecule)
+    lay = dtqw._ArcLayout(g, coin)
+    src, coef = dtqw._gather(lay)
     for start in (1, g.node_count):
-        s = aw.directed_walk_state(g, start=start, coin=coin)
-        stay, move = s.stay, s.move
+        stay, move = start_state(lay, start)
+        v = np.concatenate((stay, move))
         for _ in range(40):
-            s = aw.directed_step(s)
-            stay, move = reference_step(s.layout, stay, move)
-            assert np.array_equal(s.stay, stay) and np.array_equal(s.move, move)
+            v = dtqw._step(v, src, coef)
+            stay, move = reference_step(lay, stay, move)
+            assert np.array_equal(v, np.concatenate((stay, move)))
 
 
 def test_directed_step_spreads_probability():
     g = aw.load_molecule("naphthalene")
-    s = aw.directed_walk_state(g, start=1)
-    for _ in range(3):
-        s = aw.directed_step(s)
-    probs = aw.node_probabilities(s)
+    lay = dtqw._ArcLayout(g)
+    v = walk(lay, np.concatenate(start_state(lay, 1)), 3)
+    probs = np.bincount(lay.node_of, weights=v[:lay.nsub]**2 + v[lay.nsub:]**2)
     assert (probs > 1e-12).sum() > 1
     npt.assert_allclose(probs.sum(), 1.0, atol=1e-12)
 
@@ -241,17 +219,19 @@ def test_rank_scores_pooled_within_classes():
 
 
 def assert_blocked_walk_exact(g, coin):
-    # steps around the history block length; unpooled scores are the occupancy
-    rows = dtqw._block_rows(aw.directed_walk_state(g).layout.nsub)
+    # steps around the history block length, from node 1 and from the last
+    # node; unpooled scores are the occupancy
+    rows = dtqw._block_rows(dtqw._ArcLayout(g).nsub)
     unpooled = dataclasses.replace(g, classes=None)
-    for steps in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
-        occ = reference_occupancy(g, steps, coin=coin)
-        ranking = aw.rank_nodes(unpooled, steps=steps, coin=coin)
-        assert np.array_equal(ranking.scores, occ)
-        pooled = aw.rank_nodes(g, steps=steps, coin=coin).scores
-        for cls in aw.equivalence_classes(g):
-            mean = occ[[m - 1 for m in cls]].mean()
-            assert all(pooled[m - 1] == mean for m in cls)
+    for start in (1, g.node_count):
+        for steps in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
+            occ = reference_occupancy(g, steps, start, coin)
+            ranking = aw.rank_nodes(unpooled, steps=steps, start=start, coin=coin)
+            assert np.array_equal(ranking.scores, occ)
+            pooled = aw.rank_nodes(g, steps=steps, start=start, coin=coin).scores
+            for cls in aw.equivalence_classes(g):
+                mean = occ[[m - 1 for m in cls]].mean()
+                assert all(pooled[m - 1] == mean for m in cls)
 
 
 @pytest.mark.parametrize("coin", ["unweighted", "weighted"])
@@ -269,7 +249,7 @@ def test_rank_nodes_blocked_equals_per_step_loop_random_graphs(g):
 
 def test_rank_nodes_history_memory_bounded():
     g = aw.load_molecule("naphthalene")
-    nsub = aw.directed_walk_state(g).layout.nsub
+    nsub = dtqw._ArcLayout(g).nsub
     rows = dtqw._block_rows(nsub)
 
     def peak(steps):
@@ -312,6 +292,23 @@ def test_rank_nodes_start_across_classes_identical_scores():
     npt.assert_allclose(a.scores, b.scores, rtol=1e-6)
 
 
+@pytest.mark.xfail(
+    reason="each node's cyclic arc order is its neighbours in ascending number, "
+    "so renumbering the nodes changes the walk itself: reversed naphthalene "
+    "moves the unpooled scores by up to 1.45%",
+    strict=True,
+)
+def test_rank_nodes_relabelling_equivariance():
+    # node k becomes node N + 1 - k, and the start moves with it
+    g = dataclasses.replace(aw.load_molecule("naphthalene"), classes=None)
+    n = g.node_count
+    rev = dataclasses.replace(
+        g, edges=tuple((n + 1 - i, n + 1 - j, w) for i, j, w in g.edges))
+    a = aw.rank_nodes(g, start=1)
+    b = aw.rank_nodes(rev, start=n)
+    npt.assert_allclose(b.scores[::-1], a.scores, rtol=1e-9)
+
+
 def test_rank_nodes_validation():
     g = aw.load_molecule("benzene")
     with pytest.raises(ValueError):
@@ -320,35 +317,29 @@ def test_rank_nodes_validation():
         aw.rank_nodes(g, steps=2.5)
     with pytest.raises(ValueError):
         aw.rank_nodes(g, steps=True)
-    with pytest.raises(ValueError):
-        aw.rank_nodes(g, start=99)
+    for start in (0, 7, 99):
+        with pytest.raises(ValueError, match="outside"):
+            aw.rank_nodes(g, start=start)
+    for start in ("3", 2.0, True):
+        with pytest.raises(ValueError, match="integer"):
+            aw.rank_nodes(g, start=start)
     with pytest.raises(ValueError):
         aw.rank_nodes(g, coin="bogus")
-
-
-def test_directed_step_builds_gather_once(monkeypatch):
-    import arenewalk.dtqw as dtqw
-
-    calls = []
-    real = dtqw._gather
-    monkeypatch.setattr(dtqw, "_gather", lambda lay: calls.append(lay) or real(lay))
-    state = aw.directed_walk_state(aw.load_molecule("naphthalene"))
-    for _ in range(5):
-        state = aw.directed_step(state)
-    assert len(calls) == 1
+    # steps are checked first, then the coin, then the start
+    with pytest.raises(ValueError, match="steps"):
+        aw.rank_nodes(g, steps=0, start=99, coin="bogus")
+    with pytest.raises(ValueError, match="coin"):
+        aw.rank_nodes(g, start=99, coin="bogus")
 
 
 def test_rank_nodes_norm_guard(monkeypatch):
     # corrupt the coin so the walk leaks norm; the drift check must trip
-    import arenewalk.dtqw as dtqw
+    real = dtqw._gather
 
-    real = dtqw.directed_walk_state
+    def leaky(lay):
+        lay.a = lay.a * 0.999
+        return real(lay)
 
-    def leaky(g, start=1, coin="unweighted"):
-        state = real(g, start=start, coin=coin)
-        state.layout.a = state.layout.a * 0.999
-        return state
-
-    monkeypatch.setattr(dtqw, "directed_walk_state", leaky)
+    monkeypatch.setattr(dtqw, "_gather", leaky)
     with pytest.raises(ComputationError):
         aw.rank_nodes(aw.load_molecule("benzene"), steps=50)

@@ -150,10 +150,9 @@ def test_laplacian_psd_and_connected():
         assert evals[1] > 1e-6
 
 
-def test_equivalence_classes_accepts_name_or_graph():
-    by_name = aw.equivalence_classes("naphthalene")
-    by_graph = aw.equivalence_classes(aw.load_molecule("naphthalene"))
-    assert by_name == by_graph
+def test_equivalence_classes_of_loaded_graph():
+    g = aw.load_molecule("naphthalene")
+    assert aw.equivalence_classes(g) == g.classes == ((1, 2, 6, 7), (3, 5, 8, 10), (4, 9))
 
 
 def test_equivalence_classes_default_singletons():
@@ -208,6 +207,20 @@ def test_load_molecule_rejects_non_list_entries(tmp_path, fields):
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(doc))
     with pytest.raises(ValueError, match="must be a list"):
+        aw.load_molecule(str(path))
+
+
+@pytest.mark.parametrize("fields", [
+    {"name": 5},
+    {"labels": [1, 2, 3]},
+    {"labels": [{"a": 1}, "b", "c"]},
+])
+def test_load_molecule_rejects_non_string_text(tmp_path, fields):
+    # str() turned these into the name "5" and labels "1" or "{'a': 1}"
+    doc = {"name": "allyl", "nodes": 3, "edges": [[1, 2, 1.5], [2, 3, 1.5]], **fields}
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(ValueError, match="name and labels must be strings"):
         aw.load_molecule(str(path))
 
 

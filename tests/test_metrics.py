@@ -1,10 +1,12 @@
 """Occupancy metrics, revival detection, stability order, mode matching."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from conftest import connected_graphs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,49 +15,50 @@ from arenewalk.graphs import MoleculeGraph
 from arenewalk.metrics import _two_means_threshold
 
 
-def series_from_columns(*cols):
-    """One-sample series whose B has the given first columns stacked."""
+def first_columns(*cols):
+    """Occupancy matrices, one per given column, each with that column
+    first and zeros elsewhere."""
     n = len(cols[0])
-    out = []
+    mats = np.zeros((len(cols), n, n))
     for t, col in enumerate(cols):
-        B = np.zeros((n, n))
-        B[:, 0] = col
-        out.append((float(t), B))
-    return out
+        mats[t, :, 0] = col
+    return mats
 
 
 # ---------------------------------------------------------------- maxp / trp
 
 def test_maxp_simple_column():
-    s = series_from_columns([0.2, 0.3, 0.5])
-    npt.assert_allclose(aw.maxp(s, 1), [0.5])
+    mp, _ = aw.site_observables(first_columns([0.2, 0.3, 0.5]))
+    npt.assert_allclose(mp[:, 0], [0.5])
 
 
 def test_trp_drops_one_max_one_min():
     # N = 3: drop 0.5 and 0.2, divide the remainder by N - 2
-    s = series_from_columns([0.2, 0.3, 0.5])
-    npt.assert_allclose(aw.trp(s, 1), [0.3])
+    _, tp = aw.site_observables(first_columns([0.2, 0.3, 0.5]))
+    npt.assert_allclose(tp[:, 0], [0.3])
 
 
 def test_uniform_column_pins_both_metrics():
     n = 5
-    s = [(0.0, np.full((n, n), 1.0 / n))]
-    npt.assert_allclose(aw.maxp(s, 3), [1.0 / n], atol=1e-15)
-    npt.assert_allclose(aw.trp(s, 3), [1.0 / n], atol=1e-15)
+    mp, tp = aw.site_observables(np.full((1, n, n), 1.0 / n))
+    npt.assert_allclose(mp[:, 2], [1.0 / n], atol=1e-15)
+    npt.assert_allclose(tp[:, 2], [1.0 / n], atol=1e-15)
 
 
 def test_initial_sample_extremes(full_series):
     # at t = 0 the walker sits on its start: maxp 1, trimmed rest 0
     _, s = full_series["benzene"]
-    npt.assert_allclose(aw.maxp(s, 2)[0], 1.0, atol=1e-15)
-    npt.assert_allclose(aw.trp(s, 2)[0], 0.0, atol=1e-15)
+    mp, tp = aw.site_observables(s.matrices[:1])
+    npt.assert_allclose(mp[0, 1], 1.0, atol=1e-15)
+    npt.assert_allclose(tp[0, 1], 0.0, atol=1e-15)
 
 
 def test_metric_bounds_and_order(full_series):
     _, s = full_series["naphthalene"]
+    maxp, trp = aw.site_observables(s.matrices)
     for node in (1, 4, 9):
-        mp = aw.maxp(s, node)
-        tp = aw.trp(s, node)
+        mp = maxp[:, node - 1]
+        tp = trp[:, node - 1]
         assert mp.min() >= 0.0 and mp.max() <= 1.0
         assert tp.min() >= 0.0 and tp.max() <= 1.0
         assert np.all(tp <= mp + 1e-12)
@@ -65,31 +68,33 @@ def test_metric_bounds_and_order(full_series):
 
 def test_metrics_match_brute_force(full_series):
     _, s = full_series["benzene"]
-    times = s.times[:200]
     mats = s.matrices[:200]
+    maxp, trp = aw.site_observables(mats)
     for node in (1, 4):
-        mp = aw.maxp(s, node)[:200]
-        tp = aw.trp(s, node)[:200]
-        for i in range(len(times)):
+        for i in range(len(mats)):
             col = [mats[i][j, node - 1] for j in range(6)]
-            npt.assert_allclose(mp[i], max(col), atol=1e-12)
+            npt.assert_allclose(maxp[i, node - 1], max(col), atol=1e-12)
             npt.assert_allclose(
-                tp[i], (sum(col) - max(col) - min(col)) / 4.0, atol=1e-12
+                trp[i, node - 1], (sum(col) - max(col) - min(col)) / 4.0, atol=1e-12
             )
 
 
 def test_metrics_need_three_sites():
-    s = [(0.0, np.eye(2))]
     with pytest.raises(ValueError):
-        aw.trp(s, 1)
+        aw.site_observables(np.eye(2)[np.newaxis])
 
 
-def test_node_validation():
-    s = [(0.0, np.eye(3))]
-    with pytest.raises(ValueError):
-        aw.maxp(s, 0)
-    with pytest.raises(ValueError):
-        aw.maxp(s, 4)
+@settings(max_examples=10, deadline=None)
+@given(connected_graphs(), st.data())
+def test_relabelling_permutes_observables(g, data):
+    # node k becomes node perm[k - 1]; site k's series must follow it
+    perm = np.array(data.draw(st.permutations(range(1, g.node_count + 1))))
+    h = dataclasses.replace(g, edges=tuple(
+        (int(perm[i - 1]), int(perm[j - 1]), w) for i, j, w in g.edges))
+    a = aw.observe(aw.propagator(aw.hamiltonian(g)), t_max=5.0, dt=0.1)
+    b = aw.observe(aw.propagator(aw.hamiltonian(h)), t_max=5.0, dt=0.1)
+    npt.assert_allclose(b.maxp[:, perm - 1], a.maxp, rtol=0, atol=1e-12)
+    npt.assert_allclose(b.trp[:, perm - 1], a.trp, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- reports
@@ -121,15 +126,6 @@ def test_naphthalene_three_site_families(full_series):
     assert reports[9 - 1].class_id == "C4"
 
 
-def test_site_series_bundles_columns(full_series):
-    _, s = full_series["benzene"]
-    ss = aw.site_series(s, 3)
-    assert ss.node == 3
-    npt.assert_allclose(ss.maxp, aw.maxp(s, 3))
-    npt.assert_allclose(ss.trp, aw.trp(s, 3))
-    npt.assert_allclose(ss.times, s.times)
-
-
 # ---------------------------------------------------------------- revivals
 
 def test_benzene_revival_time(full_series):
@@ -156,20 +152,12 @@ def test_constant_series_reports_first_sample():
 
 
 def test_departed_series_without_return():
-    B0 = np.eye(3)
-    B1 = np.full((3, 3), 1.0 / 3)
-    assert aw.detect_period([(0.0, B0), (1.0, B1)]) is None
+    mats = np.stack([np.eye(3), np.full((3, 3), 1.0 / 3)])
+    assert aw.detect_period(aw.EvolutionSeries(np.array([0.0, 1.0]), mats)) is None
 
 
 def test_single_sample_has_no_period():
-    assert aw.detect_period([(0.0, np.eye(3))]) is None
-
-
-def test_detect_period_accepts_site_series(full_series):
-    _, s = full_series["benzene"]
-    T = aw.detect_period(aw.site_series(s, 1))
-    assert T is not None
-    assert abs(T - 4.27) < 1e-9
+    assert aw.detect_period(aw.EvolutionSeries(np.zeros(1), np.eye(3)[np.newaxis])) is None
 
 
 # ---------------------------------------------------------------- stability
@@ -232,9 +220,16 @@ def test_stability_zero_band_breaks_tie(full_series):
 def test_stability_exact_duplicate_ties(full_series):
     g, s = full_series["benzene"]
     e = aw.stability_entry(g, s, t_max=200.0, dt=0.01)
-    report = aw.stability_order([e, e])
+    report = aw.stability_order([e, dataclasses.replace(e, molecule="benzene-copy")])
     assert [r.rank for r in report.rows] == [1, 1]
     assert report.rows[1].tied_with_previous
+
+
+def test_stability_rejects_repeated_molecule():
+    a = aw.StabilityEntry(molecule="benzene", mean_trp=0.11, t_max=1.0, dt=0.5)
+    b = aw.StabilityEntry(molecule="naphthalene", mean_trp=0.08, t_max=1.0, dt=0.5)
+    with pytest.raises(ValueError, match=r"more than once: \['benzene'\]"):
+        aw.stability_order([a, b, a])
 
 
 def test_stability_requires_matching_grids(full_series):
