@@ -142,6 +142,20 @@ _OUT_OPTION = click.option(
 )
 
 
+def _grid_options(command):
+    """--t-max, --dt and --gamma-scale of the CTQW subcommands."""
+    for option in reversed((
+        click.option("--t-max", type=float, default=200.0, show_default=True,
+                     help="Last sampled time."),
+        click.option("--dt", type=float, default=0.01, show_default=True,
+                     help="Sampling interval."),
+        click.option("--gamma-scale", type=float, default=1.0, show_default=True,
+                     help="Global rate multiplier on the walk generator."),
+    )):
+        command = option(command)
+    return command
+
+
 _FROM_MANIFEST_OPTION = click.option(
     "--from-manifest", type=click.Path(exists=True, dir_okay=False), default=None,
     help="Replay the configuration of a previous run.",
@@ -177,12 +191,7 @@ def cmd_list():
 @main.command()
 @click.option("--molecule", "-m", default=None,
               help="Catalog name or molecule file path.")
-@click.option("--t-max", type=float, default=200.0, show_default=True,
-              help="Last sampled time.")
-@click.option("--dt", type=float, default=0.01, show_default=True,
-              help="Sampling interval.")
-@click.option("--gamma-scale", type=float, default=1.0, show_default=True,
-              help="Global rate multiplier on the walk generator.")
+@_grid_options
 @_OUT_OPTION
 @_FROM_MANIFEST_OPTION
 @_guarded
@@ -257,9 +266,7 @@ def _rank_tables(cfg):
 @main.command()
 @click.option("--molecule", "-m", multiple=True,
               help="Molecule to include; repeat the flag (at least twice).")
-@click.option("--t-max", type=float, default=200.0, show_default=True)
-@click.option("--dt", type=float, default=0.01, show_default=True)
-@click.option("--gamma-scale", type=float, default=1.0, show_default=True)
+@_grid_options
 @_OUT_OPTION
 @_FROM_MANIFEST_OPTION
 @_guarded
@@ -278,9 +285,11 @@ def _stability_tables(cfg):
     _check_ctqw_config(cfg)
     if len(cfg.get("molecules", ())) < 2:
         raise click.UsageError("stability needs at least two --molecule flags")
+    molecules = [graphs.load_molecule(name) for name in cfg["molecules"]]
+    # a repeated molecule is rejected before any evolution is paid for
+    metrics._check_unique_names([g.name for g in molecules])
     entries = []
-    for name in cfg["molecules"]:
-        g = graphs.load_molecule(name)
+    for g in molecules:
         prop = ctqw.propagator(ctqw.hamiltonian(g, cfg["gamma_scale"]))
         # obs stays alive through the next molecule's pass: freed earlier,
         # malloc hands its pages back to the OS and the next pass faults

@@ -65,10 +65,18 @@ def propagator(h):
     return Propagator(eigenvalues=lam, eigenvectors=Q)
 
 
+def _unitaries(p, times, path):
+    """U(t) = Q diag(exp(-i lam t)) Q^T at each of times, as _EVOLUTION
+    contracted along the einsum path `path`."""
+    phases = np.exp(-1j * np.outer(times, p.eigenvalues))
+    return np.einsum(_EVOLUTION, p.eigenvectors, phases, p.eigenvectors, optimize=path)
+
+
 def unitary(p, t):
-    """U(t) = Q diag(exp(-i lam t)) Q^T, unitary for every real t."""
-    phase = np.exp(-1j * p.eigenvalues * float(t))
-    return (p.eigenvectors * phase) @ p.eigenvectors.T
+    """U(t), unitary for every real t, contracted as evolve contracts its
+    blocks: Q with Q first, then the phases. That is the path einsum_path
+    picks once a grid has a few times N samples, as every default grid has."""
+    return _unitaries(p, [float(t)], ["einsum_path", (0, 2), (0, 1)])[0]
 
 
 def evolve_ensemble(p, t):
@@ -117,9 +125,7 @@ def evolve(p, t_max, dt, reduce):
         del bounds[-2]
     outputs = None
     for start, stop in zip(bounds, bounds[1:]):
-        phases = np.exp(-1j * np.outer(times[start:stop], lam))
-        U = np.einsum(_EVOLUTION, Q, phases, Q, optimize=path)
-        parts = reduce(np.abs(U) ** 2)
+        parts = reduce(np.abs(_unitaries(p, times[start:stop], path)) ** 2)
         if outputs is None:
             outputs = tuple(np.empty((count,) + a.shape[1:], dtype=a.dtype) for a in parts)
         for out, part in zip(outputs, parts):

@@ -19,8 +19,10 @@ the routes are permutations and the start is real, so amplitudes stay
 real: they are float64 arrays.
 
 A step is one gather over the stacked amplitudes v = [stay | move]. The
-stay amplitude routed into slot t came from slot p = cyc_next^-1(t), and
-the move amplitude from q = cross^-1(t), so
+stay amplitude routed into slot t came from its ring predecessor p, the
+previous slot of t's node (the node's last slot for its first), and the
+move amplitude from the partner slot q = cross(t) (the edge route is its
+own inverse), so
 
     stay'[t] = a[p] * stay[p] + b[p] * move[p]
     move'[t] = b[q] * stay[q] + (-a[q]) * move[q]
@@ -55,55 +57,32 @@ from .errors import ComputationError
 BLOCK_BYTES = 1 << 18
 
 
-class _ArcLayout:
-    """Slot bookkeeping for the directed graph walk (see module docstring)."""
+class _ArcTable:
+    """Arc slots of the directed graph walk and its step's gather (see
+    module docstring), built from the adjacency's nonzeros: their
+    row-major order is the slot order."""
 
     def __init__(self, g, coin="unweighted"):
         if coin not in ("unweighted", "weighted"):
             raise ValueError(f"coin must be 'unweighted' or 'weighted', got {coin!r}")
         n = g.node_count
-        A = graphs.adjacency(g)
-        nbrs = [np.nonzero(A[x])[0] for x in range(n)]
-        deg = np.array([nb.size for nb in nbrs])
+        node_of, nbr = np.nonzero(graphs.adjacency(g))
+        deg = np.bincount(node_of, minlength=n)
         if (deg == 0).any():
             raise ValueError("graph has an isolated node")
-        first = np.concatenate(([0], np.cumsum(deg)))[:n]
-        nsub = int(deg.sum())
-        node_of = np.repeat(np.arange(n), deg)
-        cyc_next = np.empty(nsub, dtype=np.intp)
-        cross = np.empty(nsub, dtype=np.intp)
-        for x in range(n):
-            base = first[x]
-            for i, y in enumerate(nbrs[x]):
-                cyc_next[base + i] = base + (i + 1) % deg[x]
-                # partner slot: position of x among y's ascending neighbors
-                j = int(np.searchsorted(nbrs[y], x))
-                cross[base + i] = first[y] + j
-        if coin == "weighted":
-            alpha = graphs.weighted_degrees(g) / 2.0
-        else:
-            alpha = deg / 2.0
-        self.nsub = nsub
-        self.node_of = node_of
-        self.first = first
-        self.deg = deg
-        self.cyc_next = cyc_next
-        self.cross = cross
-        self.a = np.sqrt(1.0 / (alpha + 1.0))[node_of]
-        self.b = np.sqrt(alpha / (alpha + 1.0))[node_of]
-
-
-def _gather(lay):
-    """Source index into [stay | move] and coefficient of both products
-    behind every amplitude of [stay' | move'] (see module docstring)."""
-    s = lay.nsub
-    ring = np.empty(s, dtype=np.intp)
-    ring[lay.cyc_next] = np.arange(s)
-    edge = np.empty(s, dtype=np.intp)
-    edge[lay.cross] = np.arange(s)
-    src = np.concatenate((ring, edge, ring + s, edge + s))
-    coef = np.concatenate((lay.a[ring], lay.b[edge], lay.b[ring], -lay.a[edge]))
-    return src, coef
+        first = np.cumsum(deg) - deg
+        slot = np.arange(node_of.size)
+        # the partner of arc x -> y is arc y -> x, found by its sort key
+        cross = np.searchsorted(node_of * n + nbr, nbr * n + node_of)
+        prev = np.where(slot == first[node_of], slot + deg[node_of], slot) - 1
+        alpha = (graphs.weighted_degrees(g) if coin == "weighted" else deg) / 2.0
+        a = np.sqrt(1.0 / (alpha + 1.0))[node_of]
+        b = np.sqrt(alpha / (alpha + 1.0))[node_of]
+        s = slot.size
+        self.node_of, self.first, self.deg = node_of, first, deg
+        self.cross, self.prev, self.a, self.b = cross, prev, a, b
+        self.src = np.concatenate((prev, cross, prev + s, cross + s))
+        self.coef = np.concatenate((a[prev], b[cross], b[prev], -a[cross]))
 
 
 def _step(v, src, coef, out=None):
@@ -113,13 +92,13 @@ def _step(v, src, coef, out=None):
     return np.add(w[:v.size], w[v.size:], out=out)
 
 
-def _node_sums(lay, p):
+def _node_sums(arcs, p):
     """Per-node sums of slot values p (rows, slots), each node's slots
     added in slot order."""
-    sums = p[:, lay.first]
-    for k in range(1, int(lay.deg.max())):
-        nodes = np.nonzero(lay.deg > k)[0]
-        sums[:, nodes] += p[:, lay.first[nodes] + k]
+    sums = p[:, arcs.first]
+    for k in range(1, int(arcs.deg.max())):
+        nodes = np.nonzero(arcs.deg > k)[0]
+        sums[:, nodes] += p[:, arcs.first[nodes] + k]
     return sums
 
 
@@ -166,27 +145,30 @@ def rank_nodes(g, steps=None, start=1, coin="unweighted"):
     The walker starts localized on `start` and runs for `steps` steps
     (default 10 * N^2). Node occupancies are summed over all steps,
     averaged within each stored equivalence class, and ranked ascending:
-    rank 1 marks the most reactive class. Rankings are stable under
-    moving `start` within its own symmetry class; starts from different
-    classes can produce different orders, so comparisons should fix one
-    start convention (the default start is node 1).
+    rank 1 marks the most reactive class. The scores depend on `start`,
+    and so can the order, even for starts in one symmetry class: with the
+    unweighted coin, naphthalene's starts 2 and 7 swap ranks 2 and 3
+    against starts 1 and 6, phenanthrene's start 8 swaps ranks 5 and 6
+    against start 1, its start 7 reorders ranks 2-4 against start 2, and
+    anthracene's starts 6 and 13 swap ranks 1 and 2 against starts 4 and
+    11. Comparisons should fix one start (the default is node 1).
     """
     n = g.node_count
     if steps is None:
         steps = 10 * n * n
     if not graphs._is_int(steps) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
-    lay = _ArcLayout(g, coin)
+    arcs = _ArcTable(g, coin)
     if not graphs._is_int(start):
         raise ValueError(f"start must be an integer node, got {start!r}")
     if not 1 <= start <= n:
         raise ValueError(f"start node {start} outside [1, {n}]")
-    s = lay.nsub
+    s = arcs.node_of.size
     # the start node's slots share the stay amplitude equally
     v = np.zeros(2 * s)
-    base, d = lay.first[start - 1], lay.deg[start - 1]
+    base, d = arcs.first[start - 1], arcs.deg[start - 1]
     v[base:base + d] = 1.0 / math.sqrt(d)
-    src, coef = _gather(lay)
+    src, coef = arcs.src, arcs.coef
     history = np.empty((min(_block_rows(s), steps), 2 * s))
     occ = np.zeros(n)
     for done in range(0, steps, len(history)):
@@ -195,20 +177,18 @@ def rank_nodes(g, steps=None, start=1, coin="unweighted"):
             v = _step(v, src, coef, out=row)
         p = block[:, :s] ** 2
         p += block[:, s:] ** 2
-        sums = _node_sums(lay, p)
+        sums = _node_sums(arcs, p)
         sums[0] += occ
         occ = np.add.accumulate(sums)[-1]
     if abs(float(p[-1].sum()) - 1.0) > 1e-9:
         raise ComputationError(f"walk norm drifted to {p[-1].sum()!r}; refusing to rank")
     classes = graphs.equivalence_classes(g)
+    class_of = np.empty(n, dtype=int)
+    for k, cls in enumerate(classes):
+        class_of[np.subtract(cls, 1)] = k
     class_scores = np.array([occ[[m - 1 for m in cls]].mean() for cls in classes])
-    class_ranks = _dense_ranks(class_scores)
-    scores = np.zeros(n)
-    ranks = np.zeros(n, dtype=int)
-    for cls, cs, cr in zip(classes, class_scores, class_ranks):
-        for member in cls:
-            scores[member - 1] = cs
-            ranks[member - 1] = cr
+    scores = class_scores[class_of]
+    ranks = _dense_ranks(class_scores)[class_of]
     return NodeRanking(
         molecule=g.name,
         nodes=tuple(range(1, n + 1)),

@@ -140,6 +140,13 @@ class StabilityReport:
         return "".join(parts)
 
 
+def _check_unique_names(names):
+    """Raise ValueError if a molecule name appears more than once."""
+    repeated = sorted({m for m in names if names.count(m) > 1})
+    if repeated:
+        raise ValueError(f"molecules listed more than once: {repeated}")
+
+
 def stability_order(entries, tie_band=0.02):
     """Sort molecules by mean TRP descending; near-ties share a rank.
 
@@ -150,10 +157,7 @@ def stability_order(entries, tie_band=0.02):
     entries = list(entries)
     if len(entries) < 2:
         raise ValueError("stability ordering needs at least 2 molecules")
-    names = [e.molecule for e in entries]
-    repeated = sorted({m for m in names if names.count(m) > 1})
-    if repeated:
-        raise ValueError(f"molecules listed more than once: {repeated}")
+    _check_unique_names([e.molecule for e in entries])
     grids = {(e.t_max, e.dt) for e in entries}
     if len(grids) != 1:
         raise ValueError(f"mismatched sampling grids: {sorted(grids)}")

@@ -1,10 +1,13 @@
-"""Shared fixtures and hypothesis strategies.
+"""Shared fixtures, hypothesis strategies and reference constructions.
 
 The full default-grid evolution series (t_max=200, dt=0.01) is expensive
 enough to be worth computing once per molecule and sharing across the
 whole run.
 """
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -25,6 +28,30 @@ def connected_graphs(draw):
     return MoleculeGraph(
         name="random", node_count=n, edges=tuple((i, j, w) for (i, j), w in edges.items())
     )
+
+
+def reference_layout(g, coin="unweighted"):
+    """The arc slots built node by node: each node's neighbour list, the
+    stay route to the next slot around the node and the partner slot
+    found by one searchsorted per slot. Independent of dtqw._ArcTable."""
+    n = g.node_count
+    A = aw.adjacency(g)
+    nbrs = [np.nonzero(A[x])[0] for x in range(n)]
+    deg = np.array([nb.size for nb in nbrs])
+    first = np.concatenate(([0], np.cumsum(deg)))[:n]
+    nsub = int(deg.sum())
+    cyc_next = np.empty(nsub, dtype=np.intp)
+    cross = np.empty(nsub, dtype=np.intp)
+    for x in range(n):
+        base = first[x]
+        for i, y in enumerate(nbrs[x]):
+            cyc_next[base + i] = base + (i + 1) % deg[x]
+            cross[base + i] = first[y] + int(np.searchsorted(nbrs[y], x))
+    node_of = np.repeat(np.arange(n), deg)
+    alpha = (aw.weighted_degrees(g) if coin == "weighted" else deg) / 2.0
+    return SimpleNamespace(
+        node_of=node_of, first=first, deg=deg, cyc_next=cyc_next, cross=cross,
+        a=np.sqrt(1.0 / (alpha + 1.0))[node_of], b=np.sqrt(alpha / (alpha + 1.0))[node_of])
 
 
 @pytest.fixture(scope="session")

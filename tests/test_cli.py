@@ -10,9 +10,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from click.testing import CliRunner
+from conftest import reference_layout
 
 import arenewalk as aw
-from arenewalk import dtqw
+from arenewalk import dtqw, metrics
 from arenewalk.cli import _fmt, main
 from arenewalk.errors import ComputationError
 
@@ -357,21 +358,21 @@ def complex_ranking(g, start, coin):
     """Pooled scores and ranks per node from the walk as it ran before
     amplitudes became real: complex128 stay/move through an inline
     coin-and-route loop."""
-    lay = dtqw._ArcLayout(g, coin)
+    ref = reference_layout(g, coin)
     n = g.node_count
-    stay = np.zeros(lay.nsub, dtype=complex)
-    move = np.zeros(lay.nsub, dtype=complex)
-    d = lay.deg[start - 1]
-    stay[lay.first[start - 1]:lay.first[start - 1] + d] = 1.0 / np.sqrt(d)
+    stay = np.zeros(ref.node_of.size, dtype=complex)
+    move = np.zeros(ref.node_of.size, dtype=complex)
+    d = ref.deg[start - 1]
+    stay[ref.first[start - 1]:ref.first[start - 1] + d] = 1.0 / np.sqrt(d)
     occ = np.zeros(n)
     for _ in range(10 * n * n):
-        c = lay.a * stay + lay.b * move
-        m = lay.b * stay - lay.a * move
+        c = ref.a * stay + ref.b * move
+        m = ref.b * stay - ref.a * move
         stay = np.empty_like(c)
         move = np.empty_like(m)
-        stay[lay.cyc_next] = c
-        move[lay.cross] = m
-        occ += np.bincount(lay.node_of, weights=np.abs(stay) ** 2 + np.abs(move) ** 2,
+        stay[ref.cyc_next] = c
+        move[ref.cross] = m
+        occ += np.bincount(ref.node_of, weights=np.abs(stay) ** 2 + np.abs(move) ** 2,
                            minlength=n)
     classes = aw.equivalence_classes(g)
     class_scores = np.array([occ[[m - 1 for m in cls]].mean() for cls in classes])
@@ -493,7 +494,12 @@ def test_stability_bytes_match_unstreamed(runner, tmp_path):
 
 
 @pytest.mark.parametrize("second", ["benzene", "catalog-name-file"])
-def test_stability_rejects_repeated_molecule(runner, tmp_path, second):
+def test_stability_rejects_repeated_molecule(runner, tmp_path, monkeypatch, second):
+    # the repeat is caught before any molecule is evolved
+    def no_evolution(*args, **kwargs):
+        raise AssertionError("observe called before the repeat check")
+
+    monkeypatch.setattr(metrics, "observe", no_evolution)
     if second == "catalog-name-file":
         # a file whose name: repeats a catalog molecule's name
         second = str(tmp_path / "ring.yaml")
@@ -504,6 +510,13 @@ def test_stability_rejects_repeated_molecule(runner, tmp_path, second):
     assert res.exit_code == 2, res.output
     assert "more than once" in res.output
     assert not os.path.exists(out)
+
+
+def test_stability_help_describes_grid(runner):
+    res = runner.invoke(main, ["stability", "--help"])
+    assert res.exit_code == 0
+    assert "Last sampled time." in res.output
+    assert "Sampling interval." in res.output
 
 
 def test_stability_needs_two_molecules(runner, tmp_path):

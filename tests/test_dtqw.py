@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
-from conftest import connected_graphs
+from conftest import connected_graphs, reference_layout
 from hypothesis import given, settings
 
 import arenewalk as aw
@@ -25,42 +25,41 @@ def star(d):
     )
 
 
-def reference_step(lay, stay, move):
+def reference_step(ref, stay, move):
     """Coin then route, as two arrays: the step the gather reproduces."""
-    c = lay.a * stay + lay.b * move
-    m = lay.b * stay - lay.a * move
+    c = ref.a * stay + ref.b * move
+    m = ref.b * stay - ref.a * move
     stay_new = np.empty_like(c)
     move_new = np.empty_like(m)
-    stay_new[lay.cyc_next] = c
-    move_new[lay.cross] = m
+    stay_new[ref.cyc_next] = c
+    move_new[ref.cross] = m
     return stay_new, move_new
 
 
-def start_state(lay, start):
+def start_state(arcs, start):
     """Stay and move amplitudes of a walker on `start`: the start node's
     slots share the stay amplitude equally."""
-    stay = np.zeros(lay.nsub)
-    base, d = lay.first[start - 1], lay.deg[start - 1]
+    stay = np.zeros(arcs.node_of.size)
+    base, d = arcs.first[start - 1], arcs.deg[start - 1]
     stay[base:base + d] = 1.0 / math.sqrt(d)
-    return stay, np.zeros(lay.nsub)
+    return stay, np.zeros(arcs.node_of.size)
 
 
-def walk(lay, v, steps):
+def walk(arcs, v, steps):
     """[stay | move] after `steps` steps of the walk's own step."""
-    src, coef = dtqw._gather(lay)
     for _ in range(steps):
-        v = dtqw._step(v, src, coef)
+        v = dtqw._step(v, arcs.src, arcs.coef)
     return v
 
 
 def reference_occupancy(g, steps, start=1, coin="unweighted"):
     """Per-node occupancy summed over `steps` steps, one bincount per step."""
-    lay = dtqw._ArcLayout(g, coin)
-    stay, move = start_state(lay, start)
+    ref = reference_layout(g, coin)
+    stay, move = start_state(ref, start)
     occ = np.zeros(g.node_count)
     for _ in range(steps):
-        stay, move = reference_step(lay, stay, move)
-        occ += np.bincount(lay.node_of, weights=stay**2 + move**2, minlength=g.node_count)
+        stay, move = reference_step(ref, stay, move)
+        occ += np.bincount(ref.node_of, weights=stay**2 + move**2, minlength=g.node_count)
     return occ
 
 
@@ -68,17 +67,17 @@ def reference_occupancy(g, steps, start=1, coin="unweighted"):
 
 def coin_coefficients(g, node, coin="unweighted"):
     """(a, b) of the coin [[a, b], [b, -a]] at every arc slot of `node`."""
-    lay = dtqw._ArcLayout(g, coin)
-    slots = lay.node_of == node - 1
-    return lay.a[slots], lay.b[slots]
+    arcs = dtqw._ArcTable(g, coin)
+    slots = arcs.node_of == node - 1
+    return arcs.a[slots], arcs.b[slots]
 
 
 def test_degree_coin_benzene_balanced():
     # all sites degree 2: alpha = 1 gives the balanced +-matrix
-    lay = dtqw._ArcLayout(aw.load_molecule("benzene"))
+    arcs = dtqw._ArcTable(aw.load_molecule("benzene"))
     r = math.sqrt(0.5)
-    npt.assert_allclose(lay.a, r, atol=1e-12)
-    npt.assert_allclose(lay.b, r, atol=1e-12)
+    npt.assert_allclose(arcs.a, r, atol=1e-12)
+    npt.assert_allclose(arcs.b, r, atol=1e-12)
 
 
 def test_degree_coin_branch_site():
@@ -108,7 +107,7 @@ def test_degree_coin_weighted_kind():
 
 def test_degree_coin_validation():
     with pytest.raises(ValueError):
-        dtqw._ArcLayout(aw.load_molecule("benzene"), coin="nonsense")
+        dtqw._ArcTable(aw.load_molecule("benzene"), coin="nonsense")
 
 
 # ---------------------------------------------------------------- graph walk
@@ -117,18 +116,44 @@ def test_arc_order_ascending_neighbors():
     # the slots of node x hold its neighbors in ascending order; the walk's
     # stay route cycles through them in that order
     def order(name, x):
-        lay = dtqw._ArcLayout(aw.load_molecule(name))
-        return tuple(int(lay.node_of[lay.cross[lay.first[x - 1] + i]]) + 1
-                     for i in range(lay.deg[x - 1]))
+        arcs = dtqw._ArcTable(aw.load_molecule(name))
+        return tuple(int(arcs.node_of[arcs.cross[arcs.first[x - 1] + i]]) + 1
+                     for i in range(arcs.deg[x - 1]))
 
     assert order("naphthalene", 4) == (3, 5, 9)
     assert order("naphthalene", 1) == (2, 10)
     assert order("benzene", 6) == (1, 5)
 
 
+def assert_arc_table_matches_reference(g, coin):
+    arcs = dtqw._ArcTable(g, coin)
+    ref = reference_layout(g, coin)
+    slots = np.arange(ref.node_of.size)
+    ring_prev = np.empty_like(slots)
+    ring_prev[ref.cyc_next] = slots
+    for got, want in ((arcs.node_of, ref.node_of), (arcs.first, ref.first),
+                      (arcs.deg, ref.deg), (arcs.cross, ref.cross),
+                      (arcs.prev, ring_prev), (arcs.a, ref.a), (arcs.b, ref.b)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(arcs.cross[arcs.cross], slots)
+
+
+@pytest.mark.parametrize("coin", ["unweighted", "weighted"])
+@pytest.mark.parametrize("molecule", aw.CATALOG)
+def test_arc_table_matches_per_node_reference(molecule, coin):
+    assert_arc_table_matches_reference(aw.load_molecule(molecule), coin)
+
+
+@settings(max_examples=10, deadline=None)
+@given(connected_graphs())
+def test_arc_table_matches_per_node_reference_random_graphs(g):
+    for coin in ("unweighted", "weighted"):
+        assert_arc_table_matches_reference(g, coin)
+
+
 def test_directed_step_exactly_unitary_long_run():
-    lay = dtqw._ArcLayout(aw.load_molecule("benzene"))
-    v = walk(lay, np.concatenate(start_state(lay, 1)), 100_000)
+    arcs = dtqw._ArcTable(aw.load_molecule("benzene"))
+    v = walk(arcs, np.concatenate(start_state(arcs, 1)), 100_000)
     npt.assert_allclose((v**2).sum(), 1.0, atol=1e-11)
 
 
@@ -136,8 +161,8 @@ def test_directed_step_exactly_unitary_long_run():
 @given(connected_graphs())
 def test_directed_step_norm_on_random_graphs(g):
     for coin in ("unweighted", "weighted"):
-        lay = dtqw._ArcLayout(g, coin)
-        v = walk(lay, np.concatenate(start_state(lay, 1)), 10_000)
+        arcs = dtqw._ArcTable(g, coin)
+        v = walk(arcs, np.concatenate(start_state(arcs, 1)), 10_000)
         assert v.dtype == np.float64
         npt.assert_allclose((v**2).sum(), 1.0, atol=1e-11)
 
@@ -146,22 +171,23 @@ def test_directed_step_norm_on_random_graphs(g):
 @pytest.mark.parametrize("molecule", aw.CATALOG)
 def test_directed_step_equals_coin_then_route(molecule, coin):
     g = aw.load_molecule(molecule)
-    lay = dtqw._ArcLayout(g, coin)
-    src, coef = dtqw._gather(lay)
+    arcs = dtqw._ArcTable(g, coin)
+    ref = reference_layout(g, coin)
     for start in (1, g.node_count):
-        stay, move = start_state(lay, start)
+        stay, move = start_state(ref, start)
         v = np.concatenate((stay, move))
         for _ in range(40):
-            v = dtqw._step(v, src, coef)
-            stay, move = reference_step(lay, stay, move)
+            v = dtqw._step(v, arcs.src, arcs.coef)
+            stay, move = reference_step(ref, stay, move)
             assert np.array_equal(v, np.concatenate((stay, move)))
 
 
 def test_directed_step_spreads_probability():
     g = aw.load_molecule("naphthalene")
-    lay = dtqw._ArcLayout(g)
-    v = walk(lay, np.concatenate(start_state(lay, 1)), 3)
-    probs = np.bincount(lay.node_of, weights=v[:lay.nsub]**2 + v[lay.nsub:]**2)
+    arcs = dtqw._ArcTable(g)
+    s = arcs.node_of.size
+    v = walk(arcs, np.concatenate(start_state(arcs, 1)), 3)
+    probs = np.bincount(arcs.node_of, weights=v[:s]**2 + v[s:]**2)
     assert (probs > 1e-12).sum() > 1
     npt.assert_allclose(probs.sum(), 1.0, atol=1e-12)
 
@@ -221,7 +247,7 @@ def test_rank_scores_pooled_within_classes():
 def assert_blocked_walk_exact(g, coin):
     # steps around the history block length, from node 1 and from the last
     # node; unpooled scores are the occupancy
-    rows = dtqw._block_rows(dtqw._ArcLayout(g).nsub)
+    rows = dtqw._block_rows(dtqw._ArcTable(g).node_of.size)
     unpooled = dataclasses.replace(g, classes=None)
     for start in (1, g.node_count):
         for steps in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
@@ -249,7 +275,7 @@ def test_rank_nodes_blocked_equals_per_step_loop_random_graphs(g):
 
 def test_rank_nodes_history_memory_bounded():
     g = aw.load_molecule("naphthalene")
-    nsub = dtqw._ArcLayout(g).nsub
+    nsub = dtqw._ArcTable(g).node_of.size
     rows = dtqw._block_rows(nsub)
 
     def peak(steps):
@@ -271,7 +297,9 @@ def test_rank_nodes_deterministic():
 
 
 def test_rank_nodes_start_within_class_stable():
-    # moving the start around inside one symmetry class keeps the ranking
+    # naphthalene's class {3, 5, 8, 10} and phenanthrene's {11, 12}: every
+    # start in them gives the same ranking (not true of every class; see
+    # test_rank_nodes_start_within_class_identical_ranks)
     g = aw.load_molecule("naphthalene")
     base = aw.rank_nodes(g, start=3)
     for start in (5, 8, 10):
@@ -309,6 +337,19 @@ def test_rank_nodes_relabelling_equivariance():
     npt.assert_allclose(b.scores[::-1], a.scores, rtol=1e-9)
 
 
+@pytest.mark.xfail(
+    reason="the walk's arc order follows the node numbering, so symmetric "
+    "starts are not equivalent: naphthalene's starts 2 and 7 swap ranks 2 "
+    "and 3 against starts 1 and 6",
+    strict=True,
+)
+def test_rank_nodes_start_within_class_identical_ranks():
+    g = aw.load_molecule("naphthalene")
+    base = aw.rank_nodes(g, start=1).ranks
+    for start in (2, 6, 7):
+        assert aw.rank_nodes(g, start=start).ranks == base
+
+
 def test_rank_nodes_validation():
     g = aw.load_molecule("benzene")
     with pytest.raises(ValueError):
@@ -334,12 +375,11 @@ def test_rank_nodes_validation():
 
 def test_rank_nodes_norm_guard(monkeypatch):
     # corrupt the coin so the walk leaks norm; the drift check must trip
-    real = dtqw._gather
+    class Leaky(dtqw._ArcTable):
+        def __init__(self, g, coin):
+            super().__init__(g, coin)
+            self.coef = self.coef * 0.999
 
-    def leaky(lay):
-        lay.a = lay.a * 0.999
-        return real(lay)
-
-    monkeypatch.setattr(dtqw, "_gather", leaky)
+    monkeypatch.setattr(dtqw, "_ArcTable", Leaky)
     with pytest.raises(ComputationError):
         aw.rank_nodes(aw.load_molecule("benzene"), steps=50)
