@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import json
-import numbers
 import os
 import platform
 import sys
@@ -121,20 +120,6 @@ def _run(command, cfg, out, from_manifest, tables):
     click.echo(f"{command}: wrote {', '.join(files)}, manifest.json to {out}")
 
 
-def _check_ctqw_config(cfg):
-    """Raise ValueError unless a simulate or stability config holds real
-    numbers for the grid and the rate, and a list of strings for
-    stability's molecules; a replayed manifest reaches here unchecked.
-    load_molecule checks a single molecule name."""
-    for key in ("t_max", "dt", "gamma_scale"):
-        value = cfg.get(key)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{key} must be a real number, got {value!r}")
-    names = cfg.get("molecules", [])
-    if not isinstance(names, list) or not all(isinstance(m, str) for m in names):
-        raise ValueError(f"molecules must be a list of strings, got {names!r}")
-
-
 _OUT_OPTION = click.option(
     "--out", type=click.Path(file_okay=False), default=".", show_default=True,
     envvar="ARENEWALK_OUT",
@@ -208,10 +193,9 @@ def simulate(molecule, t_max, dt, gamma_scale, out, from_manifest):
 def _simulate_tables(cfg):
     if cfg.get("molecule") is None:
         raise click.UsageError("--molecule is required (or use --from-manifest)")
-    _check_ctqw_config(cfg)
     g = graphs.load_molecule(cfg["molecule"])
-    prop = ctqw.propagator(ctqw.hamiltonian(g, cfg["gamma_scale"]))
-    obs = metrics.observe(prop, cfg["t_max"], cfg["dt"])
+    prop = ctqw.propagator(ctqw.hamiltonian(g, cfg.get("gamma_scale")))
+    obs = metrics.observe(prop, cfg.get("t_max"), cfg.get("dt"))
     reports = metrics.site_reports(g, obs)
     # t is formatted once; one block of rows per node, joined with the
     # header in one pass (adding the header afterwards copies the whole text)
@@ -255,10 +239,9 @@ def _rank_tables(cfg):
     if cfg.get("molecule") is None:
         raise click.UsageError("--molecule is required (or use --from-manifest)")
     g = graphs.load_molecule(cfg["molecule"])
-    if cfg.get("steps") is None:
-        cfg["steps"] = 10 * g.node_count ** 2
-    ranking = dtqw.rank_nodes(g, steps=cfg["steps"], start=cfg.get("start"),
+    ranking = dtqw.rank_nodes(g, steps=cfg.get("steps"), start=cfg.get("start"),
                               coin=cfg.get("coin_degree"))
+    cfg["steps"] = ranking.steps
     return {"ranks.csv": "node,label,score,rank\n" + _rows(
         "%d,%s,%.12g,%d\n", ranking.nodes, ranking.labels, ranking.scores, ranking.ranks)}
 
@@ -282,20 +265,23 @@ def stability(molecule, t_max, dt, gamma_scale, out, from_manifest):
 
 
 def _stability_tables(cfg):
-    _check_ctqw_config(cfg)
-    if len(cfg.get("molecules", ())) < 2:
+    names = cfg.get("molecules", [])
+    if not isinstance(names, list) or not all(isinstance(m, str) for m in names):
+        raise ValueError(f"molecules must be a list of strings, got {names!r}")
+    if len(names) < 2:
         raise click.UsageError("stability needs at least two --molecule flags")
-    molecules = [graphs.load_molecule(name) for name in cfg["molecules"]]
+    molecules = [graphs.load_molecule(name) for name in names]
     # a repeated molecule is rejected before any evolution is paid for
     metrics._check_unique_names([g.name for g in molecules])
+    t_max, dt = cfg.get("t_max"), cfg.get("dt")
     entries = []
     for g in molecules:
-        prop = ctqw.propagator(ctqw.hamiltonian(g, cfg["gamma_scale"]))
+        prop = ctqw.propagator(ctqw.hamiltonian(g, cfg.get("gamma_scale")))
         # obs stays alive through the next molecule's pass: freed earlier,
         # malloc hands its pages back to the OS and the next pass faults
         # them in again (4x the page faults, 15% slower on acenes 1-5)
-        obs = metrics.observe(prop, cfg["t_max"], cfg["dt"])
-        entries.append(metrics.stability_entry(g, obs, cfg["t_max"], cfg["dt"]))
+        obs = metrics.observe(prop, t_max, dt)
+        entries.append(metrics.stability_entry(g, obs, t_max, dt))
     report = metrics.stability_order(entries)
     click.echo(report.order_string())
     rows = report.rows

@@ -2,9 +2,11 @@
 
 The generator is the weighted graph Laplacian. Evolution uses a one-time
 symmetric eigendecomposition, so any time t is reached exactly (no time
-stepping error) and a full time grid costs one dense reconstruction per
-sample. A grid is evolved in blocks of BLOCK_BYTES, so memory stays bounded
-by one block plus whatever the caller keeps of it. hbar = 1 throughout.
+stepping error). U(t) = Q diag(exp(-i lam t)) Q^T on a set of times is one
+product of the eigenvector pairs Q[j, l] Q[k, l] with the phases, which
+unitary and evolve share. A grid is evolved in blocks of BLOCK_BYTES, so
+memory stays bounded by one block plus whatever the caller keeps of it.
+hbar = 1 throughout.
 """
 from __future__ import annotations
 
@@ -19,7 +21,6 @@ from . import graphs
 BLOCK_BYTES = 8 << 20
 # Largest sampling grid accepted; checked before anything is allocated.
 MAX_SAMPLES = 10_000_000
-_EVOLUTION = "jl,tl,kl->tjk"
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,9 +49,9 @@ class EvolutionSeries:
 
 def hamiltonian(g, gamma_scale=1.0):
     """Walk generator for a molecule graph; rejects a gamma_scale that is
-    not finite and > 0."""
-    if not 0 < gamma_scale < np.inf:
-        raise ValueError(f"gamma_scale must be finite and > 0, got {gamma_scale}")
+    not a finite real number > 0."""
+    if not (graphs._is_real(gamma_scale) and 0 < gamma_scale < np.inf):
+        raise ValueError(f"gamma_scale must be a finite real number > 0, got {gamma_scale!r}")
     return Hamiltonian(matrix=gamma_scale * graphs.laplacian(g), gamma_scale=float(gamma_scale))
 
 
@@ -59,24 +60,29 @@ def propagator(h):
     H = h.matrix if isinstance(h, Hamiltonian) else np.asarray(h, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"Hamiltonian must be square, got {H.shape}")
-    if not np.allclose(H, H.T, atol=1e-12):
+    if not np.allclose(H, H.T, rtol=0, atol=1e-12):
         raise ValueError("Hamiltonian must be symmetric")
     lam, Q = np.linalg.eigh(H)
     return Propagator(eigenvalues=lam, eigenvectors=Q)
 
 
-def _unitaries(p, times, path):
-    """U(t) = Q diag(exp(-i lam t)) Q^T at each of times, as _EVOLUTION
-    contracted along the einsum path `path`."""
+def _unitaries(p, times):
+    """U(t) = Q diag(exp(-i lam t)) Q^T at each of times, shaped
+    (samples, N, N): pairs[l, j*N + k] = Q[j, l] Q[k, l] times the phases."""
+    Q = p.eigenvectors
+    n = len(Q)
     phases = np.exp(-1j * np.outer(times, p.eigenvalues))
-    return np.einsum(_EVOLUTION, p.eigenvectors, phases, p.eigenvectors, optimize=path)
+    pairs = (Q.T[:, :, None] * Q.T[:, None, :]).reshape(n, n * n)
+    # t is the fastest axis in memory: a C-ordered phases @ pairs gives the
+    # same values, but site_observables then reduces over rows of only N
+    # elements and observe ran 1.6x slower
+    return (pairs.T @ phases.T).reshape(n, n, len(phases)).transpose(2, 0, 1)
 
 
 def unitary(p, t):
-    """U(t), unitary for every real t, contracted as evolve contracts its
-    blocks: Q with Q first, then the phases. That is the path einsum_path
-    picks once a grid has a few times N samples, as every default grid has."""
-    return _unitaries(p, [float(t)], ["einsum_path", (0, 2), (0, 1)])[0]
+    """U(t), unitary for every real t, from the product evolve takes over
+    its blocks, here over a single sample."""
+    return _unitaries(p, [float(t)])[0]
 
 
 def evolve_ensemble(p, t):
@@ -87,6 +93,9 @@ def evolve_ensemble(p, t):
 
 
 def _sample_count(t_max, dt):
+    for name, value in (("t_max", t_max), ("dt", dt)):
+        if not graphs._is_real(value):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
     if not t_max > 0:
         raise ValueError(f"t_max must be > 0, got {t_max}")
     # an infinite dt would put NaN (0 * inf) on the grid
@@ -108,24 +117,20 @@ def evolve(p, t_max, dt, reduce):
     B is computed in consecutive time blocks of about BLOCK_BYTES, and
     reduce maps each (samples, N, N) block to a tuple of arrays whose first
     axis runs over those samples. Returns the grid times and the reduced
-    arrays over the whole grid. Every block uses the contraction order that
-    one einsum over the whole grid would pick, and no block holds a single
-    sample (numpy evaluates that as a matrix-vector product, which rounds
+    arrays over the whole grid. No block holds a single sample (numpy
+    evaluates that product as a matrix-vector product, which rounds
     differently), so the values do not depend on the block length.
     """
     count = _sample_count(t_max, dt)
     times = np.arange(count) * dt
-    lam, Q = p.eigenvalues, p.eigenvectors
-    n = len(lam)
-    whole_grid = np.broadcast_to(np.zeros(n, dtype=complex), (count, n))
-    path, _ = np.einsum_path(_EVOLUTION, Q, whole_grid, Q, optimize=True)
+    n = len(p.eigenvalues)
     step = max(2, BLOCK_BYTES // (16 * n * n))
     bounds = list(range(0, count, step)) + [count]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]
     outputs = None
     for start, stop in zip(bounds, bounds[1:]):
-        parts = reduce(np.abs(_unitaries(p, times[start:stop], path)) ** 2)
+        parts = reduce(np.abs(_unitaries(p, times[start:stop])) ** 2)
         if outputs is None:
             outputs = tuple(np.empty((count,) + a.shape[1:], dtype=a.dtype) for a in parts)
         for out, part in zip(outputs, parts):

@@ -127,15 +127,11 @@ def _block_rows(nsub):
 def _dense_ranks(values, rel_tol=1e-6):
     """Ascending dense ranks with adjacent values merged inside rel_tol."""
     order = np.argsort(values, kind="stable")
-    ranks = np.zeros(len(values), dtype=int)
-    rank = 0
-    prev = None
-    for idx in order:
-        v = values[idx]
-        if prev is None or abs(v - prev) > rel_tol * max(abs(v), abs(prev)):
-            rank += 1
-        ranks[idx] = rank
-        prev = v
+    v = np.asarray(values)[order]
+    new = np.ones(len(v), dtype=bool)
+    new[1:] = np.abs(np.diff(v)) > rel_tol * np.maximum(np.abs(v[1:]), np.abs(v[:-1]))
+    ranks = np.empty(len(v), dtype=int)
+    ranks[order] = np.cumsum(new)
     return ranks
 
 

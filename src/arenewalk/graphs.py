@@ -24,6 +24,11 @@ def _is_int(x):
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _is_real(x):
+    """A real number (numpy's included) that is not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class MoleculeGraph:
     """Connected undirected graph with finite positive edge weights.
@@ -56,7 +61,7 @@ class MoleculeGraph:
                 raise ValueError(f"edge {edge!r} endpoint outside [1, {n}]")
             if i == j:
                 raise ValueError(f"self-loop at node {i}")
-            if isinstance(w, bool) or not isinstance(w, numbers.Real):
+            if not _is_real(w):
                 raise ValueError(f"edge ({i}, {j}) weight must be a number, got {w!r}")
             w = float(w)
             if not 0 < w < np.inf:

@@ -19,6 +19,9 @@ import numpy as np
 
 from . import ctqw, graphs
 
+# Relative mean-TRP gap at or below which adjacent molecules share a rank.
+TIE_BAND = 0.02
+
 
 @dataclass(frozen=True, eq=False)
 class SiteObservables:
@@ -147,10 +150,10 @@ def _check_unique_names(names):
         raise ValueError(f"molecules listed more than once: {repeated}")
 
 
-def stability_order(entries, tie_band=0.02):
+def stability_order(entries):
     """Sort molecules by mean TRP descending; near-ties share a rank.
 
-    Adjacent entries whose relative gap is below tie_band are flagged as
+    Adjacent entries whose relative gap is at most TIE_BAND are flagged as
     tied. All entries must share one sampling grid, and no molecule name
     may appear twice.
     """
@@ -167,7 +170,7 @@ def stability_order(entries, tie_band=0.02):
     prev = None
     for i in order:
         e = entries[i]
-        tied = prev is not None and (prev - e.mean_trp) <= tie_band * max(prev, 1e-300)
+        tied = prev is not None and (prev - e.mean_trp) <= TIE_BAND * max(prev, 1e-300)
         if not tied:
             rank += 1
         rows.append(StabilityRow(molecule=e.molecule, mean_trp=e.mean_trp,

@@ -40,6 +40,19 @@ def test_hamiltonian_scale():
         aw.hamiltonian(g, gamma_scale=float("inf"))
 
 
+@pytest.mark.parametrize("value", [True, "2", None])
+def test_hamiltonian_rejects_non_real_scale(value):
+    with pytest.raises(ValueError, match="real number"):
+        aw.hamiltonian(two_node(), gamma_scale=value)
+
+
+@pytest.mark.parametrize("t_max, dt", [("5", 0.01), (True, 0.5), (1.0, True), (None, 0.5)])
+def test_observe_rejects_non_real_grid(t_max, dt):
+    p = aw.propagator(aw.hamiltonian(two_node()))
+    with pytest.raises(ValueError, match="must be a real number"):
+        aw.observe(p, t_max, dt)
+
+
 def test_two_node_spectrum():
     w = 1.468
     p = aw.propagator(aw.hamiltonian(two_node(w)))
@@ -65,6 +78,9 @@ def test_propagator_accepts_plain_matrix():
 def test_propagator_rejects_nonsymmetric():
     with pytest.raises(ValueError):
         aw.propagator(np.array([[0.0, 1.0], [0.5, 0.0]]))
+    # within numpy's default rtol of 1e-5, but not symmetric
+    with pytest.raises(ValueError):
+        aw.propagator(np.array([[1.0, -1.0], [-1.000001, 1.000001]]))
     with pytest.raises(ValueError):
         aw.propagator(np.zeros((2, 3)))
 
@@ -174,11 +190,14 @@ def test_series_bistochastic_and_symmetric_random_graphs(g):
 
 
 def whole_grid_series(p, t_max, dt):
-    """B(t) from one einsum over the whole grid: the unblocked reference."""
+    """B(t) from one product of the eigenvector pairs Q[j, l] Q[k, l] with
+    the phases over the whole grid: the unblocked reference."""
     times = np.arange(int(np.floor(t_max / dt + 1e-9)) + 1) * dt
-    Q = p.eigenvectors
+    Q, n = p.eigenvectors, len(p.eigenvalues)
     phases = np.exp(-1j * np.outer(times, p.eigenvalues))
-    return np.abs(np.einsum("jl,tl,kl->tjk", Q, phases, Q, optimize=True)) ** 2
+    pairs = np.array([np.outer(Q[:, l], Q[:, l]).ravel() for l in range(n)])
+    U = (pairs.T @ phases.T).reshape(n, n, len(times)).transpose(2, 0, 1)
+    return np.abs(U) ** 2
 
 
 @pytest.mark.parametrize("t_max", [0.005, 0.05, 50.0])

@@ -244,6 +244,35 @@ def test_rank_scores_pooled_within_classes():
         assert len({r.ranks[n - 1] for n in cls}) == 1
 
 
+def loop_dense_ranks(values, rel_tol=1e-6):
+    """Dense ranks one sorted value at a time: the reference for the
+    vectorised dtqw._dense_ranks."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.zeros(len(values), dtype=int)
+    rank = 0
+    prev = None
+    for idx in order:
+        v = values[idx]
+        if prev is None or abs(v - prev) > rel_tol * max(abs(v), abs(prev)):
+            rank += 1
+        ranks[idx] = rank
+        prev = v
+    return ranks
+
+
+def test_dense_ranks_match_loop_near_ties():
+    # chains of values whose relative gaps straddle the 1e-6 merge
+    # threshold, with exact repeats and shuffled order
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        size = int(rng.integers(1, 12))
+        gaps = rng.choice([0.0, 1.0], size) * rng.uniform(0.5, 1.5, size) * 1e-6
+        gaps[rng.random(size) < 0.3] = rng.uniform(1e-3, 1e-1)
+        values = rng.uniform(0.1, 10.0) * np.cumprod(1.0 + gaps)
+        values = rng.permutation(np.concatenate((values, values[:int(rng.integers(0, 3))])))
+        assert np.array_equal(dtqw._dense_ranks(values), loop_dense_ranks(values))
+
+
 def assert_blocked_walk_exact(g, coin):
     # steps around the history block length, from node 1 and from the last
     # node; unpooled scores are the occupancy

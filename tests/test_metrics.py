@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arenewalk as aw
+from arenewalk import metrics
 from arenewalk.graphs import MoleculeGraph
 from arenewalk.metrics import _two_means_threshold
 
@@ -208,12 +209,13 @@ def test_stability_order_full_catalog(full_series):
     assert report.order_string() == "benzene > naphthalene > phenanthrene ~ anthracene"
 
 
-def test_stability_zero_band_breaks_tie(full_series):
+def test_stability_zero_band_breaks_tie(full_series, monkeypatch):
     entries = [
         aw.stability_entry(g, s, t_max=200.0, dt=0.01)
         for g, s in (full_series[n] for n in aw.CATALOG)
     ]
-    report = aw.stability_order(entries, tie_band=0.0)
+    monkeypatch.setattr(metrics, "TIE_BAND", 0.0)
+    report = aw.stability_order(entries)
     assert [r.rank for r in report.rows] == [1, 2, 3, 4]
 
 
