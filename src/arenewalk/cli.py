@@ -18,7 +18,6 @@ import time
 
 import click
 import numpy as np
-import scipy
 
 from . import __version__, bondorder, ctqw, dtqw, graphs, metrics
 from .errors import ComputationError
@@ -79,7 +78,6 @@ def _write_manifest(out_dir, command, config, outputs, wall_time):
         "libraries": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "config": config,
         "outputs": outputs,

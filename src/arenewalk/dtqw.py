@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import graphs
+from . import graphs, metrics
 from .errors import ComputationError
 
 # Bytes of walk states rank_nodes keeps before folding them into the
@@ -124,17 +124,6 @@ def _block_rows(nsub):
     return max(1, BLOCK_BYTES // (2 * nsub * 8))
 
 
-def _dense_ranks(values, rel_tol=1e-6):
-    """Ascending dense ranks with adjacent values merged inside rel_tol."""
-    order = np.argsort(values, kind="stable")
-    v = np.asarray(values)[order]
-    new = np.ones(len(v), dtype=bool)
-    new[1:] = np.abs(np.diff(v)) > rel_tol * np.maximum(np.abs(v[1:]), np.abs(v[:-1]))
-    ranks = np.empty(len(v), dtype=int)
-    ranks[order] = np.cumsum(new)
-    return ranks
-
-
 def rank_nodes(g, steps=None, start=1, coin="unweighted"):
     """Rank sites by accumulated walker occupancy over a directed graph walk.
 
@@ -184,7 +173,7 @@ def rank_nodes(g, steps=None, start=1, coin="unweighted"):
         class_of[np.subtract(cls, 1)] = k
     class_scores = np.array([occ[[m - 1 for m in cls]].mean() for cls in classes])
     scores = class_scores[class_of]
-    ranks = _dense_ranks(class_scores)[class_of]
+    ranks = metrics._dense_ranks(class_scores)[class_of]
     return NodeRanking(
         molecule=g.name,
         nodes=tuple(range(1, n + 1)),

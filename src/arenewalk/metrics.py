@@ -23,6 +23,18 @@ from . import ctqw, graphs
 TIE_BAND = 0.02
 
 
+def _dense_ranks(values, rel_tol=1e-6):
+    """Ascending dense ranks with adjacent values merged inside rel_tol: the
+    tie rule of both the site ranking and the stability order."""
+    order = np.argsort(values, kind="stable")
+    v = np.asarray(values)[order]
+    new = np.ones(len(v), dtype=bool)
+    new[1:] = np.abs(np.diff(v)) > rel_tol * np.maximum(np.abs(v[1:]), np.abs(v[:-1]))
+    ranks = np.empty(len(v), dtype=int)
+    ranks[order] = np.cumsum(new)
+    return ranks
+
+
 @dataclass(frozen=True, eq=False)
 class SiteObservables:
     """MAXP and TRP per (sample, site) on a time grid: times is
@@ -118,7 +130,9 @@ class StabilityEntry:
 
 def stability_entry(g, series, t_max, dt):
     """Stability score for one molecule: TRP averaged over every site and
-    sample."""
+    sample. series must be sampled on the grid that t_max and dt define."""
+    if not np.array_equal(series.times, np.arange(ctqw._sample_count(t_max, dt)) * dt):
+        raise ValueError(f"series is not sampled on the grid t_max={t_max!r}, dt={dt!r}")
     return StabilityEntry(molecule=g.name, mean_trp=float(_observables(series).trp.mean()),
                           t_max=float(t_max), dt=float(dt))
 
@@ -154,29 +168,26 @@ def stability_order(entries):
     """Sort molecules by mean TRP descending; near-ties share a rank.
 
     Adjacent entries whose relative gap is at most TIE_BAND are flagged as
-    tied. All entries must share one sampling grid, and no molecule name
-    may appear twice.
+    tied. All entries must share one sampling grid, no molecule name may
+    appear twice, and every mean TRP must be finite.
     """
     entries = list(entries)
     if len(entries) < 2:
         raise ValueError("stability ordering needs at least 2 molecules")
-    _check_unique_names([e.molecule for e in entries])
+    names = [e.molecule for e in entries]
+    _check_unique_names(names)
     grids = {(e.t_max, e.dt) for e in entries}
     if len(grids) != 1:
         raise ValueError(f"mismatched sampling grids: {sorted(grids)}")
-    order = sorted(range(len(entries)), key=lambda i: (-entries[i].mean_trp, i))
-    rows = []
-    rank = 0
-    prev = None
-    for i in order:
-        e = entries[i]
-        tied = prev is not None and (prev - e.mean_trp) <= TIE_BAND * max(prev, 1e-300)
-        if not tied:
-            rank += 1
-        rows.append(StabilityRow(molecule=e.molecule, mean_trp=e.mean_trp,
-                                 rank=rank, tied_with_previous=tied))
-        prev = e.mean_trp
-    return StabilityReport(rows=tuple(rows))
+    scores = np.array([e.mean_trp for e in entries], dtype=float)
+    if not np.isfinite(scores).all():
+        raise ValueError(f"mean TRP must be finite, got {dict(zip(names, scores.tolist()))}")
+    order = np.argsort(-scores, kind="stable")
+    ranks = _dense_ranks(-scores, TIE_BAND)[order]
+    return StabilityReport(rows=tuple(
+        StabilityRow(molecule=entries[i].molecule, mean_trp=entries[i].mean_trp,
+                     rank=int(r), tied_with_previous=k > 0 and bool(r == ranks[k - 1]))
+        for k, (i, r) in enumerate(zip(order, ranks))))
 
 
 @dataclass(frozen=True)

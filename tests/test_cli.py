@@ -4,6 +4,8 @@ import csv
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ from click.testing import CliRunner
 from conftest import reference_layout
 
 import arenewalk as aw
-from arenewalk import dtqw, metrics
+from arenewalk import metrics
 from arenewalk.cli import _fmt, main
 from arenewalk.errors import ComputationError
 
@@ -72,7 +74,19 @@ def test_simulate_writes_expected_files(runner, tmp_path):
     }
     assert sorted(manifest["outputs"]) == ["site_report.csv", "site_series.csv"]
     assert manifest["package"]["name"] == "arenewalk"
-    assert set(manifest["libraries"]) == {"python", "numpy", "scipy"}
+    assert set(manifest["libraries"]) == {"python", "numpy"}
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test dependency only: a fresh interpreter must not load it
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, arenewalk.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"
 
 
 def test_simulate_values_match_library(runner, tmp_path):
@@ -187,13 +201,15 @@ def write_csv_text(header, rows):
 
 def unstreamed_observables(g, t_max, dt):
     """The arithmetic simulate and stability used before streaming: B(t)
-    from one einsum over the whole grid, MAXP/TRP series one site column at
-    a time, and report means from the all-site reduction."""
+    from one product of the eigenvector pairs Q[j, l] Q[k, l] with the
+    phases over the whole grid, MAXP/TRP series one site column at a time,
+    and report means from the all-site reduction."""
     p = aw.propagator(aw.hamiltonian(g))
     times = np.arange(int(np.floor(t_max / dt + 1e-9)) + 1) * dt
     Q, n = p.eigenvectors, g.node_count
     phases = np.exp(-1j * np.outer(times, p.eigenvalues))
-    B = np.abs(np.einsum("jl,tl,kl->tjk", Q, phases, Q, optimize=True)) ** 2
+    pairs = np.array([np.outer(Q[:, l], Q[:, l]).ravel() for l in range(n)])
+    B = np.abs((pairs.T @ phases.T).reshape(n, n, len(times)).transpose(2, 0, 1)) ** 2
     columns = []
     for k in range(n):
         col = B[:, :, k]
@@ -377,7 +393,7 @@ def complex_ranking(g, start, coin):
     classes = aw.equivalence_classes(g)
     class_scores = np.array([occ[[m - 1 for m in cls]].mean() for cls in classes])
     scores, ranks = [0.0] * n, [0] * n
-    for cls, cs, cr in zip(classes, class_scores, dtqw._dense_ranks(class_scores)):
+    for cls, cs, cr in zip(classes, class_scores, metrics._dense_ranks(class_scores)):
         for member in cls:
             scores[member - 1], ranks[member - 1] = float(cs), int(cr)
     return tuple(scores), tuple(ranks)

@@ -11,7 +11,7 @@ from conftest import connected_graphs, reference_layout
 from hypothesis import given, settings
 
 import arenewalk as aw
-from arenewalk import dtqw
+from arenewalk import dtqw, metrics
 from arenewalk.errors import ComputationError
 from arenewalk.graphs import MoleculeGraph
 
@@ -246,7 +246,7 @@ def test_rank_scores_pooled_within_classes():
 
 def loop_dense_ranks(values, rel_tol=1e-6):
     """Dense ranks one sorted value at a time: the reference for the
-    vectorised dtqw._dense_ranks."""
+    vectorised metrics._dense_ranks."""
     order = np.argsort(values, kind="stable")
     ranks = np.zeros(len(values), dtype=int)
     rank = 0
@@ -260,7 +260,24 @@ def loop_dense_ranks(values, rel_tol=1e-6):
     return ranks
 
 
-def test_dense_ranks_match_loop_near_ties():
+def loop_stability_rows(entries, tie_band):
+    """(molecule, rank, tied_with_previous) per row, one sorted entry at a
+    time: the loop stability_order ran before it used metrics._dense_ranks."""
+    order = sorted(range(len(entries)), key=lambda i: (-entries[i].mean_trp, i))
+    rows = []
+    rank = 0
+    prev = None
+    for i in order:
+        e = entries[i]
+        tied = prev is not None and (prev - e.mean_trp) <= tie_band * max(prev, 1e-300)
+        if not tied:
+            rank += 1
+        rows.append((e.molecule, rank, tied))
+        prev = e.mean_trp
+    return rows
+
+
+def test_dense_ranks_match_loop_near_ties(monkeypatch):
     # chains of values whose relative gaps straddle the 1e-6 merge
     # threshold, with exact repeats and shuffled order
     rng = np.random.default_rng(5)
@@ -270,7 +287,22 @@ def test_dense_ranks_match_loop_near_ties():
         gaps[rng.random(size) < 0.3] = rng.uniform(1e-3, 1e-1)
         values = rng.uniform(0.1, 10.0) * np.cumprod(1.0 + gaps)
         values = rng.permutation(np.concatenate((values, values[:int(rng.integers(0, 3))])))
-        assert np.array_equal(dtqw._dense_ranks(values), loop_dense_ranks(values))
+        assert np.array_equal(metrics._dense_ranks(values), loop_dense_ranks(values))
+    # descending mean TRPs whose gaps to the previous score are 0, exactly
+    # the band, near the band, wide, or the whole score (then zeros follow)
+    for band in (0.02, 0.0):
+        monkeypatch.setattr(metrics, "TIE_BAND", band)
+        for _ in range(500):
+            scores = [rng.uniform(0.05, 0.2)]
+            for _ in range(int(rng.integers(1, 10))):
+                prev = scores[-1]
+                scores.append(prev - [0.0, 0.02 * prev, rng.uniform(0.5, 1.5) * 0.02 * prev,
+                                      rng.uniform(0.05, 0.3) * prev, prev][rng.integers(5)])
+            entries = [aw.StabilityEntry(f"m{k}", s, 1.0, 0.5)
+                       for k, s in enumerate(rng.permutation(scores).tolist())]
+            rows = [(r.molecule, r.rank, r.tied_with_previous)
+                    for r in aw.stability_order(entries).rows]
+            assert rows == loop_stability_rows(entries, band)
 
 
 def assert_blocked_walk_exact(g, coin):

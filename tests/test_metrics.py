@@ -237,11 +237,29 @@ def test_stability_rejects_repeated_molecule():
 def test_stability_requires_matching_grids(full_series):
     g, s = full_series["benzene"]
     a = aw.stability_entry(g, s, t_max=200.0, dt=0.01)
-    b = aw.stability_entry(g, s, t_max=100.0, dt=0.01)
-    with pytest.raises(ValueError):
+    b = aw.StabilityEntry(molecule="naphthalene", mean_trp=0.08, t_max=100.0, dt=0.01)
+    with pytest.raises(ValueError, match="mismatched sampling grids"):
         aw.stability_order([a, b])
     with pytest.raises(ValueError):
         aw.stability_order([a])
+
+
+@pytest.mark.parametrize("t_max, dt", [(200.0, 0.01), (1.0, 0.25), (2.0, 0.5), (1.0, "0.5")])
+def test_stability_entry_rejects_other_grid(t_max, dt):
+    # a 3-sample series must not be ranked as if it covered another grid
+    g = aw.load_molecule("benzene")
+    obs = aw.observe(aw.propagator(aw.hamiltonian(g)), 1.0, 0.5)
+    with pytest.raises(ValueError):
+        aw.stability_entry(g, obs, t_max=t_max, dt=dt)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_stability_rejects_non_finite_mean_trp(bad):
+    # neither ranking a NaN first nor tying it with its neighbour is right
+    entries = [aw.StabilityEntry("a", bad, 1.0, 0.1), aw.StabilityEntry("b", 0.5, 1.0, 0.1),
+               aw.StabilityEntry("c", 0.49, 1.0, 0.1)]
+    with pytest.raises(ValueError, match="must be finite"):
+        aw.stability_order(entries)
 
 
 # ---------------------------------------------------------------- modes
