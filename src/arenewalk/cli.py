@@ -93,6 +93,8 @@ def _load_manifest_config(path, command):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed manifest {path!r}: {exc}")
+    if not isinstance(doc, dict):
+        raise ValueError(f"malformed manifest {path!r}: expected a JSON object")
     if doc.get("command") != command:
         raise ValueError(
             f"manifest {path!r} records command {doc.get('command')!r}, not {command!r}"

@@ -4,8 +4,9 @@ The generator is the weighted graph Laplacian. Evolution uses a one-time
 symmetric eigendecomposition, so any time t is reached exactly (no time
 stepping error). U(t) = Q diag(exp(-i lam t)) Q^T on a set of times is one
 product of the eigenvector pairs Q[j, l] Q[k, l] with the phases, which
-unitary and evolve share. A grid is evolved in blocks of BLOCK_BYTES, so
-memory stays bounded by one block plus whatever the caller keeps of it.
+unitary and evolve share, so a sample has the same bits from either. A
+grid is evolved in blocks of BLOCK_BYTES, so memory stays bounded by one
+block plus whatever the caller keeps of it.
 hbar = 1 throughout.
 """
 from __future__ import annotations
@@ -60,6 +61,9 @@ def propagator(h):
     H = h.matrix if isinstance(h, Hamiltonian) else np.asarray(h, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"Hamiltonian must be square, got {H.shape}")
+    # a raw matrix has not passed MoleculeGraph's node ceiling
+    if len(H) > graphs.MAX_NODES:
+        raise ValueError(f"Hamiltonian of {len(H)} nodes is above the limit of {graphs.MAX_NODES}")
     if not np.allclose(H, H.T, rtol=0, atol=1e-12):
         raise ValueError("Hamiltonian must be symmetric")
     lam, Q = np.linalg.eigh(H)
@@ -69,6 +73,10 @@ def propagator(h):
 def _unitaries(p, times):
     """U(t) = Q diag(exp(-i lam t)) Q^T at each of times, shaped
     (samples, N, N): pairs[l, j*N + k] = Q[j, l] Q[k, l] times the phases."""
+    # numpy evaluates a one-column product as a matrix-vector product, which
+    # rounds differently, so a lone sample is evaluated as a pair
+    if len(times) == 1:
+        return _unitaries(p, [times[0], times[0]])[:1]
     Q = p.eigenvectors
     n = len(Q)
     phases = np.exp(-1j * np.outer(times, p.eigenvalues))
@@ -117,17 +125,15 @@ def evolve(p, t_max, dt, reduce):
     B is computed in consecutive time blocks of about BLOCK_BYTES, and
     reduce maps each (samples, N, N) block to a tuple of arrays whose first
     axis runs over those samples. Returns the grid times and the reduced
-    arrays over the whole grid. No block holds a single sample (numpy
-    evaluates that product as a matrix-vector product, which rounds
-    differently), so the values do not depend on the block length.
+    arrays over the whole grid. _unitaries gives each sample the same bits
+    whatever block it is in, so the values do not depend on the block
+    length.
     """
     count = _sample_count(t_max, dt)
     times = np.arange(count) * dt
     n = len(p.eigenvalues)
-    step = max(2, BLOCK_BYTES // (16 * n * n))
+    step = max(1, BLOCK_BYTES // (16 * n * n))
     bounds = list(range(0, count, step)) + [count]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
     outputs = None
     for start, stop in zip(bounds, bounds[1:]):
         parts = reduce(np.abs(_unitaries(p, times[start:stop])) ** 2)

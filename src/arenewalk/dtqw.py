@@ -67,7 +67,7 @@ class _ArcTable:
             raise ValueError(f"coin must be 'unweighted' or 'weighted', got {coin!r}")
         n = g.node_count
         node_of, nbr = np.nonzero(graphs.adjacency(g))
-        deg = np.bincount(node_of, minlength=n)
+        deg = graphs.degrees(g)
         if (deg == 0).any():
             raise ValueError("graph has an isolated node")
         first = np.cumsum(deg) - deg

@@ -1,8 +1,11 @@
 """Bond-order-weighted molecular graphs and the built-in molecule catalog.
 
 Nodes are the carbon sites of a conjugated system, numbered from 1. Edge
-weights are dimensionless relative bond strength orders. Graphs are frozen
-after construction and safe to share between threads.
+weights are dimensionless relative bond strength orders. A graph builds
+its weighted adjacency matrix once, while it validates the bonds, and keeps
+it read-only: adjacency, laplacian, degrees and weighted_degrees all read
+that one array. Graphs are frozen after construction and safe to share
+between threads.
 """
 from __future__ import annotations
 
@@ -15,6 +18,10 @@ import numpy as np
 import yaml
 
 CATALOG = ("benzene", "naphthalene", "anthracene", "phenanthrene")
+# Largest node count accepted, checked before anything N-sized is allocated.
+# The CTQW's peak memory grows as 24 N^3 bytes (about 400 MB at 256); 256
+# is 5x the largest benchmarked molecule (N = 50).
+MAX_NODES = 256
 # Characters that would split or quote a CSV cell the CLI writes unquoted.
 _CSV_BREAKING = frozenset(',"\r\n')
 
@@ -35,7 +42,9 @@ class MoleculeGraph:
 
     edges hold (i, j, weight) with 1-based node indices, stored with i < j.
     classes, when present, partition the nodes into symmetry-equivalent
-    groups; observables must agree within a class.
+    groups; observables must agree within a class. labels default to
+    C1..CN when empty or None. edges, each edge, classes, each class and
+    labels may be lists or tuples and are stored as tuples.
     """
 
     name: str
@@ -43,18 +52,21 @@ class MoleculeGraph:
     edges: tuple
     classes: tuple | None = None
     labels: tuple = field(default=())
+    _adjacency: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.node_count
         if not _is_int(n) or n < 1:
             raise ValueError(f"node_count must be a positive integer, got {n!r}")
+        if n > MAX_NODES:
+            raise ValueError(f"node_count {n} is above the limit of {MAX_NODES}")
+        A = np.zeros((n, n))
         canon = []
-        seen = set()
-        for edge in self.edges:
-            try:
-                i, j, w = edge
-            except (TypeError, ValueError):
+        for edge in _as_tuple(self.edges, "edges"):
+            edge = _as_tuple(edge, "each edge")
+            if len(edge) != 3:
                 raise ValueError(f"edge {edge!r} is not an (i, j, weight) triple")
+            i, j, w = edge
             if not (_is_int(i) and _is_int(j)):
                 raise ValueError(f"edge {edge!r} has non-integer endpoints")
             if not (1 <= i <= n and 1 <= j <= n):
@@ -66,17 +78,20 @@ class MoleculeGraph:
             w = float(w)
             if not 0 < w < np.inf:
                 raise ValueError(f"edge ({i}, {j}) weight must be finite and > 0, got {w}")
-            key = (min(i, j), max(i, j))
-            if key in seen:
+            if A[i - 1, j - 1]:
                 raise ValueError(f"duplicate edge ({i}, {j})")
-            seen.add(key)
-            canon.append((key[0], key[1], w))
+            A[i - 1, j - 1] = A[j - 1, i - 1] = w
+            canon.append((min(i, j), max(i, j), w))
+        A.flags.writeable = False
+        object.__setattr__(self, "_adjacency", A)
         object.__setattr__(self, "edges", tuple(canon))
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(f"C{k}" for k in range(1, n + 1)))
-        elif len(self.labels) != n:
+        labels = () if self.labels is None else _as_tuple(self.labels, "labels")
+        if not labels:
+            labels = tuple(f"C{k}" for k in range(1, n + 1))
+        elif len(labels) != n:
             raise ValueError("labels length must equal node_count")
-        for text in (self.name, *self.labels):
+        object.__setattr__(self, "labels", labels)
+        for text in (self.name, *labels):
             if not isinstance(text, str) or _CSV_BREAKING.intersection(text):
                 raise ValueError(
                     f"name and labels must be strings without ',', '\"', CR or LF, "
@@ -85,7 +100,8 @@ class MoleculeGraph:
         if self.classes is not None:
             flat = []
             canon_classes = []
-            for cls in self.classes:
+            for cls in _as_tuple(self.classes, "classes"):
+                cls = _as_tuple(cls, "each class")
                 if not all(_is_int(x) for x in cls):
                     raise ValueError(f"class {cls!r} has non-integer members")
                 members = sorted(cls)
@@ -97,33 +113,29 @@ class MoleculeGraph:
                 raise ValueError("classes must partition the nodes 1..N exactly")
             canon_classes.sort(key=lambda c: c[0])
             object.__setattr__(self, "classes", tuple(canon_classes))
-        if not _connected(n, self.edges):
+        # sweep out from node 1 until no new node is reached
+        reached = frontier = np.arange(n) == 0
+        while frontier.any():
+            frontier = A[frontier].any(axis=0) & ~reached
+            reached = reached | frontier
+        if not reached.all():
             raise ValueError(f"graph {self.name!r} is not connected")
 
 
-def _connected(n, edges):
-    if n == 1:
-        return True
-    adj = {k: [] for k in range(1, n + 1)}
-    for i, j, _ in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = {1}
-    stack = [1]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == n
+def _as_tuple(value, what):
+    """value, which must be a list or a tuple, as a tuple."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return tuple(value)
 
 
 def load_molecule(name):
     """Load a catalog molecule by name, or any molecule file by path.
 
-    Files use YAML with fields `name` (string), `nodes` (int), `edges`
-    (list of [i, j, weight], 1-based) and optional `classes` (list of
-    lists of node indices) and `labels` (list of strings, one per node).
+    Files use YAML with fields `name` (string), `nodes` (int, at most
+    MAX_NODES), `edges` (list of [i, j, weight], 1-based) and optional
+    `classes` (list of lists of node indices) and `labels` (list of
+    strings, one per node).
     """
     # open() would read an integer as a file descriptor
     if not isinstance(name, (str, os.PathLike)):
@@ -147,31 +159,14 @@ def load_molecule(name):
     missing = {"name", "nodes", "edges"} - doc.keys()
     if missing:
         raise ValueError(f"molecule file {name!r} missing fields: {sorted(missing)}")
-
-    def listed(value, what):
-        if not isinstance(value, list):
-            raise ValueError(f"molecule file {name!r}: {what} must be a list, got {value!r}")
-        return value
-
-    classes = doc.get("classes")
-    labels = doc.get("labels")
-    return MoleculeGraph(
-        name=doc["name"],
-        node_count=doc["nodes"],
-        edges=tuple(tuple(listed(e, "each edge")) for e in listed(doc["edges"], "edges")),
-        classes=(tuple(tuple(listed(c, "each class")) for c in listed(classes, "classes"))
-                 if classes is not None else None),
-        labels=tuple(listed(labels, "labels")) if labels is not None else (),
-    )
+    return MoleculeGraph(name=doc["name"], node_count=doc["nodes"], edges=doc["edges"],
+                         classes=doc.get("classes"), labels=doc.get("labels"))
 
 
 def adjacency(g):
-    """Weighted adjacency matrix A, symmetric with zero diagonal."""
-    A = np.zeros((g.node_count, g.node_count))
-    for i, j, w in g.edges:
-        A[i - 1, j - 1] = w
-        A[j - 1, i - 1] = w
-    return A
+    """Weighted adjacency matrix A, symmetric with zero diagonal: the
+    read-only array the graph built when it was constructed."""
+    return g._adjacency
 
 
 def laplacian(g):
@@ -182,11 +177,7 @@ def laplacian(g):
 
 def degrees(g):
     """Unweighted degree (incident edge count) per node, index 0 = node 1."""
-    d = np.zeros(g.node_count, dtype=int)
-    for i, j, _ in g.edges:
-        d[i - 1] += 1
-        d[j - 1] += 1
-    return d
+    return np.count_nonzero(adjacency(g), axis=1)
 
 
 def weighted_degrees(g):

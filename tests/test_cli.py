@@ -15,7 +15,7 @@ from click.testing import CliRunner
 from conftest import reference_layout
 
 import arenewalk as aw
-from arenewalk import metrics
+from arenewalk import graphs, metrics
 from arenewalk.cli import _fmt, main
 from arenewalk.errors import ComputationError
 
@@ -192,6 +192,20 @@ def test_csv_breaking_name_exits_2(runner, tmp_path, command):
     res = runner.invoke(main, [command, "-m", str(path), "--out", str(out)])
     assert res.exit_code == 2, res.output
     assert "configuration error" in res.output
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv", [["rank", "--steps", "1"], ["simulate", "--t-max", "0.01"],
+                                  ["export-graph"]])
+def test_molecule_over_node_ceiling_exits_2(runner, tmp_path, argv):
+    n = graphs.MAX_NODES + 1
+    path = tmp_path / "path.yaml"
+    path.write_text(f"name: path\nnodes: {n}\nedges:\n"
+                    + "".join(f"  - [{k}, {k + 1}, 1.5]\n" for k in range(1, n)))
+    out = tmp_path / "x"
+    res = runner.invoke(main, [argv[0], "-m", str(path), *argv[1:], "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert f"above the limit of {graphs.MAX_NODES}" in res.output
     assert not os.path.exists(out)
 
 
@@ -474,6 +488,19 @@ def test_ctqw_replay_rejects_malformed_config(runner, tmp_path, command, key, va
     assert res.exit_code == 2, res.output
     assert "configuration error:" in res.output
     assert not os.path.exists(replay)
+
+
+@pytest.mark.parametrize("command", ["simulate", "rank", "stability"])
+@pytest.mark.parametrize("document", ["[1, 2]", '"simulate"', "null"])
+def test_replay_rejects_non_object_manifest(runner, tmp_path, command, document):
+    # these raised AttributeError on .get and exited 1
+    path = tmp_path / "manifest.json"
+    path.write_text(document)
+    out = tmp_path / "replay"
+    res = runner.invoke(main, [command, "--from-manifest", str(path), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "expected a JSON object" in res.output
+    assert not os.path.exists(out)
 
 
 # ---------------------------------------------------------------- stability

@@ -1,5 +1,7 @@
 """Continuous-time walk: Hamiltonian, propagator, evolution series."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,7 +10,7 @@ from conftest import connected_graphs
 from hypothesis import given, settings
 
 import arenewalk as aw
-from arenewalk import ctqw
+from arenewalk import ctqw, graphs
 from arenewalk.graphs import MoleculeGraph
 
 
@@ -73,6 +75,20 @@ def test_propagator_reconstructs_hamiltonian():
 def test_propagator_accepts_plain_matrix():
     p = aw.propagator(np.zeros((3, 3)))
     npt.assert_allclose(aw.unitary(p, 17.3), np.eye(3), atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [graphs.MAX_NODES + 1, 1000])
+def test_propagator_rejects_matrix_over_node_ceiling(n):
+    # a raw matrix never passes MoleculeGraph's node ceiling
+    H = np.zeros((n, n))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"above the limit of {graphs.MAX_NODES}"):
+            aw.propagator(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_propagator_rejects_nonsymmetric():
@@ -163,10 +179,12 @@ def test_sample_ceiling_boundary(monkeypatch):
 
 
 def test_series_matches_single_shot():
-    p = aw.propagator(aw.hamiltonian(aw.load_molecule("anthracene")))
-    s = aw.time_series(p, t_max=2.0, dt=0.4)
-    for t, B in zip(s.times, s.matrices):
-        npt.assert_allclose(B, aw.evolve_ensemble(p, t), atol=1e-12)
+    # a lone sample gets the bits it has inside a block of the grid
+    for name in aw.CATALOG:
+        p = aw.propagator(aw.hamiltonian(aw.load_molecule(name)))
+        s = aw.time_series(p, t_max=5.0, dt=0.01)
+        for t, B in zip(s.times, s.matrices):
+            assert np.array_equal(B, aw.evolve_ensemble(p, t))
 
 
 def assert_bistochastic_and_symmetric(M):
@@ -191,13 +209,16 @@ def test_series_bistochastic_and_symmetric_random_graphs(g):
 
 def whole_grid_series(p, t_max, dt):
     """B(t) from one product of the eigenvector pairs Q[j, l] Q[k, l] with
-    the phases over the whole grid: the unblocked reference."""
+    the phases over the whole grid: the unblocked reference. A 1-sample
+    grid is evaluated as a pair, because numpy evaluates a one-column
+    product as a matrix-vector product, which rounds differently."""
     times = np.arange(int(np.floor(t_max / dt + 1e-9)) + 1) * dt
+    grid = np.repeat(times, 2) if len(times) == 1 else times
     Q, n = p.eigenvectors, len(p.eigenvalues)
-    phases = np.exp(-1j * np.outer(times, p.eigenvalues))
+    phases = np.exp(-1j * np.outer(grid, p.eigenvalues))
     pairs = np.array([np.outer(Q[:, l], Q[:, l]).ravel() for l in range(n)])
-    U = (pairs.T @ phases.T).reshape(n, n, len(times)).transpose(2, 0, 1)
-    return np.abs(U) ** 2
+    U = (pairs.T @ phases.T).reshape(n, n, len(grid)).transpose(2, 0, 1)
+    return np.abs(U[:len(times)]) ** 2
 
 
 @pytest.mark.parametrize("t_max", [0.005, 0.05, 50.0])
@@ -210,7 +231,7 @@ def test_blocked_series_equals_whole_grid(t_max):
 
 
 # t_max 5, dt 0.01 gives 501 samples: blocks of 7 leave a ragged 4-sample
-# tail, blocks of 10 a single sample that evolve folds into the block before
+# tail, blocks of 10 a single sample
 @pytest.mark.parametrize("block", [None, 7, 10])
 def test_streamed_observables_equal_series(monkeypatch, block):
     for name in aw.CATALOG:

@@ -1,6 +1,8 @@
-"""Every demo script runs to completion against the current API."""
+"""Every demo script, and every Python block in the README, runs to
+completion against the current API."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,3 +20,17 @@ def test_demo_runs(demo):
     res = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
                          text=True, timeout=120)
     assert res.returncode == 0, res.stderr
+
+
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                           re.DOTALL | re.MULTILINE)
+
+
+def test_readme_has_python_blocks():
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize("block", README_BLOCKS,
+                         ids=[f"block{k}" for k in range(len(README_BLOCKS))])
+def test_readme_python_block_runs(block):
+    exec(compile(block, "README.md", "exec"), {})

@@ -1,11 +1,17 @@
 """Molecule graph construction, validation, and matrix builders."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 import yaml
+from conftest import connected_graphs
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arenewalk as aw
+from arenewalk import graphs
 from arenewalk.graphs import MoleculeGraph
 
 
@@ -15,6 +21,49 @@ def edge_weight(graph, i, j):
         if (a, b) == key:
             return w
     raise KeyError(key)
+
+
+def loop_adjacency(g):
+    """A filled in one edge at a time: the reference for the matrix the
+    graph builds while validating its bonds."""
+    A = np.zeros((g.node_count, g.node_count))
+    for i, j, w in g.edges:
+        A[i - 1, j - 1] = w
+        A[j - 1, i - 1] = w
+    return A
+
+
+def loop_degrees(g):
+    d = np.zeros(g.node_count, dtype=int)
+    for i, j, _ in g.edges:
+        d[i - 1] += 1
+        d[j - 1] += 1
+    return d
+
+
+def dfs_connected(n, edges):
+    """Connectivity by depth-first search over a neighbour dict."""
+    adj = {k: [] for k in range(1, n + 1)}
+    for i, j, _ in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    seen = {1}
+    stack = [1]
+    while stack:
+        for nb in adj[stack.pop()]:
+            if nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return len(seen) == n
+
+
+@st.composite
+def any_graphs(draw):
+    """(n, edges) on 1-8 nodes with unit weights, often disconnected."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    pair = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] < e[1])
+    pairs = draw(st.sets(pair, max_size=n * (n - 1) // 2))
+    return n, tuple((i, j, 1.0) for i, j in sorted(pairs))
 
 
 # ---------------------------------------------------------------- catalog
@@ -110,6 +159,84 @@ def test_adjacency_benzene():
 def test_adjacency_single_edge():
     g = MoleculeGraph(name="pair", node_count=2, edges=((1, 2, 0.7),))
     npt.assert_array_equal(aw.adjacency(g), [[0.0, 0.7], [0.7, 0.0]])
+
+
+def assert_matrices_match_edge_loops(g):
+    A = loop_adjacency(g)
+    for got, want in ((aw.adjacency(g), A), (aw.laplacian(g), np.diag(A.sum(axis=1)) - A),
+                      (aw.degrees(g), loop_degrees(g)), (aw.weighted_degrees(g), A.sum(axis=1))):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_matrices_match_edge_loops_catalog():
+    for name in aw.CATALOG:
+        assert_matrices_match_edge_loops(aw.load_molecule(name))
+
+
+@settings(max_examples=50, deadline=None)
+@given(connected_graphs())
+def test_matrices_match_edge_loops_random_graphs(g):
+    assert_matrices_match_edge_loops(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_graphs())
+def test_connectivity_matches_dfs(graph):
+    n, edges = graph
+    if dfs_connected(n, edges):
+        MoleculeGraph(name="g", node_count=n, edges=edges)
+    else:
+        with pytest.raises(ValueError, match="not connected"):
+            MoleculeGraph(name="g", node_count=n, edges=edges)
+
+
+def test_adjacency_is_read_only():
+    A = aw.adjacency(aw.load_molecule("benzene"))
+    with pytest.raises(ValueError, match="read-only"):
+        A[0, 1] = 5.0
+
+
+def test_graph_from_lists_equals_graph_from_tuples():
+    lists = MoleculeGraph(name="allyl", node_count=3, edges=[[1, 2, 1.5], [3, 2, 1.25]],
+                          classes=[[3, 1], [2]], labels=["Ca", "Cb", "Cc"])
+    tuples = MoleculeGraph(name="allyl", node_count=3, edges=((1, 2, 1.5), (2, 3, 1.25)),
+                           classes=((1, 3), (2,)), labels=("Ca", "Cb", "Cc"))
+    for field in ("edges", "classes", "labels"):
+        assert getattr(lists, field) == getattr(tuples, field)
+        assert type(getattr(lists, field)) is tuple
+    assert all(type(e) is tuple for e in lists.edges)
+    assert all(type(c) is tuple for c in lists.classes)
+    assert np.array_equal(aw.adjacency(lists), aw.adjacency(tuples))
+
+
+@pytest.mark.parametrize("fields", [{"edges": 5}, {"classes": 5}, {"labels": 5},
+                                    {"edges": ({1, 2, 3},)}, {"classes": ((1, 2), {3})}])
+def test_non_sequence_fields_rejected(fields):
+    # iterating over 5 raised TypeError
+    kwargs = {"name": "allyl", "node_count": 3, "edges": ((1, 2, 1.5), (2, 3, 1.5)), **fields}
+    with pytest.raises(ValueError, match="must be a list"):
+        MoleculeGraph(**kwargs)
+
+
+@pytest.mark.parametrize("n", [graphs.MAX_NODES + 1, 2000])
+def test_node_ceiling_checked_before_allocation(n):
+    edges = tuple((k, k + 1, 1.0) for k in range(1, n))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"above the limit of {graphs.MAX_NODES}"):
+            MoleculeGraph(name="path", node_count=n, edges=edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the N x N adjacency alone would take 8 N^2 bytes (32 MB at N = 2000)
+    assert peak < 1 << 20
+
+
+def test_node_ceiling_boundary():
+    n = graphs.MAX_NODES
+    g = MoleculeGraph(name="path", node_count=n, edges=tuple((k, k + 1, 1.0) for k in range(1, n)))
+    assert aw.degrees(g).sum() == 2 * (n - 1)
 
 
 def test_weighted_degree_spot_value():
