@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import graphs
 from .errors import ComputationError
 
 BADGER_PREFACTOR = 0.29909
@@ -22,19 +23,23 @@ BADGER_EXPONENT = 0.86585
 COND_LIMIT = 1e12
 
 
+def _finite_non_negative(x, what):
+    """x as a float, or ValueError unless it is a finite real number >= 0
+    (a bool or a string is not a number here)."""
+    if not (graphs._is_real(x) and 0 <= x < np.inf):
+        raise ValueError(f"{what} must be a finite real number >= 0, got {x!r}")
+    return float(x)
+
+
 def badger_bond_order(k_mu):
     """Bond order from a local stretching force constant, monotone in k."""
-    k = float(k_mu)
-    if k < 0:
-        raise ValueError(f"force constant must be >= 0, got {k}")
+    k = _finite_non_negative(k_mu, "force constant")
     return BADGER_PREFACTOR * k ** BADGER_EXPONENT
 
 
 def badger_force_constant(bond_order):
     """Inverse of badger_bond_order."""
-    bo = float(bond_order)
-    if bo < 0:
-        raise ValueError(f"bond order must be >= 0, got {bo}")
+    bo = _finite_non_negative(bond_order, "bond order")
     return (bo / BADGER_PREFACTOR) ** (1.0 / BADGER_EXPONENT)
 
 

@@ -9,6 +9,7 @@ byte. Exit codes: 0 success, 2 configuration error, 3 computation error.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
 import platform
@@ -57,34 +58,20 @@ def _guarded(fn):
     return wrapper
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, chunks):
+    """Write the strings of chunks to a temporary file beside path, then
+    rename it over path: a failure part-way leaves path as it was."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _write_manifest(out_dir, command, config, outputs, wall_time):
-    doc = {
-        "command": command,
-        "package": {"name": "arenewalk", "version": __version__},
-        "libraries": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
-        "config": config,
-        "outputs": outputs,
-        "wall_time_s": round(wall_time, 6),
-    }
-    _atomic_write(os.path.join(out_dir, "manifest.json"),
-                  json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _load_manifest_config(path, command):
@@ -108,15 +95,26 @@ def _load_manifest_config(path, command):
 def _run(command, cfg, out, from_manifest, tables):
     """Run a writing subcommand. cfg (or the config replayed from
     --from-manifest) goes to tables, which validates it, may fill in
-    resolved values and returns {file name: CSV text}; only then are the
-    files and manifest.json written to out and the "wrote" line printed."""
+    resolved values and returns {file name: iterable of text chunks}. tables
+    validates and computes everything before it returns, so a bad config
+    writes nothing; the chunks only format its results as each file and
+    then manifest.json are written to out."""
     if from_manifest:
         cfg = _load_manifest_config(from_manifest, command)
     started = time.perf_counter()
     files = tables(cfg)
-    for name, text in files.items():
-        _atomic_write(os.path.join(out, name), text)
-    _write_manifest(out, command, cfg, list(files), time.perf_counter() - started)
+    for name, chunks in files.items():
+        _atomic_write(os.path.join(out, name), chunks)
+    manifest = {
+        "command": command,
+        "package": {"name": "arenewalk", "version": __version__},
+        "libraries": {"python": platform.python_version(), "numpy": np.__version__},
+        "config": cfg,
+        "outputs": list(files),
+        "wall_time_s": round(time.perf_counter() - started, 6),
+    }
+    _atomic_write(os.path.join(out, "manifest.json"),
+                  [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
     click.echo(f"{command}: wrote {', '.join(files)}, manifest.json to {out}")
 
 
@@ -197,19 +195,18 @@ def _simulate_tables(cfg):
     prop = ctqw.propagator(ctqw.hamiltonian(g, cfg.get("gamma_scale")))
     obs = metrics.observe(prop, cfg.get("t_max"), cfg.get("dt"))
     reports = metrics.site_reports(g, obs)
-    # t is formatted once; one block of rows per node, joined with the
-    # header in one pass (adding the header afterwards copies the whole text)
+    # t is formatted once; each node's block of rows is formatted only as
+    # it is written, so one node's text is held at a time
     times = [_fmt(t) for t in obs.times.tolist()]
     prefix = g.name.replace("%", "%%")
-    series = "".join(["molecule,node,t,maxp,trp\n"] + [
-        _rows(f"{prefix},{k + 1},%s,%.12g,%.12g\n",
-              times, obs.maxp[:, k].tolist(), obs.trp[:, k].tolist())
-        for k in range(g.node_count)])
-    report = "molecule,node,class,maxp_mean,trp_mean\n" + _rows(
-        "%s,%d,%s,%.12g,%.12g\n", [g.name] * len(reports), [r.node for r in reports],
-        [r.class_id for r in reports], [r.maxp_mean for r in reports],
-        [r.trp_mean for r in reports])
-    return {"site_series.csv": series, "site_report.csv": report}
+    series = (_rows(f"{prefix},{k + 1},%s,%.12g,%.12g\n",
+                    times, obs.maxp[:, k].tolist(), obs.trp[:, k].tolist())
+              for k in range(g.node_count))
+    report = _rows("%s,%d,%s,%.12g,%.12g\n", [g.name] * len(reports),
+                   [r.node for r in reports], [r.class_id for r in reports],
+                   [r.maxp_mean for r in reports], [r.trp_mean for r in reports])
+    return {"site_series.csv": itertools.chain(["molecule,node,t,maxp,trp\n"], series),
+            "site_report.csv": ["molecule,node,class,maxp_mean,trp_mean\n", report]}
 
 
 @main.command()
@@ -242,8 +239,8 @@ def _rank_tables(cfg):
     ranking = dtqw.rank_nodes(g, steps=cfg.get("steps"), start=cfg.get("start"),
                               coin=cfg.get("coin_degree"))
     cfg["steps"] = ranking.steps
-    return {"ranks.csv": "node,label,score,rank\n" + _rows(
-        "%d,%s,%.12g,%d\n", ranking.nodes, ranking.labels, ranking.scores, ranking.ranks)}
+    return {"ranks.csv": ["node,label,score,rank\n", _rows(
+        "%d,%s,%.12g,%d\n", ranking.nodes, ranking.labels, ranking.scores, ranking.ranks)]}
 
 
 @main.command()
@@ -273,10 +270,11 @@ def _stability_tables(cfg):
     molecules = [graphs.load_molecule(name) for name in names]
     # a repeated molecule is rejected before any evolution is paid for
     metrics._check_unique_names([g.name for g in molecules])
+    # every Hamiltonian is checked before any molecule is evolved
+    props = [ctqw.propagator(ctqw.hamiltonian(g, cfg.get("gamma_scale"))) for g in molecules]
     t_max, dt = cfg.get("t_max"), cfg.get("dt")
     entries = []
-    for g in molecules:
-        prop = ctqw.propagator(ctqw.hamiltonian(g, cfg.get("gamma_scale")))
+    for g, prop in zip(molecules, props):
         # obs stays alive through the next molecule's pass: freed earlier,
         # malloc hands its pages back to the OS and the next pass faults
         # them in again (4x the page faults, 15% slower on acenes 1-5)
@@ -285,9 +283,9 @@ def _stability_tables(cfg):
     report = metrics.stability_order(entries)
     click.echo(report.order_string())
     rows = report.rows
-    return {"stability.csv": "molecule,mean_trp,rank\n" + _rows(
+    return {"stability.csv": ["molecule,mean_trp,rank\n", _rows(
         "%s,%.12g,%d\n", [r.molecule for r in rows], [r.mean_trp for r in rows],
-        [r.rank for r in rows])}
+        [r.rank for r in rows])]}
 
 
 @main.command("bond-order")
@@ -310,7 +308,7 @@ def export_graph(molecule, out):
     row = "%s" + ",%.12g" * g.node_count + "\n"
     for fname, M in (("adjacency.csv", graphs.adjacency(g)),
                      ("laplacian.csv", graphs.laplacian(g))):
-        _atomic_write(os.path.join(out, fname), header + _rows(row, g.labels, *M.T.tolist()))
+        _atomic_write(os.path.join(out, fname), [header, _rows(row, g.labels, *M.T.tolist())])
     click.echo(f"export-graph: wrote adjacency.csv, laplacian.csv to {out}")
 
 

@@ -50,10 +50,15 @@ class EvolutionSeries:
 
 def hamiltonian(g, gamma_scale=1.0):
     """Walk generator for a molecule graph; rejects a gamma_scale that is
-    not a finite real number > 0."""
+    not a finite real number > 0, or whose product with the Laplacian
+    overflows."""
     if not (graphs._is_real(gamma_scale) and 0 < gamma_scale < np.inf):
         raise ValueError(f"gamma_scale must be a finite real number > 0, got {gamma_scale!r}")
-    return Hamiltonian(matrix=gamma_scale * graphs.laplacian(g), gamma_scale=float(gamma_scale))
+    with np.errstate(over="ignore"):
+        matrix = gamma_scale * graphs.laplacian(g)
+    if not np.isfinite(matrix).all():
+        raise ValueError(f"gamma_scale {gamma_scale!r} overflows the Hamiltonian")
+    return Hamiltonian(matrix=matrix, gamma_scale=float(gamma_scale))
 
 
 def propagator(h):
@@ -64,6 +69,9 @@ def propagator(h):
     # a raw matrix has not passed MoleculeGraph's node ceiling
     if len(H) > graphs.MAX_NODES:
         raise ValueError(f"Hamiltonian of {len(H)} nodes is above the limit of {graphs.MAX_NODES}")
+    # checked first: np.allclose counts inf == inf as close
+    if not np.isfinite(H).all():
+        raise ValueError("Hamiltonian must be finite")
     if not np.allclose(H, H.T, rtol=0, atol=1e-12):
         raise ValueError("Hamiltonian must be symmetric")
     lam, Q = np.linalg.eigh(H)
@@ -87,10 +95,21 @@ def _unitaries(p, times):
     return (pairs.T @ phases.T).reshape(n, n, len(phases)).transpose(2, 0, 1)
 
 
+def _check_phases(p, t):
+    """Reject a time t whose phases t * lam are not finite: exp of them,
+    and so U(t), would be NaN."""
+    lam = float(np.abs(p.eigenvalues).max())
+    if not np.isfinite(abs(float(t)) * lam):
+        raise ValueError(f"phase t * eigenvalue is not finite at t = {t} "
+                         f"(largest |eigenvalue| {lam:.6g})")
+
+
 def unitary(p, t):
-    """U(t), unitary for every real t, from the product evolve takes over
-    its blocks, here over a single sample."""
-    return _unitaries(p, [float(t)])[0]
+    """U(t), unitary for every real t whose phases are finite, from the
+    product evolve takes over its blocks, here over a single sample."""
+    t = float(t)
+    _check_phases(p, t)
+    return _unitaries(p, [t])[0]
 
 
 def evolve_ensemble(p, t):
@@ -100,7 +119,8 @@ def evolve_ensemble(p, t):
     return np.abs(unitary(p, t)) ** 2
 
 
-def _sample_count(t_max, dt):
+def _grid(t_max, dt):
+    """The validated sampling grid t = 0, dt, 2*dt, ... up to t_max inclusive."""
     for name, value in (("t_max", t_max), ("dt", dt)):
         if not graphs._is_real(value):
             raise ValueError(f"{name} must be a real number, got {value!r}")
@@ -116,7 +136,7 @@ def _sample_count(t_max, dt):
             f"t_max {t_max} / dt {dt} asks for {count:.6g} samples, "
             f"above the limit of {MAX_SAMPLES}"
         )
-    return int(count)
+    return np.arange(int(count)) * dt
 
 
 def evolve(p, t_max, dt, reduce):
@@ -129,8 +149,9 @@ def evolve(p, t_max, dt, reduce):
     whatever block it is in, so the values do not depend on the block
     length.
     """
-    count = _sample_count(t_max, dt)
-    times = np.arange(count) * dt
+    times = _grid(t_max, dt)
+    _check_phases(p, times[-1])
+    count = len(times)
     n = len(p.eigenvalues)
     step = max(1, BLOCK_BYTES // (16 * n * n))
     bounds = list(range(0, count, step)) + [count]

@@ -131,7 +131,7 @@ class StabilityEntry:
 def stability_entry(g, series, t_max, dt):
     """Stability score for one molecule: TRP averaged over every site and
     sample. series must be sampled on the grid that t_max and dt define."""
-    if not np.array_equal(series.times, np.arange(ctqw._sample_count(t_max, dt)) * dt):
+    if not np.array_equal(series.times, ctqw._grid(t_max, dt)):
         raise ValueError(f"series is not sampled on the grid t_max={t_max!r}, dt={dt!r}")
     return StabilityEntry(molecule=g.name, mean_trp=float(_observables(series).trp.mean()),
                           t_max=float(t_max), dt=float(dt))

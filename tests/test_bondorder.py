@@ -75,6 +75,21 @@ def test_badger_rejects_negative():
         aw.badger_force_constant(-0.1)
 
 
+@pytest.mark.parametrize("value", [True, False, "4.0", None, float("nan"), float("inf"),
+                                   np.float64("nan")])
+def test_badger_rejects_non_finite_and_non_numbers(value):
+    # True read as 1.0 and "4.0" as 4.0; NaN passed the >= 0 check
+    with pytest.raises(ValueError, match="finite real number"):
+        aw.badger_bond_order(value)
+    with pytest.raises(ValueError, match="finite real number"):
+        aw.badger_force_constant(value)
+
+
+def test_badger_accepts_numpy_and_integer_numbers():
+    assert aw.badger_bond_order(np.float64(4.0)) == aw.badger_bond_order(4.0)
+    assert aw.badger_bond_order(4) == aw.badger_bond_order(4.0)
+
+
 # ---------------------------------------------------------------- wilson residual
 
 def test_wilson_residual_exact_solution():

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,8 @@ from click.testing import CliRunner
 from conftest import reference_layout
 
 import arenewalk as aw
-from arenewalk import graphs, metrics
-from arenewalk.cli import _fmt, main
+from arenewalk import ctqw, graphs, metrics
+from arenewalk.cli import _atomic_write, _fmt, main
 from arenewalk.errors import ComputationError
 
 
@@ -171,6 +172,35 @@ def test_rejects_grid_above_sample_ceiling(runner, tmp_path, argv, dt, message):
     assert not os.path.exists(tmp_path / "x")
 
 
+@pytest.mark.parametrize("argv", [
+    # finite H, but t * lam overflows: every mean was nan with exit 0
+    ["simulate", "-m", "benzene", "--gamma-scale", "1e306"],
+    # gamma_scale * laplacian overflows to inf
+    ["simulate", "-m", "benzene", "--gamma-scale", "1e308"],
+    # a finite 10001-sample grid whose last t * lam overflows
+    ["simulate", "-m", "benzene", "--t-max", "1e308", "--dt", "1e304"],
+    ["stability", "-m", "benzene", "-m", "naphthalene", "--gamma-scale", "1e306"],
+    ["stability", "-m", "benzene", "-m", "naphthalene", "--gamma-scale", "1e308"],
+    # only the second molecule's Hamiltonian overflows; benzene is not evolved first
+    ["stability", "-m", "benzene", "-m", "HEAVY", "--gamma-scale", "100"],
+], ids=["simulate-phase", "simulate-scale", "simulate-grid", "stability-phase",
+        "stability-scale", "stability-second-scale"])
+def test_overflowing_walk_exits_2_before_any_block(runner, tmp_path, monkeypatch, argv):
+    def no_block(*args):
+        raise AssertionError("a block was evolved")
+
+    monkeypatch.setattr(ctqw, "_unitaries", no_block)
+    heavy = tmp_path / "heavy.yaml"
+    heavy.write_text("name: heavy\nnodes: 3\nedges:\n  - [1, 2, 1.0e+307]\n"
+                     "  - [2, 3, 1.0e+307]\n")
+    argv = [str(heavy) if a == "HEAVY" else a for a in argv]
+    out = tmp_path / "x"
+    res = runner.invoke(main, [*argv, "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "configuration error" in res.output
+    assert not os.path.exists(out)
+
+
 def test_simulate_rejects_infinite_weight(runner, tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("name: bad\nnodes: 3\nedges:\n  - [1, 2, .inf]\n  - [2, 3, 1.5]\n")
@@ -260,6 +290,37 @@ def test_simulate_bytes_match_unstreamed_rows(runner, tmp_path, molecule):
                                    mp_all.mean(axis=0), tp_all.mean(axis=0))]
     assert read_bytes(os.path.join(out, "site_report.csv")) == write_csv_text(
         ("molecule", "node", "class", "maxp_mean", "trp_mean"), report)
+
+
+def test_simulate_memory_grows_by_less_than_1kb_per_sample(tmp_path):
+    # 10000 more samples on anthracene. The observables take 16 * 14 = 224
+    # bytes per sample; one node's rows of text add a few hundred more.
+    # Joining every node's rows into one string measured 1724 bytes per
+    # sample; streaming them node by node measured 232.
+    def peak(t_max):
+        tracemalloc.start()
+        try:
+            main(["simulate", "-m", "anthracene", "--t-max", t_max,
+                  "--out", str(tmp_path / t_max)], standalone_mode=False)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak("200") - peak("100") < 10000 * 1024
+
+
+def test_atomic_write_failure_keeps_previous_file(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("previous\n")
+
+    def chunks():
+        yield "a,b\n"
+        raise RuntimeError("formatting failed")
+
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        _atomic_write(str(path), chunks())
+    assert path.read_text() == "previous\n"
+    assert os.listdir(tmp_path) == ["table.csv"]
 
 
 def test_readme_molecule_file_simulates(runner, tmp_path):
@@ -586,6 +647,14 @@ def test_bond_order_rejects_negative(runner):
     res = runner.invoke(main, ["bond-order", "--", "-2.0"])
     assert res.exit_code == 2
     assert "configuration error" in res.output
+
+
+@pytest.mark.parametrize("k", ["nan", "inf", "-inf"])
+def test_bond_order_rejects_non_finite(runner, k):
+    # printed nan and inf with exit 0
+    res = runner.invoke(main, ["bond-order", "--", k])
+    assert res.exit_code == 2, res.output
+    assert "finite real number" in res.output
 
 
 # ---------------------------------------------------------------- export-graph

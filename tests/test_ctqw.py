@@ -48,6 +48,14 @@ def test_hamiltonian_rejects_non_real_scale(value):
         aw.hamiltonian(two_node(), gamma_scale=value)
 
 
+@pytest.mark.parametrize("scale", [1e308, float(np.finfo(float).max)])
+def test_hamiltonian_rejects_overflowing_scale(scale):
+    # gamma_scale * 2.936 overflows to inf; tier-1 also turns numpy's
+    # overflow RuntimeWarning into an error, so none may fire
+    with pytest.raises(ValueError, match="overflows the Hamiltonian"):
+        aw.hamiltonian(aw.load_molecule("benzene"), gamma_scale=scale)
+
+
 @pytest.mark.parametrize("t_max, dt", [("5", 0.01), (True, 0.5), (1.0, True), (None, 0.5)])
 def test_observe_rejects_non_real_grid(t_max, dt):
     p = aw.propagator(aw.hamiltonian(two_node()))
@@ -91,6 +99,14 @@ def test_propagator_rejects_matrix_over_node_ceiling(n):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_propagator_rejects_non_finite_matrix(bad):
+    # np.allclose counts inf == inf, so a symmetric inf passed the symmetry
+    # check and eigh returned NaN eigenvalues
+    with pytest.raises(ValueError, match="must be finite"):
+        aw.propagator(np.array([[bad, -1.0], [-1.0, bad]]))
+
+
 def test_propagator_rejects_nonsymmetric():
     with pytest.raises(ValueError):
         aw.propagator(np.array([[0.0, 1.0], [0.5, 0.0]]))
@@ -126,6 +142,49 @@ def test_unitary_semigroup():
     npt.assert_allclose(
         aw.unitary(p, 1.7) @ aw.unitary(p, 2.4), aw.unitary(p, 4.1), atol=1e-9
     )
+
+
+@pytest.mark.parametrize("t", [1e308, -1e308, float("inf"), float("nan")])
+def test_unitary_rejects_non_finite_phases(t):
+    # t * lam overflows, and exp(-i inf) is NaN
+    p = aw.propagator(aw.hamiltonian(aw.load_molecule("benzene")))
+    with pytest.raises(ValueError, match="is not finite"):
+        aw.unitary(p, t)
+    with pytest.raises(ValueError, match="is not finite"):
+        aw.evolve_ensemble(p, t)
+
+
+def test_unitary_of_zero_hamiltonian_at_huge_time():
+    # every phase is 0 * t = 0, so U stays the identity however large t is
+    npt.assert_array_equal(aw.unitary(aw.propagator(np.zeros((3, 3))), 1e308), np.eye(3))
+
+
+@pytest.mark.parametrize("scale, t_max, dt", [
+    (1e306, 200.0, 0.01),  # finite H, but 200 * 5.9e306 overflows
+    (1.0, 1e308, 1e304),   # a 10001-sample grid whose last t * lam overflows
+])
+def test_evolve_rejects_non_finite_phases_before_any_block(monkeypatch, scale, t_max, dt):
+    p = aw.propagator(aw.hamiltonian(aw.load_molecule("benzene"), gamma_scale=scale))
+
+    def no_block(*args):
+        raise AssertionError("a block was evolved")
+
+    monkeypatch.setattr(ctqw, "_unitaries", no_block)
+    with pytest.raises(ValueError, match="is not finite"):
+        aw.observe(p, t_max, dt)
+
+
+@pytest.mark.parametrize("t_max, dt", [(200.0, 0.01), (1.0, 0.5), (0.3, 0.1), (5.0, 0.01),
+                                       (1.0, 0.3), (0.005, 0.01)])
+def test_one_grid_for_evolve_and_stability(t_max, dt):
+    # the grid rule, t = 0, dt, ... up to t_max inclusive with 1e-9 slack,
+    # written out here; evolve and stability_entry both read ctqw._grid
+    ref = np.arange(int(np.floor(t_max / dt + 1e-9)) + 1) * dt
+    assert np.array_equal(ctqw._grid(t_max, dt), ref)
+    g = aw.load_molecule("benzene")
+    obs = aw.observe(aw.propagator(aw.hamiltonian(g)), t_max, dt)
+    assert np.array_equal(obs.times, ref)
+    assert aw.stability_entry(g, obs, t_max, dt).t_max == t_max
 
 
 # ---------------------------------------------------------------- evolution
