@@ -25,10 +25,14 @@ COND_LIMIT = 1e12
 
 def _finite_non_negative(x, what):
     """x as a float, or ValueError unless it is a finite real number >= 0
-    (a bool or a string is not a number here)."""
-    if not (graphs._is_real(x) and 0 <= x < np.inf):
-        raise ValueError(f"{what} must be a finite real number >= 0, got {x!r}")
-    return float(x)
+    (a bool or a string is not a number here, nor an int too large for a
+    float)."""
+    try:
+        if graphs._is_real(x) and 0 <= float(x) < np.inf:
+            return float(x)
+    except OverflowError:
+        pass
+    raise ValueError(f"{what} must be a finite real number >= 0, got {x!r}")
 
 
 def badger_bond_order(k_mu):
@@ -40,7 +44,10 @@ def badger_bond_order(k_mu):
 def badger_force_constant(bond_order):
     """Inverse of badger_bond_order."""
     bo = _finite_non_negative(bond_order, "bond order")
-    return (bo / BADGER_PREFACTOR) ** (1.0 / BADGER_EXPONENT)
+    try:
+        return (bo / BADGER_PREFACTOR) ** (1.0 / BADGER_EXPONENT)
+    except OverflowError:
+        raise ValueError(f"bond order {bo!r} overflows the force constant") from None
 
 
 def wilson_residual(G, F, D, lam):

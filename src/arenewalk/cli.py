@@ -4,11 +4,14 @@ Subcommands: list, simulate, rank, stability, bond-order, export-graph.
 Outputs are CSV files plus a manifest.json recording the exact
 configuration and library versions; rerunning a command with the same
 configuration (or via --from-manifest) reproduces the CSVs byte for
-byte. Exit codes: 0 success, 2 configuration error, 3 computation error.
+byte. Exit codes: 0 success, 2 configuration error, 3 computation error;
+the command group `main` maps every subcommand's errors to them in one
+place. A writing subcommand is declared once, from the function that
+builds its tables, by `_writer`, which owns --out, --from-manifest and
+the manifest.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import os
@@ -40,22 +43,6 @@ def _rows(row, *columns):
     for k, column in enumerate(columns):
         cells[k::len(columns)] = column
     return (row * count) % tuple(cells)
-
-
-def _guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except click.ClickException:
-            raise
-        except (ComputationError, np.linalg.LinAlgError) as exc:
-            click.echo(f"computation error: {exc}", err=True)
-            sys.exit(EXIT_COMPUTATION)
-        except (ValueError, OSError) as exc:
-            click.echo(f"configuration error: {exc}", err=True)
-            sys.exit(EXIT_CONFIG)
-    return wrapper
 
 
 def _atomic_write(path, chunks):
@@ -92,60 +79,41 @@ def _load_manifest_config(path, command):
     return config
 
 
-def _run(command, cfg, out, from_manifest, tables):
-    """Run a writing subcommand. cfg (or the config replayed from
-    --from-manifest) goes to tables, which validates it, may fill in
-    resolved values and returns {file name: iterable of text chunks}. tables
-    validates and computes everything before it returns, so a bad config
-    writes nothing; the chunks only format its results as each file and
-    then manifest.json are written to out."""
-    if from_manifest:
-        cfg = _load_manifest_config(from_manifest, command)
-    started = time.perf_counter()
-    files = tables(cfg)
-    for name, chunks in files.items():
-        _atomic_write(os.path.join(out, name), chunks)
-    manifest = {
-        "command": command,
-        "package": {"name": "arenewalk", "version": __version__},
-        "libraries": {"python": platform.python_version(), "numpy": np.__version__},
-        "config": cfg,
-        "outputs": list(files),
-        "wall_time_s": round(time.perf_counter() - started, 6),
-    }
-    _atomic_write(os.path.join(out, "manifest.json"),
-                  [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
-    click.echo(f"{command}: wrote {', '.join(files)}, manifest.json to {out}")
-
-
 _OUT_OPTION = click.option(
     "--out", type=click.Path(file_okay=False), default=".", show_default=True,
     envvar="ARENEWALK_OUT",
     help="Output directory (env ARENEWALK_OUT overrides the default).",
 )
-
-
-def _grid_options(command):
-    """--t-max, --dt and --gamma-scale of the CTQW subcommands."""
-    for option in reversed((
-        click.option("--t-max", type=float, default=200.0, show_default=True,
-                     help="Last sampled time."),
-        click.option("--dt", type=float, default=0.01, show_default=True,
-                     help="Sampling interval."),
-        click.option("--gamma-scale", type=float, default=1.0, show_default=True,
-                     help="Global rate multiplier on the walk generator."),
-    )):
-        command = option(command)
-    return command
-
-
-_FROM_MANIFEST_OPTION = click.option(
-    "--from-manifest", type=click.Path(exists=True, dir_okay=False), default=None,
-    help="Replay the configuration of a previous run.",
+_MOLECULE_OPTION = click.option("--molecule", "-m", default=None,
+                                help="Catalog name or molecule file path.")
+_GRID_OPTIONS = (
+    click.option("--t-max", type=float, default=200.0, show_default=True,
+                 help="Last sampled time."),
+    click.option("--dt", type=float, default=0.01, show_default=True,
+                 help="Sampling interval."),
+    click.option("--gamma-scale", type=float, default=1.0, show_default=True,
+                 help="Global rate multiplier on the walk generator."),
 )
 
 
-@click.group()
+class _Group(click.Group):
+    """A command group whose invoke maps every subcommand's errors to an
+    exit code; click's own usage errors pass through."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.ClickException:
+            raise
+        except (ComputationError, np.linalg.LinAlgError) as exc:
+            click.echo(f"computation error: {exc}", err=True)
+            sys.exit(EXIT_COMPUTATION)
+        except (ValueError, OSError) as exc:
+            click.echo(f"configuration error: {exc}", err=True)
+            sys.exit(EXIT_CONFIG)
+
+
+@click.group(cls=_Group)
 @click.version_option(version=__version__, prog_name="arenewalk")
 def main():
     """Quantum walks on bond-order-weighted aromatic hydrocarbon graphs.
@@ -158,8 +126,53 @@ def main():
     """
 
 
+def _writer(*options):
+    """Declare a subcommand of main, with the options plus --out and
+    --from-manifest, from its tables function: the command's name and help
+    are the function's. tables gets the options' values, or the config
+    replayed from --from-manifest, as cfg; it validates cfg, may fill in
+    resolved values and returns {file name: iterable of text chunks}. It
+    computes everything before it returns, so a bad config writes nothing;
+    the chunks only format its results as each file and then manifest.json
+    are written to out."""
+    def declare(tables):
+        command = tables.__name__
+
+        def run(out, from_manifest, **cfg):
+            if from_manifest:
+                cfg = _load_manifest_config(from_manifest, command)
+            started = time.perf_counter()
+            files = tables(cfg)
+            for name, chunks in files.items():
+                _atomic_write(os.path.join(out, name), chunks)
+            manifest = {
+                "command": command,
+                "package": {"name": "arenewalk", "version": __version__},
+                "libraries": {"python": platform.python_version(), "numpy": np.__version__},
+                "config": cfg,
+                "outputs": list(files),
+                "wall_time_s": round(time.perf_counter() - started, 6),
+            }
+            _atomic_write(os.path.join(out, "manifest.json"),
+                          [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
+            click.echo(f"{command}: wrote {', '.join(files)}, manifest.json to {out}")
+
+        replay = click.option("--from-manifest", type=click.Path(exists=True, dir_okay=False),
+                              default=None, help="Replay the configuration of a previous run.")
+        for option in reversed((*options, _OUT_OPTION, replay)):
+            run = option(run)
+        return main.command(command, help=tables.__doc__)(run)
+    return declare
+
+
+def _molecule(cfg):
+    """The molecule cfg names; simulate and rank cannot run without one."""
+    if cfg.get("molecule") is None:
+        raise click.UsageError("--molecule is required (or use --from-manifest)")
+    return graphs.load_molecule(cfg["molecule"])
+
+
 @main.command("list")
-@_guarded
 def cmd_list():
     """List the catalog molecules with node, edge and class counts."""
     for name in graphs.CATALOG:
@@ -171,27 +184,14 @@ def cmd_list():
         )
 
 
-@main.command()
-@click.option("--molecule", "-m", default=None,
-              help="Catalog name or molecule file path.")
-@_grid_options
-@_OUT_OPTION
-@_FROM_MANIFEST_OPTION
-@_guarded
-def simulate(molecule, t_max, dt, gamma_scale, out, from_manifest):
+@_writer(_MOLECULE_OPTION, *_GRID_OPTIONS)
+def simulate(cfg):
     """Run the continuous-time walk and write MAXP/TRP series and means.
 
     Writes site_series.csv (molecule,node,t,maxp,trp), site_report.csv
     (molecule,node,class,maxp_mean,trp_mean) and manifest.json.
     """
-    cfg = {"molecule": molecule, "t_max": t_max, "dt": dt, "gamma_scale": gamma_scale}
-    _run("simulate", cfg, out, from_manifest, _simulate_tables)
-
-
-def _simulate_tables(cfg):
-    if cfg.get("molecule") is None:
-        raise click.UsageError("--molecule is required (or use --from-manifest)")
-    g = graphs.load_molecule(cfg["molecule"])
+    g = _molecule(cfg)
     prop = ctqw.propagator(ctqw.hamiltonian(g, cfg.get("gamma_scale")))
     obs = metrics.observe(prop, cfg.get("t_max"), cfg.get("dt"))
     reports = metrics.site_reports(g, obs)
@@ -209,33 +209,23 @@ def _simulate_tables(cfg):
             "site_report.csv": ["molecule,node,class,maxp_mean,trp_mean\n", report]}
 
 
-@main.command()
-@click.option("--molecule", "-m", default=None,
-              help="Catalog name or molecule file path.")
-@click.option("--steps", type=int, default=None,
-              help="Walk length [default: 10 * N^2].")
-@click.option("--start", type=int, default=1, show_default=True,
-              help="Start node (1-based).")
-@click.option("--coin-degree", type=click.Choice(["unweighted", "weighted"]),
-              default="unweighted", show_default=True,
-              help="Degree notion used by the per-node coin.")
-@_OUT_OPTION
-@_FROM_MANIFEST_OPTION
-@_guarded
-def rank(molecule, steps, start, coin_degree, out, from_manifest):
+@_writer(
+    _MOLECULE_OPTION,
+    click.option("--steps", type=int, default=None,
+                 help="Walk length [default: 10 * N^2]."),
+    click.option("--start", type=int, default=1, show_default=True,
+                 help="Start node (1-based)."),
+    click.option("--coin-degree", type=click.Choice(["unweighted", "weighted"]),
+                 default="unweighted", show_default=True,
+                 help="Degree notion used by the per-node coin."),
+)
+def rank(cfg):
     """Rank sites by reactivity with the directed graph walk.
 
     Writes ranks.csv (node,label,score,rank; rank 1 = most reactive) and
     manifest.json.
     """
-    cfg = {"molecule": molecule, "steps": steps, "start": start, "coin_degree": coin_degree}
-    _run("rank", cfg, out, from_manifest, _rank_tables)
-
-
-def _rank_tables(cfg):
-    if cfg.get("molecule") is None:
-        raise click.UsageError("--molecule is required (or use --from-manifest)")
-    g = graphs.load_molecule(cfg["molecule"])
+    g = _molecule(cfg)
     ranking = dtqw.rank_nodes(g, steps=cfg.get("steps"), start=cfg.get("start"),
                               coin=cfg.get("coin_degree"))
     cfg["steps"] = ranking.steps
@@ -243,27 +233,20 @@ def _rank_tables(cfg):
         "%d,%s,%.12g,%d\n", ranking.nodes, ranking.labels, ranking.scores, ranking.ranks)]}
 
 
-@main.command()
-@click.option("--molecule", "-m", multiple=True,
-              help="Molecule to include; repeat the flag (at least twice).")
-@_grid_options
-@_OUT_OPTION
-@_FROM_MANIFEST_OPTION
-@_guarded
-def stability(molecule, t_max, dt, gamma_scale, out, from_manifest):
+@_writer(
+    click.option("--molecule", "-m", "molecules", multiple=True,
+                 help="Molecule to include; repeat the flag (at least twice)."),
+    *_GRID_OPTIONS,
+)
+def stability(cfg):
     """Order molecules by overall mean TRP (most stable first).
 
     Writes stability.csv (molecule,mean_trp,rank); near-ties within 2%
     share a rank and print as '~' in the order line.
     """
-    cfg = {"molecules": list(molecule), "t_max": t_max, "dt": dt,
-           "gamma_scale": gamma_scale}
-    _run("stability", cfg, out, from_manifest, _stability_tables)
-
-
-def _stability_tables(cfg):
+    # click passes the repeated -m as a tuple, a replayed manifest as a list
     names = cfg.get("molecules", [])
-    if not isinstance(names, list) or not all(isinstance(m, str) for m in names):
+    if not isinstance(names, (list, tuple)) or not all(isinstance(m, str) for m in names):
         raise ValueError(f"molecules must be a list of strings, got {names!r}")
     if len(names) < 2:
         raise click.UsageError("stability needs at least two --molecule flags")
@@ -290,7 +273,6 @@ def _stability_tables(cfg):
 
 @main.command("bond-order")
 @click.argument("k", type=float)
-@_guarded
 def cmd_bond_order(k):
     """Print the bond order for a local stretching force constant K."""
     click.echo(f"{bondorder.badger_bond_order(k):.6f}")
@@ -300,7 +282,6 @@ def cmd_bond_order(k):
 @click.option("--molecule", "-m", required=True,
               help="Catalog name or molecule file path.")
 @_OUT_OPTION
-@_guarded
 def export_graph(molecule, out):
     """Write a molecule's adjacency and Laplacian matrices as CSV."""
     g = graphs.load_molecule(molecule)

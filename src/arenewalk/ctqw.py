@@ -107,6 +107,8 @@ def _check_phases(p, t):
 def unitary(p, t):
     """U(t), unitary for every real t whose phases are finite, from the
     product evolve takes over its blocks, here over a single sample."""
+    if not graphs._is_real(t):
+        raise ValueError(f"t must be a real number, got {t!r}")
     t = float(t)
     _check_phases(p, t)
     return _unitaries(p, [t])[0]

@@ -75,16 +75,20 @@ def observe(p, t_max=200.0, dt=0.01):
     return SiteObservables(times, mp, tp)
 
 
-def _observables(series):
-    """A SiteObservables as is, or the reduction of an EvolutionSeries."""
-    if isinstance(series, SiteObservables):
-        return series
-    return SiteObservables(series.times, *site_observables(series.matrices))
+def _observables(g, series):
+    """A SiteObservables as is, or the reduction of an EvolutionSeries;
+    either must have one site per node of g."""
+    if not isinstance(series, SiteObservables):
+        series = SiteObservables(series.times, *site_observables(series.matrices))
+    if series.maxp.shape[1] != g.node_count:
+        raise ValueError(f"series has {series.maxp.shape[1]} sites, "
+                         f"molecule {g.name!r} has {g.node_count} nodes")
+    return series
 
 
 def site_reports(g, series):
     """Time-mean report per site, class-tagged by the smallest class member."""
-    obs = _observables(series)
+    obs = _observables(g, series)
     if len(obs.times) == 0:
         raise ValueError("empty series")
     classes = graphs.equivalence_classes(g)
@@ -107,9 +111,9 @@ def detect_period(series, revival_tol=1e-3):
     this tolerance and reports the first positive sample.
     """
     times, mats = series.times, series.matrices
-    dev = np.abs(mats - mats[0]).max(axis=(1, 2))
     if len(times) < 2:
         return None
+    dev = np.abs(mats - mats[0]).max(axis=(1, 2))
     above = np.nonzero(dev[1:] > revival_tol)[0]
     if above.size == 0:
         return float(times[1])
@@ -133,7 +137,7 @@ def stability_entry(g, series, t_max, dt):
     sample. series must be sampled on the grid that t_max and dt define."""
     if not np.array_equal(series.times, ctqw._grid(t_max, dt)):
         raise ValueError(f"series is not sampled on the grid t_max={t_max!r}, dt={dt!r}")
-    return StabilityEntry(molecule=g.name, mean_trp=float(_observables(series).trp.mean()),
+    return StabilityEntry(molecule=g.name, mean_trp=float(_observables(g, series).trp.mean()),
                           t_max=float(t_max), dt=float(dt))
 
 

@@ -76,13 +76,22 @@ def test_badger_rejects_negative():
 
 
 @pytest.mark.parametrize("value", [True, False, "4.0", None, float("nan"), float("inf"),
-                                   np.float64("nan")])
+                                   np.float64("nan"),
+                                   pytest.param(10 ** 400, id="int-beyond-float")])
 def test_badger_rejects_non_finite_and_non_numbers(value):
-    # True read as 1.0 and "4.0" as 4.0; NaN passed the >= 0 check
+    # True read as 1.0 and "4.0" as 4.0; NaN passed the >= 0 check; 10**400
+    # raised OverflowError converting to float
     with pytest.raises(ValueError, match="finite real number"):
         aw.badger_bond_order(value)
     with pytest.raises(ValueError, match="finite real number"):
         aw.badger_force_constant(value)
+
+
+def test_badger_force_constant_rejects_overflow():
+    # a finite bond order whose force constant is beyond the float range
+    # raised OverflowError from the float power
+    with pytest.raises(ValueError, match="overflows the force constant"):
+        aw.badger_force_constant(1e300)
 
 
 def test_badger_accepts_numpy_and_integer_numbers():

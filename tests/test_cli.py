@@ -108,26 +108,33 @@ def test_simulate_values_match_library(runner, tmp_path):
         npt.assert_allclose(float(row[4]), trp[i, node - 1], atol=1e-10)
 
 
-def test_simulate_deterministic_and_replayable(runner, tmp_path):
+GRID = ["--t-max", "2", "--dt", "0.25"]
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["simulate", "-m", "benzene", *GRID],
+     {"molecule": "benzene", "t_max": 2.0, "dt": 0.25, "gamma_scale": 1.0}),
+    # rank records the steps it resolved, stability its molecules as a list
+    (["rank", "-m", "naphthalene"],
+     {"molecule": "naphthalene", "steps": 1000, "start": 1, "coin_degree": "unweighted"}),
+    (["stability", "-m", "benzene", "-m", "naphthalene", *GRID],
+     {"molecules": ["benzene", "naphthalene"], "t_max": 2.0, "dt": 0.25, "gamma_scale": 1.0}),
+], ids=["simulate", "rank", "stability"])
+def test_deterministic_and_replayable(runner, tmp_path, argv, config):
     out1, out2, out3 = (str(tmp_path / d) for d in ("a", "b", "c"))
-    args = ["simulate", "-m", "benzene", "--t-max", "2", "--dt", "0.25"]
-    assert runner.invoke(main, args + ["--out", out1]).exit_code == 0
-    assert runner.invoke(main, args + ["--out", out2]).exit_code == 0
-    for fname in ("site_series.csv", "site_report.csv"):
-        assert read_bytes(os.path.join(out1, fname)) == read_bytes(
-            os.path.join(out2, fname)
-        )
+    assert runner.invoke(main, argv + ["--out", out1]).exit_code == 0
+    assert runner.invoke(main, argv + ["--out", out2]).exit_code == 0
+    manifest = os.path.join(out1, "manifest.json")
+    assert json.load(open(manifest))["config"] == config
     # replay from the recorded manifest reproduces the exact bytes
-    res = runner.invoke(
-        main,
-        ["simulate", "--from-manifest", os.path.join(out1, "manifest.json"),
-         "--out", out3],
-    )
+    res = runner.invoke(main, [argv[0], "--from-manifest", manifest, "--out", out3])
     assert res.exit_code == 0, res.output
-    for fname in ("site_series.csv", "site_report.csv"):
-        assert read_bytes(os.path.join(out1, fname)) == read_bytes(
-            os.path.join(out3, fname)
-        )
+    assert json.load(open(os.path.join(out3, "manifest.json")))["config"] == config
+    tables = set(os.listdir(out1)) - {"manifest.json"}
+    assert tables and set(os.listdir(out3)) - {"manifest.json"} == tables
+    for fname in tables:
+        assert read_bytes(os.path.join(out1, fname)) == read_bytes(os.path.join(out2, fname))
+        assert read_bytes(os.path.join(out1, fname)) == read_bytes(os.path.join(out3, fname))
 
 
 def test_simulate_requires_molecule(runner, tmp_path):
@@ -707,17 +714,14 @@ def test_computation_error_maps_to_exit_3(runner, tmp_path, monkeypatch):
     assert "computation error" in res.output
 
 
-def test_linalg_error_maps_to_exit_3(runner, tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["simulate", "stability"])
+def test_linalg_error_maps_to_exit_3(runner, tmp_path, monkeypatch, command):
     import arenewalk.cli as cli_mod
 
     def boom(*args, **kwargs):
         raise np.linalg.LinAlgError("eigh failed")
 
     monkeypatch.setattr(cli_mod.ctqw, "propagator", boom)
-    res = runner.invoke(
-        main,
-        ["simulate", "-m", "benzene", "--t-max", "1", "--dt", "0.5",
-         "--out", str(tmp_path / "x")],
-    )
+    res = runner.invoke(main, [*CTQW_ARGV[command], "--out", str(tmp_path / "x")])
     assert res.exit_code == 3
     assert "computation error" in res.output

@@ -144,13 +144,13 @@ def test_unitary_semigroup():
     )
 
 
-@pytest.mark.parametrize("t", [1e308, -1e308, float("inf"), float("nan")])
+@pytest.mark.parametrize("t", [1e308, -1e308, float("inf"), float("nan"), "1", True])
 def test_unitary_rejects_non_finite_phases(t):
-    # t * lam overflows, and exp(-i inf) is NaN
+    # t * lam overflows, and exp(-i inf) is NaN; "1" and True ran as t = 1.0
     p = aw.propagator(aw.hamiltonian(aw.load_molecule("benzene")))
-    with pytest.raises(ValueError, match="is not finite"):
+    with pytest.raises(ValueError, match="is not finite|must be a real number"):
         aw.unitary(p, t)
-    with pytest.raises(ValueError, match="is not finite"):
+    with pytest.raises(ValueError, match="is not finite|must be a real number"):
         aw.evolve_ensemble(p, t)
 
 

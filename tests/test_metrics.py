@@ -159,6 +159,8 @@ def test_departed_series_without_return():
 
 def test_single_sample_has_no_period():
     assert aw.detect_period(aw.EvolutionSeries(np.zeros(1), np.eye(3)[np.newaxis])) is None
+    # an empty series raised IndexError reading its first sample
+    assert aw.detect_period(aw.EvolutionSeries(np.zeros(0), np.zeros((0, 3, 3)))) is None
 
 
 # ---------------------------------------------------------------- stability
@@ -253,7 +255,18 @@ def test_stability_entry_rejects_other_grid(t_max, dt):
         aw.stability_entry(g, obs, t_max=t_max, dt=dt)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("reader", [aw.observe, aw.time_series])
+def test_readers_reject_series_of_another_molecule(reader):
+    # naphthalene's first 6 site columns were reported as benzene's sites
+    benzene = aw.load_molecule("benzene")
+    series = reader(aw.propagator(aw.hamiltonian(aw.load_molecule("naphthalene"))), 2.0, 0.1)
+    with pytest.raises(ValueError, match="series has 10 sites, molecule 'benzene' has 6"):
+        aw.site_reports(benzene, series)
+    with pytest.raises(ValueError, match="series has 10 sites, molecule 'benzene' has 6"):
+        aw.stability_entry(benzene, series, 2.0, 0.1)
+
+
+@pytest.mark.parametrize("bad",[float("nan"), float("inf")])
 def test_stability_rejects_non_finite_mean_trp(bad):
     # neither ranking a NaN first nor tying it with its neighbour is right
     entries = [aw.StabilityEntry("a", bad, 1.0, 0.1), aw.StabilityEntry("b", 0.5, 1.0, 0.1),
