@@ -2,11 +2,13 @@
 
 The generator is the weighted graph Laplacian. Evolution uses a one-time
 symmetric eigendecomposition, so any time t is reached exactly (no time
-stepping error). U(t) = Q diag(exp(-i lam t)) Q^T on a set of times is one
-product of the eigenvector pairs Q[j, l] Q[k, l] with the phases, which
-unitary and evolve share, so a sample has the same bits from either. A
-grid is evolved in blocks of BLOCK_BYTES, so memory stays bounded by one
-block plus whatever the caller keeps of it.
+stepping error). U(t) = Q diag(exp(-i lam t)) Q^T is symmetric, so on a set
+of times it is one product of the eigenvector pairs Q[j, l] Q[k, l] with
+j <= k and the phases: the upper triangle, which one (N, N) index array
+gathers back to the full matrices. unitary and evolve share that product,
+so a sample has the same bits from either. A grid is evolved in blocks of
+BLOCK_BYTES, so memory stays bounded by one block plus whatever the caller
+keeps of it.
 hbar = 1 throughout.
 """
 from __future__ import annotations
@@ -17,8 +19,10 @@ import numpy as np
 
 from . import graphs
 
-# Complex B(t) bytes evolved per block. On a 2-core x86 host 8 MB was the
-# fastest for N = 14 and 22, and 1-32 MB all ran within about 30% of it.
+# Bytes of a complex (samples, N, N) block that set its sample count; the
+# upper triangle evolved per block is about half of that. On a 2-core x86
+# host 8 MB was the fastest for N = 14 and 22, and 1-32 MB all ran within
+# about 30% of it.
 BLOCK_BYTES = 8 << 20
 # Largest sampling grid accepted; checked before anything is allocated.
 MAX_SAMPLES = 10_000_000
@@ -79,20 +83,31 @@ def propagator(h):
 
 
 def _unitaries(p, times):
-    """U(t) = Q diag(exp(-i lam t)) Q^T at each of times, shaped
-    (samples, N, N): pairs[l, j*N + k] = Q[j, l] Q[k, l] times the phases."""
+    """The upper triangle of U(t) = Q diag(exp(-i lam t)) Q^T at each of
+    times, shaped (N(N+1)/2, samples): row r is U[j, k] for the r-th pair
+    j <= k in row-major order, pairs[l, r] = Q[j, l] Q[k, l] times the
+    phases. _square gathers it to (samples, N, N)."""
     # numpy evaluates a one-column product as a matrix-vector product, which
     # rounds differently, so a lone sample is evaluated as a pair
     if len(times) == 1:
-        return _unitaries(p, [times[0], times[0]])[:1]
+        return _unitaries(p, [times[0], times[0]])[:, :1]
     Q = p.eigenvectors
-    n = len(Q)
+    j, k = np.triu_indices(len(Q))
     phases = np.exp(-1j * np.outer(times, p.eigenvalues))
-    pairs = (Q.T[:, :, None] * Q.T[:, None, :]).reshape(n, n * n)
+    pairs = Q.T[:, j] * Q.T[:, k]
     # t is the fastest axis in memory: a C-ordered phases @ pairs gives the
     # same values, but site_observables then reduces over rows of only N
     # elements and observe ran 1.6x slower
-    return (pairs.T @ phases.T).reshape(n, n, len(phases)).transpose(2, 0, 1)
+    return pairs.T @ phases.T
+
+
+def _square(tri, n):
+    """The (samples, N, N) symmetric matrices whose upper triangles are the
+    rows of tri, gathered by one (N, N) index array; t stays the fastest axis."""
+    j, k = np.triu_indices(n)
+    index = np.empty((n, n), dtype=np.intp)
+    index[j, k] = index[k, j] = np.arange(len(j))
+    return tri[index].transpose(2, 0, 1)
 
 
 def _check_phases(p, t):
@@ -111,7 +126,7 @@ def unitary(p, t):
         raise ValueError(f"t must be a real number, got {t!r}")
     t = float(t)
     _check_phases(p, t)
-    return _unitaries(p, [t])[0]
+    return _square(_unitaries(p, [t]), len(p.eigenvalues))[0]
 
 
 def evolve_ensemble(p, t):
@@ -159,7 +174,7 @@ def evolve(p, t_max, dt, reduce):
     bounds = list(range(0, count, step)) + [count]
     outputs = None
     for start, stop in zip(bounds, bounds[1:]):
-        parts = reduce(np.abs(_unitaries(p, times[start:stop])) ** 2)
+        parts = reduce(_square(np.abs(_unitaries(p, times[start:stop])) ** 2, n))
         if outputs is None:
             outputs = tuple(np.empty((count,) + a.shape[1:], dtype=a.dtype) for a in parts)
         for out, part in zip(outputs, parts):

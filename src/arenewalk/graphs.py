@@ -19,8 +19,8 @@ import yaml
 
 CATALOG = ("benzene", "naphthalene", "anthracene", "phenanthrene")
 # Largest node count accepted, checked before anything N-sized is allocated.
-# The CTQW's peak memory grows as 24 N^3 bytes (about 400 MB at 256); 256
-# is 5x the largest benchmarked molecule (N = 50).
+# The CTQW's peak memory grows as about 12 N^3 bytes (204 MB at 256, traced
+# by tracemalloc); 256 is 5x the largest benchmarked molecule (N = 50).
 MAX_NODES = 256
 # Characters that would split or quote a CSV cell the CLI writes unquoted.
 _CSV_BREAKING = frozenset(',"\r\n')
@@ -151,7 +151,9 @@ def load_molecule(name):
                 f"unknown molecule {name!r}: not in catalog {CATALOG} and not a readable file"
             )
     try:
-        doc = yaml.safe_load(text)
+        # libyaml's C scanner and parser under the same SafeConstructor;
+        # a PyYAML built without libyaml has only the pure-Python SafeLoader
+        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ValueError(f"malformed molecule file {name!r}: {exc}")
     if not isinstance(doc, dict):

@@ -403,10 +403,15 @@ CHAIN = "edges: [[1, 2, 1.5], [2, 3, 1.5]]"
     pytest.param("5", CHAIN, id="numeric-name"),
     pytest.param("allyl", f"{CHAIN}\nlabels: [1, 2, 3]", id="numeric-labels"),
     pytest.param("allyl", f"{CHAIN}\nlabels: [{{a: 1}}, b, c]", id="mapping-label"),
+    pytest.param("allyl", "edges: [[1, 2, 1.5]", id="unclosed-flow-sequence"),
+    pytest.param("allyl", f"\t{CHAIN}", id="tab-indented-key"),
+    pytest.param("allyl", 'edges: !!python/object/apply:os.system ["true"]', id="python-tag"),
 ])
 def test_rank_rejects_malformed_molecule_file(runner, tmp_path, name, field):
     # each of these ended in a TypeError traceback, was read as weight 1.0,
-    # or had its name or labels turned into strings by str()
+    # or had its name or labels turned into strings by str(); the last three
+    # are invalid or unsafe YAML, and libyaml words its errors differently from
+    # PyYAML's own parser, so only the exit code and the prefix are matched
     path = tmp_path / "bad.yaml"
     path.write_text(f"name: {name}\nnodes: 3\n{field}\n")
     out = tmp_path / "x"

@@ -280,13 +280,60 @@ def whole_grid_series(p, t_max, dt):
     return np.abs(U[:len(times)]) ** 2
 
 
+def ladder(rungs):
+    """Two chains of `rungs` nodes joined at every position, with distinct
+    weights: 2 * rungs nodes."""
+    edges = [(k, k + 1, 1.2 + 0.01 * k) for k in range(1, rungs)]
+    edges += [(rungs + k, rungs + k + 1, 1.7 - 0.01 * k) for k in range(1, rungs)]
+    edges += [(k, rungs + k, 1.45 + 0.003 * k) for k in range(1, rungs + 1)]
+    return MoleculeGraph(name="ladder", node_count=2 * rungs, edges=tuple(edges))
+
+
+def assert_blocked_equals_whole_grid(g, t_max):
+    p = aw.propagator(aw.hamiltonian(g))
+    ref = whole_grid_series(p, t_max, 0.01)
+    assert np.array_equal(aw.time_series(p, t_max=t_max, dt=0.01).matrices, ref)
+
+
 @pytest.mark.parametrize("t_max", [0.005, 0.05, 50.0])
 def test_blocked_series_equals_whole_grid(t_max):
     # 1, 6 and 5001 samples; the last spans two default blocks for N = 14
     for name in aw.CATALOG:
-        p = aw.propagator(aw.hamiltonian(aw.load_molecule(name)))
-        ref = whole_grid_series(p, t_max, 0.01)
-        assert np.array_equal(aw.time_series(p, t_max=t_max, dt=0.01).matrices, ref)
+        assert_blocked_equals_whole_grid(aw.load_molecule(name), t_max)
+    # a 50-node block holds 209 samples, so 501 span three; the reference
+    # over 5001 samples would hold 300 MB
+    assert_blocked_equals_whole_grid(ladder(25), min(t_max, 5.0))
+
+
+@pytest.mark.parametrize("t_max", [0.005, 0.05, 50.0])
+@settings(max_examples=20, deadline=None)
+@given(g=connected_graphs())
+def test_blocked_series_equals_whole_grid_random_graphs(t_max, g):
+    assert_blocked_equals_whole_grid(g, t_max)
+
+
+@pytest.mark.parametrize("t", [0.37, 17.3, 199.99])
+def test_unitary_equals_whole_grid(t):
+    # the reference grid [0, t] ends at exactly t
+    for g in [*map(aw.load_molecule, aw.CATALOG), ladder(25)]:
+        p = aw.propagator(aw.hamiltonian(g))
+        assert np.array_equal(np.abs(aw.unitary(p, t)) ** 2, whole_grid_series(p, t, t)[1])
+
+
+def test_unitary_peak_memory_is_the_triangle():
+    # the j <= k pairs and their complex copy take about 12 N^3 bytes, and
+    # all N^2 pair columns would take 24 N^3
+    n = 128
+    ring = MoleculeGraph(name="ring", node_count=n,
+                         edges=tuple((k, k % n + 1, 1.5) for k in range(1, n + 1)))
+    p = aw.propagator(aw.hamiltonian(ring))
+    tracemalloc.start()
+    try:
+        aw.unitary(p, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n ** 3
 
 
 # t_max 5, dt 0.01 gives 501 samples: blocks of 7 leave a ragged 4-sample
