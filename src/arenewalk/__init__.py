@@ -31,9 +31,7 @@ from .errors import ComputationError
 from .graphs import (
     CATALOG,
     MoleculeGraph,
-    adjacency,
     degrees,
-    equivalence_classes,
     laplacian,
     load_molecule,
     weighted_degrees,
@@ -70,13 +68,11 @@ __all__ = [
     "SiteReport",
     "StabilityEntry",
     "StabilityReport",
-    "adjacency",
     "badger_bond_order",
     "badger_force_constant",
     "classify_modes",
     "degrees",
     "detect_period",
-    "equivalence_classes",
     "evolve",
     "evolve_ensemble",
     "hamiltonian",

@@ -177,10 +177,9 @@ def cmd_list():
     """List the catalog molecules with node, edge and class counts."""
     for name in graphs.CATALOG:
         g = graphs.load_molecule(name)
-        classes = graphs.equivalence_classes(g)
         click.echo(
             f"{name:<13} nodes={g.node_count:<3} edges={len(g.edges):<3} "
-            f"classes={len(classes)}"
+            f"classes={len(g.classes)}"
         )
 
 
@@ -287,7 +286,7 @@ def export_graph(molecule, out):
     g = graphs.load_molecule(molecule)
     header = ",".join(("label",) + g.labels) + "\n"
     row = "%s" + ",%.12g" * g.node_count + "\n"
-    for fname, M in (("adjacency.csv", graphs.adjacency(g)),
+    for fname, M in (("adjacency.csv", g.adjacency),
                      ("laplacian.csv", graphs.laplacian(g))):
         _atomic_write(os.path.join(out, fname), [header, _rows(row, g.labels, *M.T.tolist())])
     click.echo(f"export-graph: wrote adjacency.csv, laplacian.csv to {out}")

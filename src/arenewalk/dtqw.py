@@ -66,7 +66,7 @@ class _ArcTable:
         if coin not in ("unweighted", "weighted"):
             raise ValueError(f"coin must be 'unweighted' or 'weighted', got {coin!r}")
         n = g.node_count
-        node_of, nbr = np.nonzero(graphs.adjacency(g))
+        node_of, nbr = np.nonzero(g.adjacency)
         deg = graphs.degrees(g)
         if (deg == 0).any():
             raise ValueError("graph has an isolated node")
@@ -167,11 +167,10 @@ def rank_nodes(g, steps=None, start=1, coin="unweighted"):
         occ = np.add.accumulate(sums)[-1]
     if abs(float(p[-1].sum()) - 1.0) > 1e-9:
         raise ComputationError(f"walk norm drifted to {p[-1].sum()!r}; refusing to rank")
-    classes = graphs.equivalence_classes(g)
     class_of = np.empty(n, dtype=int)
-    for k, cls in enumerate(classes):
+    for k, cls in enumerate(g.classes):
         class_of[np.subtract(cls, 1)] = k
-    class_scores = np.array([occ[[m - 1 for m in cls]].mean() for cls in classes])
+    class_scores = np.array([occ[[m - 1 for m in cls]].mean() for cls in g.classes])
     scores = class_scores[class_of]
     ranks = metrics._dense_ranks(class_scores)[class_of]
     return NodeRanking(

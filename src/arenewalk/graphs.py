@@ -1,11 +1,11 @@
 """Bond-order-weighted molecular graphs and the built-in molecule catalog.
 
 Nodes are the carbon sites of a conjugated system, numbered from 1. Edge
-weights are dimensionless relative bond strength orders. A graph builds
-its weighted adjacency matrix once, while it validates the bonds, and keeps
-it read-only: adjacency, laplacian, degrees and weighted_degrees all read
-that one array. Graphs are frozen after construction and safe to share
-between threads.
+weights are dimensionless relative bond strength orders. A MoleculeGraph
+owns what is derived from its input: the weighted adjacency matrix, built
+once while the bonds are validated and kept read-only (laplacian, degrees
+and weighted_degrees read it), and the symmetry partition `classes`.
+Graphs are frozen after construction and safe to share between threads.
 """
 from __future__ import annotations
 
@@ -41,10 +41,12 @@ class MoleculeGraph:
     """Connected undirected graph with finite positive edge weights.
 
     edges hold (i, j, weight) with 1-based node indices, stored with i < j.
-    classes, when present, partition the nodes into symmetry-equivalent
-    groups; observables must agree within a class. labels default to
-    C1..CN when empty or None. edges, each edge, classes, each class and
-    labels may be lists or tuples and are stored as tuples.
+    classes partition the nodes into symmetry-equivalent groups, stored
+    sorted; observables must agree within a class. None (the default)
+    stores one singleton class per node: the sites are read unpooled.
+    labels default to C1..CN when empty or None. edges, each edge, classes,
+    each class and labels may be lists or tuples and are stored as tuples.
+    adjacency is the read-only weighted adjacency matrix.
     """
 
     name: str
@@ -52,7 +54,7 @@ class MoleculeGraph:
     edges: tuple
     classes: tuple | None = None
     labels: tuple = field(default=())
-    _adjacency: np.ndarray = field(init=False, repr=False)
+    adjacency: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.node_count
@@ -83,7 +85,7 @@ class MoleculeGraph:
             A[i - 1, j - 1] = A[j - 1, i - 1] = w
             canon.append((min(i, j), max(i, j), w))
         A.flags.writeable = False
-        object.__setattr__(self, "_adjacency", A)
+        object.__setattr__(self, "adjacency", A)
         object.__setattr__(self, "edges", tuple(canon))
         labels = () if self.labels is None else _as_tuple(self.labels, "labels")
         if not labels:
@@ -97,22 +99,24 @@ class MoleculeGraph:
                     f"name and labels must be strings without ',', '\"', CR or LF, "
                     f"got {text!r}"
                 )
-        if self.classes is not None:
-            flat = []
-            canon_classes = []
-            for cls in _as_tuple(self.classes, "classes"):
-                cls = _as_tuple(cls, "each class")
-                if not all(_is_int(x) for x in cls):
-                    raise ValueError(f"class {cls!r} has non-integer members")
-                members = sorted(cls)
-                if not members:
-                    raise ValueError("empty equivalence class")
-                flat.extend(members)
-                canon_classes.append(tuple(members))
-            if sorted(flat) != list(range(1, n + 1)):
-                raise ValueError("classes must partition the nodes 1..N exactly")
-            canon_classes.sort(key=lambda c: c[0])
-            object.__setattr__(self, "classes", tuple(canon_classes))
+        classes = self.classes
+        if classes is None:
+            classes = [(k,) for k in range(1, n + 1)]
+        flat = []
+        canon_classes = []
+        for cls in _as_tuple(classes, "classes"):
+            cls = _as_tuple(cls, "each class")
+            if not all(_is_int(x) for x in cls):
+                raise ValueError(f"class {cls!r} has non-integer members")
+            members = sorted(cls)
+            if not members:
+                raise ValueError("empty equivalence class")
+            flat.extend(members)
+            canon_classes.append(tuple(members))
+        if sorted(flat) != list(range(1, n + 1)):
+            raise ValueError("classes must partition the nodes 1..N exactly")
+        canon_classes.sort(key=lambda c: c[0])
+        object.__setattr__(self, "classes", tuple(canon_classes))
         # sweep out from node 1 until no new node is reached
         reached = frontier = np.arange(n) == 0
         while frontier.any():
@@ -134,8 +138,9 @@ def load_molecule(name):
 
     Files use YAML with fields `name` (string), `nodes` (int, at most
     MAX_NODES), `edges` (list of [i, j, weight], 1-based) and optional
-    `classes` (list of lists of node indices) and `labels` (list of
-    strings, one per node).
+    `classes` (list of lists of node indices; absent, every site is its
+    own class) and `labels` (list of strings, one per node). Any other
+    top-level key is an error.
     """
     # open() would read an integer as a file descriptor
     if not isinstance(name, (str, os.PathLike)):
@@ -161,35 +166,27 @@ def load_molecule(name):
     missing = {"name", "nodes", "edges"} - doc.keys()
     if missing:
         raise ValueError(f"molecule file {name!r} missing fields: {sorted(missing)}")
+    # a misspelt optional key would otherwise be dropped without a word
+    unknown = doc.keys() - {"name", "nodes", "edges", "classes", "labels"}
+    if unknown:
+        raise ValueError(f"molecule file {name!r} has unknown fields: "
+                         f"{sorted(unknown, key=str)}")
     return MoleculeGraph(name=doc["name"], node_count=doc["nodes"], edges=doc["edges"],
                          classes=doc.get("classes"), labels=doc.get("labels"))
 
 
-def adjacency(g):
-    """Weighted adjacency matrix A, symmetric with zero diagonal: the
-    read-only array the graph built when it was constructed."""
-    return g._adjacency
-
-
 def laplacian(g):
     """Weighted graph Laplacian L = D - A; positive semidefinite, zero row sums."""
-    A = adjacency(g)
+    A = g.adjacency
     return np.diag(A.sum(axis=1)) - A
 
 
 def degrees(g):
     """Unweighted degree (incident edge count) per node, index 0 = node 1."""
-    return np.count_nonzero(adjacency(g), axis=1)
+    return np.count_nonzero(g.adjacency, axis=1)
 
 
 def weighted_degrees(g):
     """Sum of incident edge weights per node, index 0 = node 1."""
-    return adjacency(g).sum(axis=1)
+    return g.adjacency.sum(axis=1)
 
-
-def equivalence_classes(g):
-    """Symmetry-equivalence partition of the nodes: the stored classes, or
-    singleton classes for a graph without them."""
-    if g.classes is not None:
-        return g.classes
-    return tuple((k,) for k in range(1, g.node_count + 1))

@@ -91,8 +91,7 @@ def site_reports(g, series):
     obs = _observables(g, series)
     if len(obs.times) == 0:
         raise ValueError("empty series")
-    classes = graphs.equivalence_classes(g)
-    class_of = {m: g.labels[cls[0] - 1] for cls in classes for m in cls}
+    class_of = {m: g.labels[cls[0] - 1] for cls in g.classes for m in cls}
     mp = obs.maxp.mean(axis=0)
     tp = obs.trp.mean(axis=0)
     return tuple(
@@ -108,8 +107,11 @@ def detect_period(series, revival_tol=1e-3):
     The series deviation from its t = 0 sample is scanned for a departure
     (first sample above revival_tol) followed by a return below it; the
     return time is the period. A series that never departs is constant at
-    this tolerance and reports the first positive sample.
+    this tolerance and reports the first positive sample. revival_tol must
+    be a finite real number > 0.
     """
+    if not (graphs._is_real(revival_tol) and 0 < revival_tol < np.inf):
+        raise ValueError(f"revival_tol must be a finite number > 0, got {revival_tol!r}")
     times, mats = series.times, series.matrices
     if len(times) < 2:
         return None
@@ -277,10 +279,11 @@ def classify_modes(reports, g):
     The split is a two-cluster partition of the means; when all means
     agree the molecule-wide median is used instead (every site lands in
     the low bucket). Ties between equally matching patterns keep catalog
-    order. Molecules without catalog patterns get an empty match.
+    order. Molecules without catalog patterns get an empty match. reports
+    is a sequence with one report per site.
     """
     by_node = {r.node: r.maxp_mean for r in reports}
-    if sorted(by_node) != list(range(1, g.node_count + 1)):
+    if len(reports) != g.node_count or sorted(by_node) != list(range(1, g.node_count + 1)):
         raise ValueError("reports must cover every site exactly once")
     values = np.array([by_node[k] for k in range(1, g.node_count + 1)])
     thr = _two_means_threshold(values)

@@ -35,7 +35,7 @@ def reference_layout(g, coin="unweighted"):
     stay route to the next slot around the node and the partner slot
     found by one searchsorted per slot. Independent of dtqw._ArcTable."""
     n = g.node_count
-    A = aw.adjacency(g)
+    A = g.adjacency
     nbrs = [np.nonzero(A[x])[0] for x in range(n)]
     deg = np.array([nb.size for nb in nbrs])
     first = np.concatenate(([0], np.cumsum(deg)))[:n]

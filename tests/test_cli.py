@@ -291,7 +291,7 @@ def test_simulate_bytes_match_unstreamed_rows(runner, tmp_path, molecule):
             for t, mp, tp in zip(times, mp_col, tp_col)]
     assert read_bytes(os.path.join(out, "site_series.csv")) == write_csv_text(
         ("molecule", "node", "t", "maxp", "trp"), rows)
-    classes = {m: g.labels[c[0] - 1] for c in aw.equivalence_classes(g) for m in c}
+    classes = {m: g.labels[c[0] - 1] for c in g.classes for m in c}
     report = [(g.name, str(k), classes[k], _fmt(mp), _fmt(tp))
               for k, mp, tp in zip(range(1, g.node_count + 1),
                                    mp_all.mean(axis=0), tp_all.mean(axis=0))]
@@ -406,6 +406,8 @@ CHAIN = "edges: [[1, 2, 1.5], [2, 3, 1.5]]"
     pytest.param("allyl", "edges: [[1, 2, 1.5]", id="unclosed-flow-sequence"),
     pytest.param("allyl", f"\t{CHAIN}", id="tab-indented-key"),
     pytest.param("allyl", 'edges: !!python/object/apply:os.system ["true"]', id="python-tag"),
+    pytest.param("allyl", f"{CHAIN}\nclases: [[1, 3], [2]]", id="misspelt-classes"),
+    pytest.param("allyl", f"{CHAIN}\n7: x", id="integer-key"),
 ])
 def test_rank_rejects_malformed_molecule_file(runner, tmp_path, name, field):
     # each of these ended in a TypeError traceback, was read as weight 1.0,
@@ -419,6 +421,24 @@ def test_rank_rejects_malformed_molecule_file(runner, tmp_path, name, field):
     assert res.exit_code == 2, res.output
     assert "configuration error" in res.output
     assert not os.path.exists(out)
+
+
+def test_absent_classes_write_the_bytes_of_singleton_classes(runner, tmp_path):
+    # a symmetric chain, so pooling C1 with C3 would show in both files
+    outputs = []
+    for extra in ("", "classes: [[3], [1], [2]]\n"):
+        path = tmp_path / f"allyl{len(outputs)}.yaml"
+        path.write_text(f"name: allyl\nnodes: 3\n{CHAIN}\n{extra}")
+        files = []
+        for argv, fname in ((["simulate", "--t-max", "2", "--dt", "0.5"], "site_report.csv"),
+                            (["rank", "--steps", "40"], "ranks.csv")):
+            out = tmp_path / f"{argv[0]}{len(outputs)}"
+            res = runner.invoke(main, [*argv, "-m", str(path), "--out", str(out)])
+            assert res.exit_code == 0, res.output
+            files.append(read_bytes(out / fname))
+        outputs.append(files)
+    assert outputs[0] == outputs[1]
+    assert b",C1," in outputs[0][0] and b",C3," in outputs[0][0]
 
 
 def test_rank_matches_library(runner, tmp_path):
@@ -477,10 +497,9 @@ def complex_ranking(g, start, coin):
         move[ref.cross] = m
         occ += np.bincount(ref.node_of, weights=np.abs(stay) ** 2 + np.abs(move) ** 2,
                            minlength=n)
-    classes = aw.equivalence_classes(g)
-    class_scores = np.array([occ[[m - 1 for m in cls]].mean() for cls in classes])
+    class_scores = np.array([occ[[m - 1 for m in cls]].mean() for cls in g.classes])
     scores, ranks = [0.0] * n, [0] * n
-    for cls, cs, cr in zip(classes, class_scores, metrics._dense_ranks(class_scores)):
+    for cls, cs, cr in zip(g.classes, class_scores, metrics._dense_ranks(class_scores)):
         for member in cls:
             scores[member - 1], ranks[member - 1] = float(cs), int(cr)
     return tuple(scores), tuple(ranks)
@@ -679,7 +698,7 @@ def test_export_graph_round_trip(runner, tmp_path):
     rows = read_csv(os.path.join(out, "adjacency.csv"))
     assert rows[0] == ["label"] + list(g.labels)
     A = np.array([[float(x) for x in row[1:]] for row in rows[1:]])
-    npt.assert_allclose(A, aw.adjacency(g), atol=1e-12)
+    npt.assert_allclose(A, g.adjacency, atol=1e-12)
     rows = read_csv(os.path.join(out, "laplacian.csv"))
     L = np.array([[float(x) for x in row[1:]] for row in rows[1:]])
     npt.assert_allclose(L, aw.laplacian(g), atol=1e-12)
@@ -697,7 +716,7 @@ def test_export_graph_bytes(runner, tmp_path, molecule):
     res = runner.invoke(main, ["export-graph", "-m", molecule, "--out", out])
     assert res.exit_code == 0, res.output
     g = aw.load_molecule(molecule)
-    for fname, M in (("adjacency.csv", aw.adjacency(g)), ("laplacian.csv", aw.laplacian(g))):
+    for fname, M in (("adjacency.csv", g.adjacency), ("laplacian.csv", aw.laplacian(g))):
         rows = [(g.labels[i], *(_fmt(v) for v in M[i])) for i in range(g.node_count)]
         assert read_bytes(os.path.join(out, fname)) == write_csv_text(
             ("label", *g.labels), rows)

@@ -1,5 +1,6 @@
 """Molecule graph construction, validation, and matrix builders."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -147,7 +148,7 @@ def test_default_labels():
 
 def test_adjacency_benzene():
     g = aw.load_molecule("benzene")
-    A = aw.adjacency(g)
+    A = g.adjacency
     npt.assert_array_equal(A, A.T)
     assert np.all(np.diag(A) == 0)
     # node 1 bonds to 2 and 6 only
@@ -158,12 +159,12 @@ def test_adjacency_benzene():
 
 def test_adjacency_single_edge():
     g = MoleculeGraph(name="pair", node_count=2, edges=((1, 2, 0.7),))
-    npt.assert_array_equal(aw.adjacency(g), [[0.0, 0.7], [0.7, 0.0]])
+    npt.assert_array_equal(g.adjacency, [[0.0, 0.7], [0.7, 0.0]])
 
 
 def assert_matrices_match_edge_loops(g):
     A = loop_adjacency(g)
-    for got, want in ((aw.adjacency(g), A), (aw.laplacian(g), np.diag(A.sum(axis=1)) - A),
+    for got, want in ((g.adjacency, A), (aw.laplacian(g), np.diag(A.sum(axis=1)) - A),
                       (aw.degrees(g), loop_degrees(g)), (aw.weighted_degrees(g), A.sum(axis=1))):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -192,7 +193,7 @@ def test_connectivity_matches_dfs(graph):
 
 
 def test_adjacency_is_read_only():
-    A = aw.adjacency(aw.load_molecule("benzene"))
+    A = aw.load_molecule("benzene").adjacency
     with pytest.raises(ValueError, match="read-only"):
         A[0, 1] = 5.0
 
@@ -207,7 +208,7 @@ def test_graph_from_lists_equals_graph_from_tuples():
         assert type(getattr(lists, field)) is tuple
     assert all(type(e) is tuple for e in lists.edges)
     assert all(type(c) is tuple for c in lists.classes)
-    assert np.array_equal(aw.adjacency(lists), aw.adjacency(tuples))
+    assert np.array_equal(lists.adjacency, tuples.adjacency)
 
 
 @pytest.mark.parametrize("fields", [{"edges": 5}, {"classes": 5}, {"labels": 5},
@@ -279,12 +280,15 @@ def test_laplacian_psd_and_connected():
 
 def test_equivalence_classes_of_loaded_graph():
     g = aw.load_molecule("naphthalene")
-    assert aw.equivalence_classes(g) == g.classes == ((1, 2, 6, 7), (3, 5, 8, 10), (4, 9))
+    assert g.classes == ((1, 2, 6, 7), (3, 5, 8, 10), (4, 9))
 
 
 def test_equivalence_classes_default_singletons():
     g = MoleculeGraph(name="tri", node_count=3, edges=((1, 2, 1.0), (2, 3, 1.0)))
-    assert aw.equivalence_classes(g) == ((1,), (2,), (3,))
+    assert g.classes == ((1,), (2,), (3,))
+    # replacing the classes with None reads the sites unpooled again
+    unpooled = dataclasses.replace(aw.load_molecule("naphthalene"), classes=None)
+    assert unpooled.classes == tuple((k,) for k in range(1, 11))
 
 
 # ---------------------------------------------------------------- loading
@@ -318,6 +322,15 @@ def test_load_molecule_missing_field(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump({"name": "bad", "nodes": 2}))
     with pytest.raises(ValueError):
+        aw.load_molecule(str(path))
+
+
+def test_load_molecule_rejects_unknown_fields(tmp_path):
+    # a misspelt `classes` was dropped, so the sites were silently unpooled
+    path = tmp_path / "typo.yaml"
+    path.write_text("name: allyl\nnodes: 3\nedges: [[1, 2, 1.5], [2, 3, 1.5]]\n"
+                    "clases: [[1, 3], [2]]\n3: x\n")
+    with pytest.raises(ValueError, match=r"unknown fields: \[3, 'clases'\]"):
         aw.load_molecule(str(path))
 
 
@@ -444,3 +457,6 @@ def test_bad_class_partition_rejected():
             edges=((1, 2, 1.0),),
             classes=((1, 2), (2,)),  # node 2 twice
         )
+    # an empty list is not the absent key: it still fails to partition
+    with pytest.raises(ValueError, match="partition"):
+        MoleculeGraph(name="bad", node_count=2, edges=((1, 2, 1.0),), classes=[])

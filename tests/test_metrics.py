@@ -163,6 +163,17 @@ def test_single_sample_has_no_period():
     assert aw.detect_period(aw.EvolutionSeries(np.zeros(0), np.zeros((0, 3, 3)))) is None
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0, 0, True, "0.01", None])
+def test_detect_period_rejects_bad_revival_tol(tol):
+    # nan read every sample as "never departed" and reported t = dt as the
+    # period; a negative tolerance read every sample as departed and never back
+    s = aw.EvolutionSeries(np.array([0.0, 0.01]), np.stack([np.eye(3), np.eye(3)]))
+    with pytest.raises(ValueError, match="revival_tol"):
+        aw.detect_period(s, revival_tol=tol)
+    with pytest.raises(ValueError, match="revival_tol"):
+        aw.detect_period(aw.EvolutionSeries(np.zeros(0), np.zeros((0, 3, 3))), revival_tol=tol)
+
+
 # ---------------------------------------------------------------- stability
 
 def test_overall_mean_trp_matches_reports(full_series):
@@ -331,6 +342,17 @@ def test_mode_classification_requires_full_coverage(full_series):
     reports = aw.site_reports(g, s)
     with pytest.raises(ValueError):
         aw.classify_modes(reports[:-1], g)
+
+
+def test_mode_classification_rejects_repeated_site(full_series):
+    # a second report for node 4 used to overwrite the first in the
+    # coverage check and put node 4 alone in the high bucket
+    g, s = full_series["naphthalene"]
+    reports = aw.site_reports(g, s)
+    extra = dataclasses.replace(reports[3], maxp_mean=1.0)
+    for bad in (reports + (extra,), (extra,) + reports):
+        with pytest.raises(ValueError, match="exactly once"):
+            aw.classify_modes(bad, g)
 
 
 @settings(max_examples=60, deadline=None)
