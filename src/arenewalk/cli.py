@@ -255,13 +255,10 @@ def stability(cfg):
     # every Hamiltonian is checked before any molecule is evolved
     props = [ctqw.propagator(ctqw.hamiltonian(g, cfg.get("gamma_scale"))) for g in molecules]
     t_max, dt = cfg.get("t_max"), cfg.get("dt")
-    entries = []
-    for g, prop in zip(molecules, props):
-        # obs stays alive through the next molecule's pass: freed earlier,
-        # malloc hands its pages back to the OS and the next pass faults
-        # them in again (4x the page faults, 15% slower on acenes 1-5)
-        obs = metrics.observe(prop, t_max, dt)
-        entries.append(metrics.stability_entry(g, obs, t_max, dt))
+    # each molecule's observables are reduced to its entry, and dropped,
+    # before the next molecule is evolved
+    entries = [metrics.stability_entry(g, metrics.observe(prop, t_max, dt), t_max, dt)
+               for g, prop in zip(molecules, props)]
     report = metrics.stability_order(entries)
     click.echo(report.order_string())
     rows = report.rows

@@ -7,8 +7,11 @@ of times it is one product of the eigenvector pairs Q[j, l] Q[k, l] with
 j <= k and the phases: the upper triangle, which one (N, N) index array
 gathers back to the full matrices. unitary and evolve share that product,
 so a sample has the same bits from either. A grid is evolved in blocks of
-BLOCK_BYTES, so memory stays bounded by one block plus whatever the caller
-keeps of it.
+BLOCK_BYTES. Beyond what the caller keeps of the blocks, a pass holds at
+most BLOCK_BYTES + 24 N^2 (N + 1) / 2 bytes: a block's temporaries stay
+within BLOCK_BYTES, and the N^2 (N + 1) / 2 pair entries, computed once
+per pass, take 8 bytes each, plus 16 for numpy's complex copy of them in
+each product.
 hbar = 1 throughout.
 """
 from __future__ import annotations
@@ -20,10 +23,12 @@ import numpy as np
 from . import graphs
 
 # Bytes of a complex (samples, N, N) block that set its sample count; the
-# upper triangle evolved per block is about half of that. On a 2-core x86
-# host 8 MB was the fastest for N = 14 and 22, and 1-32 MB all ran within
-# about 30% of it.
-BLOCK_BYTES = 8 << 20
+# upper triangle evolved per block is about half of that. observe at 1, 2,
+# 4 and 8 MB on a 2-core x86 host took 21.6, 19.6, 20.5 and 29.4 ms at
+# N = 14 (20001 samples), 43.7, 47.3, 48.5 and 49.0 ms at N = 22 (20001)
+# and 31.0, 23.3, 22.8 and 25.1 ms at N = 50 (2001): 2 MB is within 8% of
+# the fastest size at each N.
+BLOCK_BYTES = 2 << 20
 # Largest sampling grid accepted; checked before anything is allocated.
 MAX_SAMPLES = 10_000_000
 
@@ -82,31 +87,37 @@ def propagator(h):
     return Propagator(eigenvalues=lam, eigenvectors=Q)
 
 
-def _unitaries(p, times):
-    """The upper triangle of U(t) = Q diag(exp(-i lam t)) Q^T at each of
-    times, shaped (N(N+1)/2, samples): row r is U[j, k] for the r-th pair
-    j <= k in row-major order, pairs[l, r] = Q[j, l] Q[k, l] times the
-    phases. _square gathers it to (samples, N, N)."""
-    # numpy evaluates a one-column product as a matrix-vector product, which
-    # rounds differently, so a lone sample is evaluated as a pair
-    if len(times) == 1:
-        return _unitaries(p, [times[0], times[0]])[:, :1]
+def _triangle(p):
+    """The invariants of every product of a pass: the eigenvector pairs
+    pairs[r, l] = Q[j, l] Q[k, l] for the r-th pair j <= k in row-major
+    order, shaped (N(N+1)/2, N), and the (N, N) index array whose [j, k]
+    and [k, j] both hold r."""
     Q = p.eigenvectors
-    j, k = np.triu_indices(len(Q))
-    phases = np.exp(-1j * np.outer(times, p.eigenvalues))
-    pairs = Q.T[:, j] * Q.T[:, k]
-    # t is the fastest axis in memory: a C-ordered phases @ pairs gives the
-    # same values, but site_observables then reduces over rows of only N
-    # elements and observe ran 1.6x slower
-    return pairs.T @ phases.T
-
-
-def _square(tri, n):
-    """The (samples, N, N) symmetric matrices whose upper triangles are the
-    rows of tri, gathered by one (N, N) index array; t stays the fastest axis."""
+    n = len(Q)
     j, k = np.triu_indices(n)
     index = np.empty((n, n), dtype=np.intp)
     index[j, k] = index[k, j] = np.arange(len(j))
+    return (Q.T[:, j] * Q.T[:, k]).T, index
+
+
+def _unitaries(p, pairs, times):
+    """The upper triangle of U(t) = Q diag(exp(-i lam t)) Q^T at each of
+    times, shaped (N(N+1)/2, samples): row r is U[j, k] for the r-th pair
+    of _triangle, pairs times the phases."""
+    # numpy evaluates a one-column product as a matrix-vector product, which
+    # rounds differently, so a lone sample is evaluated as a pair
+    if len(times) == 1:
+        return _unitaries(p, pairs, [times[0], times[0]])[:, :1]
+    phases = np.exp(-1j * np.outer(times, p.eigenvalues))
+    # t is the fastest axis in memory: a C-ordered phases @ pairs.T gives the
+    # same values, but site_observables then reduces over rows of only N
+    # elements and observe ran 1.6x slower
+    return pairs @ phases.T
+
+
+def _square(tri, index):
+    """The (samples, N, N) symmetric matrices whose upper triangles are the
+    rows of tri, gathered by the index of _triangle; t stays the fastest axis."""
     return tri[index].transpose(2, 0, 1)
 
 
@@ -126,7 +137,8 @@ def unitary(p, t):
         raise ValueError(f"t must be a real number, got {t!r}")
     t = float(t)
     _check_phases(p, t)
-    return _square(_unitaries(p, [t]), len(p.eigenvalues))[0]
+    pairs, index = _triangle(p)
+    return _square(_unitaries(p, pairs, [t]), index)[0]
 
 
 def evolve_ensemble(p, t):
@@ -172,13 +184,17 @@ def evolve(p, t_max, dt, reduce):
     n = len(p.eigenvalues)
     step = max(1, BLOCK_BYTES // (16 * n * n))
     bounds = list(range(0, count, step)) + [count]
+    pairs, index = _triangle(p)
     outputs = None
     for start, stop in zip(bounds, bounds[1:]):
-        parts = reduce(_square(np.abs(_unitaries(p, times[start:stop])) ** 2, n))
+        parts = reduce(_square(np.abs(_unitaries(p, pairs, times[start:stop])) ** 2, index))
         if outputs is None:
             outputs = tuple(np.empty((count,) + a.shape[1:], dtype=a.dtype) for a in parts)
         for out, part in zip(outputs, parts):
             out[start:stop] = part
+        # dropped before the next block, whose temporaries then fill
+        # BLOCK_BYTES alone
+        del parts, part
     return times, outputs
 
 

@@ -83,6 +83,12 @@ class _ArcTable:
         self.cross, self.prev, self.a, self.b = cross, prev, a, b
         self.src = np.concatenate((prev, cross, prev + s, cross + s))
         self.coef = np.concatenate((a[prev], b[cross], b[prev], -a[cross]))
+        # _node_sums's columns: for k = 1, 2, ..., the nodes with more than
+        # k slots and the k-th slot of each (counting from 0)
+        self.folds = []
+        for k in range(1, int(deg.max())):
+            nodes = np.nonzero(deg > k)[0]
+            self.folds.append((nodes, first[nodes] + k))
 
 
 def _step(v, src, coef, out=None):
@@ -96,9 +102,8 @@ def _node_sums(arcs, p):
     """Per-node sums of slot values p (rows, slots), each node's slots
     added in slot order."""
     sums = p[:, arcs.first]
-    for k in range(1, int(arcs.deg.max())):
-        nodes = np.nonzero(arcs.deg > k)[0]
-        sums[:, nodes] += p[:, arcs.first[nodes] + k]
+    for nodes, slots in arcs.folds:
+        sums[:, nodes] += p[:, slots]
     return sums
 
 

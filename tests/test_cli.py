@@ -628,6 +628,22 @@ def test_stability_bytes_match_unstreamed(runner, tmp_path):
         ("molecule", "mean_trp", "rank"), rows)
 
 
+def test_stability_holds_one_molecules_observables(tmp_path):
+    # MAXP and TRP of the largest molecule, 16 * N bytes per sample, plus
+    # one block and 1 MiB for the rest; a second molecule's observables
+    # would not fit
+    samples = len(ctqw._grid(200.0, 0.01))
+    largest = max(aw.load_molecule(name).node_count for name in aw.CATALOG)
+    tracemalloc.start()
+    try:
+        main(["stability", *[a for m in aw.CATALOG for a in ("-m", m)],
+              "--out", str(tmp_path)], standalone_mode=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * largest * samples + ctqw.BLOCK_BYTES + (1 << 20)
+
+
 @pytest.mark.parametrize("second", ["benzene", "catalog-name-file"])
 def test_stability_rejects_repeated_molecule(runner, tmp_path, monkeypatch, second):
     # the repeat is caught before any molecule is evolved

@@ -297,10 +297,11 @@ def assert_blocked_equals_whole_grid(g, t_max):
 
 @pytest.mark.parametrize("t_max", [0.005, 0.05, 50.0])
 def test_blocked_series_equals_whole_grid(t_max):
-    # 1, 6 and 5001 samples; the last spans two default blocks for N = 14
+    # 1, 6 and 5001 samples; the last spans 2 default blocks for N = 6, 4
+    # for N = 10 and 8 for N = 14
     for name in aw.CATALOG:
         assert_blocked_equals_whole_grid(aw.load_molecule(name), t_max)
-    # a 50-node block holds 209 samples, so 501 span three; the reference
+    # a 50-node block holds 52 samples, so 501 span ten; the reference
     # over 5001 samples would hold 300 MB
     assert_blocked_equals_whole_grid(ladder(25), min(t_max, 5.0))
 
@@ -334,6 +335,29 @@ def test_unitary_peak_memory_is_the_triangle():
     finally:
         tracemalloc.stop()
     assert peak < 16 * n ** 3
+
+
+@pytest.mark.parametrize("molecule, t_max", [*((name, 200.0) for name in aw.CATALOG),
+                                             (50, 20.0), (128, 1.0)])
+def test_observe_memory_beyond_outputs_is_the_stated_bound(molecule, t_max):
+    # the module docstring's bound: one block plus the pairs and their
+    # complex copy; every grid spans several blocks
+    if isinstance(molecule, int):
+        g = MoleculeGraph(name="ring", node_count=molecule,
+                          edges=tuple((k, k % molecule + 1, 1.5) for k in range(1, molecule + 1)))
+    else:
+        g = aw.load_molecule(molecule)
+    n = g.node_count
+    p = aw.propagator(aw.hamiltonian(g))
+    tracemalloc.start()
+    try:
+        obs = aw.observe(p, t_max, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(obs.times) > 2 * ctqw.BLOCK_BYTES // (16 * n * n)
+    outputs = obs.times.nbytes + obs.maxp.nbytes + obs.trp.nbytes
+    assert peak - outputs <= ctqw.BLOCK_BYTES + 24 * n * n * (n + 1) // 2
 
 
 # t_max 5, dt 0.01 gives 501 samples: blocks of 7 leave a ragged 4-sample
