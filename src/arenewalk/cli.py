@@ -149,6 +149,9 @@ def _writer(*options):
                 "command": command,
                 "package": {"name": "arenewalk", "version": __version__},
                 "libraries": {"python": platform.python_version(), "numpy": np.__version__},
+                # eigh's bits can depend on the BLAS thread count
+                "blas_env": {k: v for k, v in sorted(os.environ.items())
+                             if k.startswith(("OPENBLAS_", "OMP_", "MKL_"))},
                 "config": cfg,
                 "outputs": list(files),
                 "wall_time_s": round(time.perf_counter() - started, 6),

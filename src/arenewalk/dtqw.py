@@ -30,7 +30,9 @@ own inverse), so
 and the step is w = v[src] * coef, v' = w[:2S] + w[2S:] over the S slots.
 These are the coin's own products added in the coin's order, and
 x - y is exactly x + (-y), so the gather is bit-identical to coin then
-route.
+route. `_walk` is the only step: it runs a whole block of steps in one
+call, writing each step's products w into the `terms` buffer its arc
+table owns and each new state into its row of the block.
 
 rank_nodes writes BLOCK_BYTES of consecutive states at a time and folds
 the whole block into the node occupancies at once: it squares the
@@ -60,7 +62,9 @@ BLOCK_BYTES = 1 << 18
 class _ArcTable:
     """Arc slots of the directed graph walk and its step's gather (see
     module docstring), built from the adjacency's nonzeros: their
-    row-major order is the slot order."""
+    row-major order is the slot order. The table owns the buffer `_walk`
+    writes each step's products into, so it serves one walk at a time and
+    is not safe to share between threads."""
 
     def __init__(self, g, coin="unweighted"):
         if coin not in ("unweighted", "weighted"):
@@ -83,6 +87,9 @@ class _ArcTable:
         self.cross, self.prev, self.a, self.b = cross, prev, a, b
         self.src = np.concatenate((prev, cross, prev + s, cross + s))
         self.coef = np.concatenate((a[prev], b[cross], b[prev], -a[cross]))
+        # one step's products: those of the stay amplitudes, then the move's
+        self.terms = np.empty(4 * s)
+        self.from_stay, self.from_move = self.terms[:2 * s], self.terms[2 * s:]
         # _node_sums's columns: for k = 1, 2, ..., the nodes with more than
         # k slots and the k-th slot of each (counting from 0)
         self.folds = []
@@ -91,11 +98,18 @@ class _ArcTable:
             self.folds.append((nodes, first[nodes] + k))
 
 
-def _step(v, src, coef, out=None):
-    """One coin-then-route step of the stacked amplitudes v = [stay | move]."""
-    w = v[src]
-    w *= coef
-    return np.add(w[:v.size], w[v.size:], out=out)
+def _walk(v, arcs, rows):
+    """Coin-then-route steps of the stacked amplitudes v = [stay | move],
+    one per row of rows, each state written into its row; returns the
+    last state."""
+    src, coef, terms = arcs.src, arcs.coef, arcs.terms
+    from_stay, from_move = arcs.from_stay, arcs.from_move
+    multiply, add = np.multiply, np.add
+    # out is passed by position: a keyword costs about 5% of a step
+    for row in rows:
+        multiply(v[src], coef, terms)
+        v = add(from_stay, from_move, row)
+    return v
 
 
 def _node_sums(arcs, p):
@@ -148,23 +162,21 @@ def rank_nodes(g, steps=None, start=1, coin="unweighted"):
         steps = 10 * n * n
     if not graphs._is_int(steps) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
-    arcs = _ArcTable(g, coin)
     if not graphs._is_int(start):
         raise ValueError(f"start must be an integer node, got {start!r}")
     if not 1 <= start <= n:
         raise ValueError(f"start node {start} outside [1, {n}]")
+    arcs = _ArcTable(g, coin)
     s = arcs.node_of.size
     # the start node's slots share the stay amplitude equally
     v = np.zeros(2 * s)
     base, d = arcs.first[start - 1], arcs.deg[start - 1]
     v[base:base + d] = 1.0 / math.sqrt(d)
-    src, coef = arcs.src, arcs.coef
     history = np.empty((min(_block_rows(s), steps), 2 * s))
     occ = np.zeros(n)
     for done in range(0, steps, len(history)):
         block = history[:steps - done]
-        for row in block:
-            v = _step(v, src, coef, out=row)
+        v = _walk(v, arcs, block)
         p = block[:, :s] ** 2
         p += block[:, s:] ** 2
         sums = _node_sums(arcs, p)

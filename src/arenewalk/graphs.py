@@ -5,7 +5,8 @@ weights are dimensionless relative bond strength orders. A MoleculeGraph
 owns what is derived from its input: the weighted adjacency matrix, built
 once while the bonds are validated and kept read-only (laplacian, degrees
 and weighted_degrees read it), and the symmetry partition `classes`.
-Graphs are frozen after construction and safe to share between threads.
+Graphs are frozen after construction and safe to share between threads;
+the directed walk's arc tables (dtqw._ArcTable) are not.
 """
 from __future__ import annotations
 

@@ -465,6 +465,30 @@ def test_rank_manifest_records_resolved_steps(runner, tmp_path):
     assert manifest["config"]["steps"] == 10 * 6 * 6
 
 
+def test_manifest_records_blas_thread_environment(runner, tmp_path, monkeypatch):
+    for key in list(os.environ):
+        if key.startswith(("OPENBLAS_", "OMP_", "MKL_")):
+            monkeypatch.delenv(key)
+    monkeypatch.setenv("BLAS_NUM_THREADS", "4")
+
+    def run(name):
+        out = str(tmp_path / name)
+        res = runner.invoke(main, ["rank", "-m", "benzene", "--out", out])
+        assert res.exit_code == 0, res.output
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        return manifest["blas_env"], Path(out, "ranks.csv").read_bytes()
+
+    unset, csv_unset = run("unset")
+    assert unset == {}
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")
+    found, csv_found = run("set")
+    assert found == {"MKL_NUM_THREADS": "3", "OMP_NUM_THREADS": "2",
+                     "OPENBLAS_NUM_THREADS": "1"}
+    assert csv_found == csv_unset
+
+
 def test_rank_weighted_coin_flag(runner, tmp_path):
     out = str(tmp_path / "rank")
     res = runner.invoke(

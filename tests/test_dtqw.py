@@ -46,9 +46,10 @@ def start_state(arcs, start):
 
 
 def walk(arcs, v, steps):
-    """[stay | move] after `steps` steps of the walk's own step."""
+    """[stay | move] after `steps` steps of the walk's own step, each
+    walked as a one-row block."""
     for _ in range(steps):
-        v = dtqw._step(v, arcs.src, arcs.coef)
+        v = dtqw._walk(v, arcs, np.empty((1, v.size)))
     return v
 
 
@@ -177,9 +178,40 @@ def test_directed_step_equals_coin_then_route(molecule, coin):
         stay, move = start_state(ref, start)
         v = np.concatenate((stay, move))
         for _ in range(40):
-            v = dtqw._step(v, arcs.src, arcs.coef)
+            v = dtqw._walk(v, arcs, np.empty((1, v.size)))
             stay, move = reference_step(ref, stay, move)
             assert np.array_equal(v, np.concatenate((stay, move)))
+
+
+@pytest.mark.parametrize("molecule", aw.CATALOG)
+def test_walk_block_equals_one_row_blocks(molecule):
+    g = aw.load_molecule(molecule)
+    arcs = dtqw._ArcTable(g)
+    v0 = np.concatenate(start_state(arcs, g.node_count))
+    block = np.empty((37, v0.size))
+    last = dtqw._walk(v0, arcs, block)
+    v = v0
+    for row in block:
+        v = dtqw._walk(v, arcs, np.empty((1, v.size)))
+        assert np.array_equal(v, row)
+    assert np.array_equal(last, block[-1])
+
+
+@pytest.mark.parametrize("coin", ["unweighted", "weighted"])
+def test_walks_sharing_an_arc_table_do_not_interfere(coin):
+    # two walks stepped alternately through one table's product buffer
+    # equal the same walks run on their own
+    g = aw.load_molecule("phenanthrene")
+    arcs = dtqw._ArcTable(g, coin)
+    starts = (1, 11)
+    alone = [dtqw._walk(np.concatenate(start_state(arcs, start)), arcs,
+                        np.empty((50, 2 * arcs.node_of.size)))
+             for start in starts]
+    states = [np.concatenate(start_state(arcs, start)) for start in starts]
+    for _ in range(50):
+        states = [dtqw._walk(v, arcs, np.empty((1, v.size))) for v in states]
+    for v, want in zip(states, alone):
+        assert np.array_equal(v, want)
 
 
 def test_directed_step_spreads_probability():
@@ -425,13 +457,26 @@ def test_rank_nodes_validation():
     for start in ("3", 2.0, True):
         with pytest.raises(ValueError, match="integer"):
             aw.rank_nodes(g, start=start)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="coin"):
         aw.rank_nodes(g, coin="bogus")
-    # steps are checked first, then the coin, then the start
+    # steps are checked first, then the start, then (by the arc table) the coin
     with pytest.raises(ValueError, match="steps"):
         aw.rank_nodes(g, steps=0, start=99, coin="bogus")
-    with pytest.raises(ValueError, match="coin"):
+    with pytest.raises(ValueError, match="outside"):
         aw.rank_nodes(g, start=99, coin="bogus")
+
+
+def test_rank_nodes_checks_start_before_building_arc_table(monkeypatch):
+    def unreachable(g, coin):
+        raise AssertionError("arc table built before the start was checked")
+
+    monkeypatch.setattr(dtqw, "_ArcTable", unreachable)
+    g = aw.load_molecule("benzene")
+    for start, message in ((0, "outside"), (7, "outside"), (2.0, "integer"), (True, "integer")):
+        with pytest.raises(ValueError, match=message):
+            aw.rank_nodes(g, start=start)
+    with pytest.raises(ValueError, match="steps"):
+        aw.rank_nodes(g, steps=0)
 
 
 def test_rank_nodes_norm_guard(monkeypatch):
