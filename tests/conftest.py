@@ -30,6 +30,12 @@ def connected_graphs(draw):
     )
 
 
+def g12(x):
+    """x as "%.12g" prints it, through format() rather than the CLI's table
+    writer, so byte tests do not check the writer against itself."""
+    return format(float(x), ".12g")
+
+
 def reference_layout(g, coin="unweighted"):
     """The arc slots built node by node: each node's neighbour list, the
     stay route to the next slot around the node and the partner slot

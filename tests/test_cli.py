@@ -13,11 +13,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from click.testing import CliRunner
-from conftest import reference_layout
+from conftest import g12, reference_layout
 
 import arenewalk as aw
 from arenewalk import ctqw, graphs, metrics
-from arenewalk.cli import _atomic_write, _fmt, main
+from arenewalk.cli import _atomic_write, main
 from arenewalk.errors import ComputationError
 
 
@@ -286,13 +286,13 @@ def test_simulate_bytes_match_unstreamed_rows(runner, tmp_path, molecule):
     assert res.exit_code == 0, res.output
     g = aw.load_molecule(molecule)
     times, columns, mp_all, tp_all = unstreamed_observables(g, 5.0, 0.01)
-    rows = [(g.name, str(k), _fmt(t), _fmt(mp), _fmt(tp))
+    rows = [(g.name, str(k), g12(t), g12(mp), g12(tp))
             for k, (mp_col, tp_col) in enumerate(columns, start=1)
             for t, mp, tp in zip(times, mp_col, tp_col)]
     assert read_bytes(os.path.join(out, "site_series.csv")) == write_csv_text(
         ("molecule", "node", "t", "maxp", "trp"), rows)
     classes = {m: g.labels[c[0] - 1] for c in g.classes for m in c}
-    report = [(g.name, str(k), classes[k], _fmt(mp), _fmt(tp))
+    report = [(g.name, str(k), classes[k], g12(mp), g12(tp))
               for k, mp, tp in zip(range(1, g.node_count + 1),
                                    mp_all.mean(axis=0), tp_all.mean(axis=0))]
     assert read_bytes(os.path.join(out, "site_report.csv")) == write_csv_text(
@@ -489,6 +489,30 @@ def test_manifest_records_blas_thread_environment(runner, tmp_path, monkeypatch)
     assert csv_found == csv_unset
 
 
+def test_manifest_records_blas_build(runner, tmp_path, monkeypatch):
+    def run(name):
+        out = str(tmp_path / name)
+        res = runner.invoke(main, ["rank", "-m", "benzene", "--out", out])
+        assert res.exit_code == 0, res.output
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        return manifest["blas_build"], Path(out, "ranks.csv").read_bytes()
+
+    found, csv_found = run("found")
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        assert found is None
+    else:
+        assert found["name"] == blas["name"] and found["version"] == blas.get("version")
+        assert set(found) == {"name", "version", "configuration"}
+
+    # numpy before 1.26 has a show_config without mode: the key stays, as null
+    monkeypatch.setattr(np, "show_config", lambda: None)
+    missing, csv_missing = run("missing")
+    assert missing is None
+    assert csv_missing == csv_found
+
+
 def test_rank_weighted_coin_flag(runner, tmp_path):
     out = str(tmp_path / "rank")
     res = runner.invoke(
@@ -541,7 +565,7 @@ def test_rank_bytes_match_complex_walk(runner, tmp_path, molecule, coin):
         res = runner.invoke(main, ["rank", "-m", molecule, "--coin-degree", coin,
                                    "--start", str(start), "--out", out])
         assert res.exit_code == 0, res.output
-        rows = [(str(k), g.labels[k - 1], _fmt(scores[k - 1]), str(ranks[k - 1]))
+        rows = [(str(k), g.labels[k - 1], g12(scores[k - 1]), str(ranks[k - 1]))
                 for k in range(1, g.node_count + 1)]
         assert read_bytes(os.path.join(out, "ranks.csv")) == write_csv_text(
             ("node", "label", "score", "rank"), rows)
@@ -646,7 +670,7 @@ def test_stability_bytes_match_unstreamed(runner, tmp_path):
         tp_all = unstreamed_observables(aw.load_molecule(name), 5.0, 0.01)[3]
         entries.append(aw.StabilityEntry(molecule=name, mean_trp=float(tp_all.mean()),
                                          t_max=5.0, dt=0.01))
-    rows = [(r.molecule, _fmt(r.mean_trp), str(r.rank))
+    rows = [(r.molecule, g12(r.mean_trp), str(r.rank))
             for r in aw.stability_order(entries).rows]
     assert read_bytes(os.path.join(out, "stability.csv")) == write_csv_text(
         ("molecule", "mean_trp", "rank"), rows)
@@ -757,7 +781,7 @@ def test_export_graph_bytes(runner, tmp_path, molecule):
     assert res.exit_code == 0, res.output
     g = aw.load_molecule(molecule)
     for fname, M in (("adjacency.csv", g.adjacency), ("laplacian.csv", aw.laplacian(g))):
-        rows = [(g.labels[i], *(_fmt(v) for v in M[i])) for i in range(g.node_count)]
+        rows = [(g.labels[i], *(g12(v) for v in M[i])) for i in range(g.node_count)]
         assert read_bytes(os.path.join(out, fname)) == write_csv_text(
             ("label", *g.labels), rows)
 
