@@ -17,7 +17,6 @@ from .bondorder import (
 )
 from .ctqw import (
     EvolutionSeries,
-    Hamiltonian,
     Propagator,
     evolve,
     evolve_ensemble,
@@ -57,7 +56,6 @@ __all__ = [
     "CATALOG",
     "ComputationError",
     "EvolutionSeries",
-    "Hamiltonian",
     "MODE_CATALOG",
     "ModePattern",
     "ModeReport",

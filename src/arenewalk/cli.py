@@ -26,7 +26,6 @@ import os
 import platform
 import re
 import sys
-import tempfile
 import time
 
 import click
@@ -108,10 +107,12 @@ def _rows(row, *columns):
 
 def _atomic_write(path, chunks):
     """Write the strings of chunks to a temporary file beside path, then
-    rename it over path: a failure part-way leaves path as it was."""
+    rename it over path: a failure part-way leaves path as it was. The file
+    gets mode 0o666 less the umask, as open(path, "w") gives a new file."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)

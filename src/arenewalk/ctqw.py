@@ -1,6 +1,7 @@
 """Continuous-time quantum walk on a weighted molecular graph.
 
-The generator is the weighted graph Laplacian. Evolution uses a one-time
+The generator is gamma * L, gamma times the weighted graph Laplacian, passed
+as the plain read-only (N, N) float64 matrix. Evolution uses a one-time
 symmetric eigendecomposition, so any time t is reached exactly (no time
 stepping error). U(t) = Q diag(exp(-i lam t)) Q^T is symmetric, so on a set
 of times it is one product of the eigenvector pairs Q[j, l] Q[k, l] with
@@ -34,14 +35,6 @@ MAX_SAMPLES = 10_000_000
 
 
 @dataclass(frozen=True, eq=False)
-class Hamiltonian:
-    """gamma_scale * (D - A) for a molecule graph; real symmetric."""
-
-    matrix: np.ndarray
-    gamma_scale: float
-
-
-@dataclass(frozen=True, eq=False)
 class Propagator:
     """Spectral factors of a Hamiltonian: H = Q diag(eigenvalues) Q^T."""
 
@@ -58,21 +51,24 @@ class EvolutionSeries:
 
 
 def hamiltonian(g, gamma_scale=1.0):
-    """Walk generator for a molecule graph; rejects a gamma_scale that is
-    not a finite real number > 0, or whose product with the Laplacian
-    overflows."""
+    """Walk generator gamma_scale * laplacian(g) for a molecule graph, as a
+    read-only (N, N) float64 array; rejects a gamma_scale that is not a
+    finite real number > 0, or whose product with the Laplacian overflows."""
     if not (graphs._is_real(gamma_scale) and 0 < gamma_scale < np.inf):
         raise ValueError(f"gamma_scale must be a finite real number > 0, got {gamma_scale!r}")
     with np.errstate(over="ignore"):
         matrix = gamma_scale * graphs.laplacian(g)
     if not np.isfinite(matrix).all():
         raise ValueError(f"gamma_scale {gamma_scale!r} overflows the Hamiltonian")
-    return Hamiltonian(matrix=matrix, gamma_scale=float(gamma_scale))
+    matrix.flags.writeable = False
+    return matrix
 
 
 def propagator(h):
-    """Eigendecompose H once; U(t) is then exact for every t."""
-    H = h.matrix if isinstance(h, Hamiltonian) else np.asarray(h, dtype=float)
+    """Eigendecompose the generator once; U(t) is then exact for every t.
+    h is a real symmetric matrix, such as the read-only gamma * L that
+    hamiltonian returns."""
+    H = np.asarray(h, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"Hamiltonian must be square, got {H.shape}")
     # a raw matrix has not passed MoleculeGraph's node ceiling

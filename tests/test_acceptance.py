@@ -50,7 +50,7 @@ def test_c02_spectral_matches_expm_oracle():
     worst = 0.0
     for name in ("benzene", "naphthalene"):
         g = aw.load_molecule(name)
-        H = aw.hamiltonian(g).matrix
+        H = aw.hamiltonian(g)
         p = aw.propagator(aw.hamiltonian(g))
         for t in rng.uniform(0.0, 200.0, size=20):
             B_spec = aw.evolve_ensemble(p, t)

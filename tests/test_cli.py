@@ -330,6 +330,25 @@ def test_atomic_write_failure_keeps_previous_file(tmp_path):
     assert os.listdir(tmp_path) == ["table.csv"]
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_output_files_honour_umask(runner, tmp_path, umask, mode):
+    commands = [["simulate", "-m", "benzene", "--t-max", "1", "--dt", "0.5"],
+                ["rank", "-m", "benzene", "--steps", "10"],
+                ["stability", "-m", "benzene", "-m", "naphthalene", "--t-max", "1"],
+                ["export-graph", "-m", "benzene"]]
+    previous = os.umask(umask)
+    try:
+        for argv in commands:
+            res = runner.invoke(main, [*argv, "--out", str(tmp_path / argv[0])])
+            assert res.exit_code == 0, res.output
+    finally:
+        os.umask(previous)
+    modes = {p.relative_to(tmp_path).as_posix(): oct(p.stat().st_mode & 0o777)
+             for p in tmp_path.glob("*/*")}
+    assert len(modes) == 9
+    assert modes == dict.fromkeys(modes, oct(mode))
+
+
 def test_readme_molecule_file_simulates(runner, tmp_path):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)

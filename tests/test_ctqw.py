@@ -22,7 +22,7 @@ def two_node(w=1.0):
 
 def test_hamiltonian_is_weighted_laplacian():
     g = aw.load_molecule("benzene")
-    H = aw.hamiltonian(g).matrix
+    H = aw.hamiltonian(g)
     npt.assert_allclose(np.diag(H), 2.936)
     assert H[0, 1] == -1.468
     npt.assert_allclose(H, H.T)
@@ -31,8 +31,8 @@ def test_hamiltonian_is_weighted_laplacian():
 
 def test_hamiltonian_scale():
     g = two_node(1.3)
-    H1 = aw.hamiltonian(g).matrix
-    H2 = aw.hamiltonian(g, gamma_scale=2.0).matrix
+    H1 = aw.hamiltonian(g)
+    H2 = aw.hamiltonian(g, gamma_scale=2.0)
     npt.assert_allclose(H2, 2.0 * H1)
     with pytest.raises(ValueError):
         aw.hamiltonian(g, gamma_scale=0.0)
@@ -40,6 +40,23 @@ def test_hamiltonian_scale():
         aw.hamiltonian(g, gamma_scale=-1.0)
     with pytest.raises(ValueError, match="finite"):
         aw.hamiltonian(g, gamma_scale=float("inf"))
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0])
+def test_hamiltonian_is_read_only_scaled_laplacian(gamma):
+    g = aw.load_molecule("naphthalene")
+    H = aw.hamiltonian(g, gamma)
+    assert type(H) is np.ndarray and H.dtype == np.float64
+    assert np.array_equal(H, gamma * aw.laplacian(g))
+    with pytest.raises(ValueError, match="read-only"):
+        H[0, 0] = 0.0
+
+
+def test_propagator_of_hamiltonian_equals_propagator_of_laplacian():
+    g = aw.load_molecule("anthracene")
+    p, q = aw.propagator(aw.hamiltonian(g)), aw.propagator(aw.laplacian(g))
+    assert np.array_equal(p.eigenvalues, q.eigenvalues)
+    assert np.array_equal(p.eigenvectors, q.eigenvectors)
 
 
 @pytest.mark.parametrize("value", [True, "2", None])
@@ -76,7 +93,7 @@ def test_propagator_reconstructs_hamiltonian():
         h = aw.hamiltonian(aw.load_molecule(name))
         p = aw.propagator(h)
         Q, lam = p.eigenvectors, p.eigenvalues
-        npt.assert_allclose(Q @ np.diag(lam) @ Q.T, h.matrix, atol=1e-10)
+        npt.assert_allclose(Q @ np.diag(lam) @ Q.T, h, atol=1e-10)
         npt.assert_allclose(Q.T @ Q, np.eye(len(lam)), atol=1e-10)
 
 
@@ -124,7 +141,7 @@ def test_unitary_matches_expm():
         p = aw.propagator(h)
         for t in rng.uniform(0.0, 200.0, size=5):
             npt.assert_allclose(
-                aw.unitary(p, t), scipy.linalg.expm(-1j * h.matrix * t), atol=1e-8
+                aw.unitary(p, t), scipy.linalg.expm(-1j * h * t), atol=1e-8
             )
 
 
