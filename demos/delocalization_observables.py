@@ -14,7 +14,6 @@ import arenewalk as aw
 # benzene: six equivalent sites, all bonds 1.468
 g = aw.load_molecule("benzene")
 prop = aw.propagator(aw.hamiltonian(g))
-series = aw.time_series(prop, t_max=20.0, dt=0.01)
 
 print("benzene, site C1")
 print(f"{'t':>6} {'maxp':>8} {'trp':>8}")
@@ -23,18 +22,17 @@ for i in range(0, 600, 100):
     print(f"{obs.times[i]:6.2f} {obs.maxp[i, 0]:8.4f} {obs.trp[i, 0]:8.4f}")
 
 # the ring walk revives: occupancies return to their t = 0 pattern
-T = aw.detect_period(series)
+T = aw.detect_period(prop, t_max=20.0, dt=0.01)
 print(f"\nrevival time: {T:.2f}")
-i = int(round(T / 0.01))
-print(f"deviation from the initial ensemble at T: {np.abs(series.matrices[i] - np.eye(6)).max():.2e}")
+print(f"deviation from the initial ensemble at T: {np.abs(aw.evolve_ensemble(prop, T) - np.eye(6)).max():.2e}")
 
 # naphthalene has incommensurate mode gaps, so no revival shows up
 g2 = aw.load_molecule("naphthalene")
-series2 = aw.time_series(aw.propagator(aw.hamiltonian(g2)), t_max=200.0, dt=0.01)
-print(f"\nnaphthalene revival below 0.05 on [0, 200]: {aw.detect_period(series2, revival_tol=0.05)}")
+prop2 = aw.propagator(aw.hamiltonian(g2))
+print(f"\nnaphthalene revival below 0.05 on [0, 200]: {aw.detect_period(prop2, revival_tol=0.05)}")
 
 # per-site time means separate the three naphthalene site families
 print("\nnaphthalene site means")
 print(f"{'site':>4} {'class':>6} {'maxp_mean':>10} {'trp_mean':>9}")
-for rep in aw.site_reports(g2, series2):
+for rep in aw.site_reports(g2, aw.observe(prop2)):
     print(f"{rep.node:>4} {rep.class_id:>6} {rep.maxp_mean:10.6f} {rep.trp_mean:9.6f}")

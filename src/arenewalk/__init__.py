@@ -16,13 +16,11 @@ from .bondorder import (
     wilson_residual,
 )
 from .ctqw import (
-    EvolutionSeries,
     Propagator,
     evolve,
     evolve_ensemble,
     hamiltonian,
     propagator,
-    time_series,
     unitary,
 )
 from .dtqw import NodeRanking, rank_nodes
@@ -55,7 +53,6 @@ from .metrics import (
 __all__ = [
     "CATALOG",
     "ComputationError",
-    "EvolutionSeries",
     "MODE_CATALOG",
     "ModePattern",
     "ModeReport",
@@ -84,7 +81,6 @@ __all__ = [
     "site_reports",
     "stability_entry",
     "stability_order",
-    "time_series",
     "unitary",
     "weighted_degrees",
     "wilson_residual",

@@ -7,12 +7,14 @@ stepping error). U(t) = Q diag(exp(-i lam t)) Q^T is symmetric, so on a set
 of times it is one product of the eigenvector pairs Q[j, l] Q[k, l] with
 j <= k and the phases: the upper triangle, which one (N, N) index array
 gathers back to the full matrices. unitary and evolve share that product,
-so a sample has the same bits from either. A grid is evolved in blocks of
-BLOCK_BYTES. Beyond what the caller keeps of the blocks, a pass holds at
-most BLOCK_BYTES + 24 N^2 (N + 1) / 2 bytes: a block's temporaries stay
-within BLOCK_BYTES, and the N^2 (N + 1) / 2 pair entries, computed once
-per pass, take 8 bytes each, plus 16 for numpy's complex copy of them in
-each product.
+so a sample has the same bits from either. evolve is the one pass over a
+grid: it evolves blocks of BLOCK_BYTES and keeps only what its reduce
+returns of each, so nothing here holds every B(t) of a grid unless the
+reduce keeps it. Beyond what the reduce keeps, a pass holds at most
+BLOCK_BYTES + 24 N^2 (N + 1) / 2 bytes: a block's temporaries stay within
+BLOCK_BYTES, and the N^2 (N + 1) / 2 pair entries, computed once per
+pass, take 8 bytes each, plus 16 for numpy's complex copy of them in each
+product.
 hbar = 1 throughout.
 """
 from __future__ import annotations
@@ -40,14 +42,6 @@ class Propagator:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class EvolutionSeries:
-    """B(t) on a time grid: times (samples,) and matrices (samples, N, N)."""
-
-    times: np.ndarray
-    matrices: np.ndarray
 
 
 def hamiltonian(g, gamma_scale=1.0):
@@ -193,8 +187,3 @@ def evolve(p, t_max, dt, reduce):
         del parts, part
     return times, outputs
 
-
-def time_series(p, t_max=200.0, dt=0.01):
-    """B(t) sampled at t = 0, dt, 2*dt, ... up to t_max inclusive."""
-    times, (matrices,) = evolve(p, t_max, dt, lambda B: (B,))
-    return EvolutionSeries(times, matrices)

@@ -7,9 +7,9 @@ across walkers; a high time mean marks participation in the delocalized
 cloud, and its all-site average orders molecules by stability.
 
 SiteObservables holds both per (sample, site); one site's series is a
-column of it. observe streams it from a propagator without keeping B(t);
-the site reports and the stability score read it, and reduce a full
-EvolutionSeries to it first.
+column of it. observe streams it from a propagator without keeping B(t),
+and the site reports and the stability score read it. detect_period
+streams its own pass, keeping one deviation per sample.
 """
 from __future__ import annotations
 
@@ -76,10 +76,7 @@ def observe(p, t_max=200.0, dt=0.01):
 
 
 def _observables(g, series):
-    """A SiteObservables as is, or the reduction of an EvolutionSeries;
-    either must have one site per node of g."""
-    if not isinstance(series, SiteObservables):
-        series = SiteObservables(series.times, *site_observables(series.matrices))
+    """The SiteObservables series, checked to have one site per node of g."""
     if series.maxp.shape[1] != g.node_count:
         raise ValueError(f"series has {series.maxp.shape[1]} sites, "
                          f"molecule {g.name!r} has {g.node_count} nodes")
@@ -101,21 +98,23 @@ def site_reports(g, series):
     )
 
 
-def detect_period(series, revival_tol=1e-3):
-    """Revival time of an EvolutionSeries, or None.
+def detect_period(p, t_max=200.0, dt=0.01, revival_tol=1e-3):
+    """Revival time of the walk of a propagator on the grid t = 0, dt,
+    2*dt, ... up to t_max inclusive, or None.
 
-    The series deviation from its t = 0 sample is scanned for a departure
-    (first sample above revival_tol) followed by a return below it; the
-    return time is the period. A series that never departs is constant at
-    this tolerance and reports the first positive sample. revival_tol must
-    be a finite real number > 0.
+    B(t) is streamed, keeping only its deviation from B(0) per sample. The
+    deviation is scanned for a departure (first sample above revival_tol)
+    followed by a return below it; the return time is the period. A walk
+    that never departs is constant at this tolerance and reports the first
+    positive sample. revival_tol must be a finite real number > 0.
     """
     if not (graphs._is_real(revival_tol) and 0 < revival_tol < np.inf):
         raise ValueError(f"revival_tol must be a finite number > 0, got {revival_tol!r}")
-    times, mats = series.times, series.matrices
+    # the bits of grid sample 0, which evolve evaluates by the same product
+    B0 = ctqw.evolve_ensemble(p, 0.0)
+    times, (dev,) = ctqw.evolve(p, t_max, dt, lambda B: (np.abs(B - B0).max(axis=(1, 2)),))
     if len(times) < 2:
         return None
-    dev = np.abs(mats - mats[0]).max(axis=(1, 2))
     above = np.nonzero(dev[1:] > revival_tol)[0]
     if above.size == 0:
         return float(times[1])

@@ -1,6 +1,6 @@
 """Shared fixtures, hypothesis strategies and reference constructions.
 
-The full default-grid evolution series (t_max=200, dt=0.01) is expensive
+The default-grid site observables (t_max=200, dt=0.01) are expensive
 enough to be worth computing once per molecule and sharing across the
 whole run.
 """
@@ -60,12 +60,19 @@ def reference_layout(g, coin="unweighted"):
         a=np.sqrt(1.0 / (alpha + 1.0))[node_of], b=np.sqrt(alpha / (alpha + 1.0))[node_of])
 
 
+def every_matrix(p, t_max, dt):
+    """The grid times and every B(t) on them, shaped (samples, N, N): the
+    full evolution that tests compare streamed reductions against."""
+    times, (matrices,) = aw.evolve(p, t_max, dt, lambda B: (B,))
+    return times, matrices
+
+
 @pytest.fixture(scope="session")
 def full_series():
-    """Map molecule name -> (graph, default-grid EvolutionSeries)."""
+    """Map molecule name -> (graph, propagator, default-grid SiteObservables)."""
     out = {}
     for name in aw.CATALOG:
         graph = aw.load_molecule(name)
         prop = aw.propagator(aw.hamiltonian(graph))
-        out[name] = (graph, aw.time_series(prop))
+        out[name] = (graph, prop, aw.observe(prop))
     return out

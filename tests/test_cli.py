@@ -13,7 +13,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from click.testing import CliRunner
-from conftest import g12, reference_layout
+from conftest import every_matrix, g12, reference_layout
 
 import arenewalk as aw
 from arenewalk import ctqw, graphs, metrics
@@ -98,8 +98,8 @@ def test_simulate_values_match_library(runner, tmp_path):
     )
     assert res.exit_code == 0, res.output
     g = aw.load_molecule("naphthalene")
-    s = aw.time_series(aw.propagator(aw.hamiltonian(g)), t_max=2.0, dt=1.0)
-    maxp, trp = aw.site_observables(s.matrices)
+    _, mats = every_matrix(aw.propagator(aw.hamiltonian(g)), t_max=2.0, dt=1.0)
+    maxp, trp = aw.site_observables(mats)
     rows = read_csv(os.path.join(out, "site_series.csv"))[1:]
     for row in rows:
         node, t = int(row[1]), float(row[2])

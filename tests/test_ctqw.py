@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
-from conftest import connected_graphs
+from conftest import connected_graphs, every_matrix
 from hypothesis import given, settings
 
 import arenewalk as aw
@@ -229,37 +229,36 @@ def test_benzene_circulant_symmetry():
 
 def test_series_grid_counts():
     p = aw.propagator(aw.hamiltonian(aw.load_molecule("benzene")))
-    s = aw.time_series(p, t_max=1.0, dt=0.5)
-    npt.assert_allclose(s.times, [0.0, 0.5, 1.0])
-    assert len(aw.time_series(p, t_max=200.0, dt=0.01).times) == 20001
+    times, _ = every_matrix(p, t_max=1.0, dt=0.5)
+    npt.assert_allclose(times, [0.0, 0.5, 1.0])
+    assert len(every_matrix(p, t_max=200.0, dt=0.01)[0]) == 20001
     with pytest.raises(ValueError):
-        aw.time_series(p, t_max=0.0, dt=0.1)
+        every_matrix(p, t_max=0.0, dt=0.1)
     with pytest.raises(ValueError):
-        aw.time_series(p, t_max=1.0, dt=-0.1)
+        every_matrix(p, t_max=1.0, dt=-0.1)
     # np.arange(1) * inf is NaN
     with pytest.raises(ValueError, match="finite"):
-        aw.time_series(p, t_max=1.0, dt=float("inf"))
+        every_matrix(p, t_max=1.0, dt=float("inf"))
     # rejected before allocating: these grids hold 2e302 and infinitely many samples
     with pytest.raises(ValueError, match="samples"):
-        aw.time_series(p, t_max=200.0, dt=1e-300)
+        every_matrix(p, t_max=200.0, dt=1e-300)
     with pytest.raises(ValueError, match="samples"):
-        aw.time_series(p, t_max=float("inf"), dt=0.01)
+        every_matrix(p, t_max=float("inf"), dt=0.01)
 
 
 def test_sample_ceiling_boundary(monkeypatch):
     p = aw.propagator(aw.hamiltonian(aw.load_molecule("benzene")))
     monkeypatch.setattr(ctqw, "MAX_SAMPLES", 100)
-    assert len(aw.time_series(p, t_max=0.99, dt=0.01).times) == 100
+    assert len(every_matrix(p, t_max=0.99, dt=0.01)[0]) == 100
     with pytest.raises(ValueError, match="above the limit of 100"):
-        aw.time_series(p, t_max=1.0, dt=0.01)
+        every_matrix(p, t_max=1.0, dt=0.01)
 
 
 def test_series_matches_single_shot():
     # a lone sample gets the bits it has inside a block of the grid
     for name in aw.CATALOG:
         p = aw.propagator(aw.hamiltonian(aw.load_molecule(name)))
-        s = aw.time_series(p, t_max=5.0, dt=0.01)
-        for t, B in zip(s.times, s.matrices):
+        for t, B in zip(*every_matrix(p, t_max=5.0, dt=0.01)):
             assert np.array_equal(B, aw.evolve_ensemble(p, t))
 
 
@@ -273,14 +272,15 @@ def assert_bistochastic_and_symmetric(M):
 
 def test_series_bistochastic_and_symmetric(full_series):
     for name in aw.CATALOG:
-        assert_bistochastic_and_symmetric(full_series[name][1].matrices)
+        p = full_series[name][1]
+        assert_bistochastic_and_symmetric(every_matrix(p, t_max=200.0, dt=0.01)[1])
 
 
 @settings(max_examples=20, deadline=None)
 @given(connected_graphs())
 def test_series_bistochastic_and_symmetric_random_graphs(g):
     p = aw.propagator(aw.hamiltonian(g))
-    assert_bistochastic_and_symmetric(aw.time_series(p, t_max=20.0, dt=0.1).matrices)
+    assert_bistochastic_and_symmetric(every_matrix(p, t_max=20.0, dt=0.1)[1])
 
 
 def whole_grid_series(p, t_max, dt):
@@ -309,7 +309,7 @@ def ladder(rungs):
 def assert_blocked_equals_whole_grid(g, t_max):
     p = aw.propagator(aw.hamiltonian(g))
     ref = whole_grid_series(p, t_max, 0.01)
-    assert np.array_equal(aw.time_series(p, t_max=t_max, dt=0.01).matrices, ref)
+    assert np.array_equal(every_matrix(p, t_max=t_max, dt=0.01)[1], ref)
 
 
 @pytest.mark.parametrize("t_max", [0.005, 0.05, 50.0])
@@ -384,15 +384,11 @@ def test_streamed_observables_equal_series(monkeypatch, block):
     for name in aw.CATALOG:
         g = aw.load_molecule(name)
         p = aw.propagator(aw.hamiltonian(g))
-        series = aw.time_series(p, t_max=5.0, dt=0.01)
+        times, mats = every_matrix(p, t_max=5.0, dt=0.01)
         if block is not None:
             monkeypatch.setattr(ctqw, "BLOCK_BYTES", 16 * g.node_count ** 2 * block)
-            assert np.array_equal(aw.time_series(p, t_max=5.0, dt=0.01).matrices,
-                                  series.matrices)
+            assert np.array_equal(every_matrix(p, t_max=5.0, dt=0.01)[1], mats)
         obs = aw.observe(p, 5.0, 0.01)
-        assert np.array_equal(obs.times, series.times)
-        maxp, trp = aw.site_observables(series.matrices)
+        assert np.array_equal(obs.times, times)
+        maxp, trp = aw.site_observables(mats)
         assert np.array_equal(obs.maxp, maxp) and np.array_equal(obs.trp, trp)
-        assert aw.site_reports(g, obs) == aw.site_reports(g, series)
-        assert (aw.stability_entry(g, obs, 5.0, 0.01)
-                == aw.stability_entry(g, series, 5.0, 0.01))

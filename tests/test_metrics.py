@@ -6,12 +6,12 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
-from conftest import connected_graphs
+from conftest import connected_graphs, every_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arenewalk as aw
-from arenewalk import metrics
+from arenewalk import ctqw, metrics
 from arenewalk.graphs import MoleculeGraph
 from arenewalk.metrics import _two_means_threshold
 
@@ -48,15 +48,14 @@ def test_uniform_column_pins_both_metrics():
 
 def test_initial_sample_extremes(full_series):
     # at t = 0 the walker sits on its start: maxp 1, trimmed rest 0
-    _, s = full_series["benzene"]
-    mp, tp = aw.site_observables(s.matrices[:1])
-    npt.assert_allclose(mp[0, 1], 1.0, atol=1e-15)
-    npt.assert_allclose(tp[0, 1], 0.0, atol=1e-15)
+    _, _, s = full_series["benzene"]
+    npt.assert_allclose(s.maxp[0, 1], 1.0, atol=1e-15)
+    npt.assert_allclose(s.trp[0, 1], 0.0, atol=1e-15)
 
 
 def test_metric_bounds_and_order(full_series):
-    _, s = full_series["naphthalene"]
-    maxp, trp = aw.site_observables(s.matrices)
+    _, _, s = full_series["naphthalene"]
+    maxp, trp = s.maxp, s.trp
     for node in (1, 4, 9):
         mp = maxp[:, node - 1]
         tp = trp[:, node - 1]
@@ -68,8 +67,8 @@ def test_metric_bounds_and_order(full_series):
 
 
 def test_metrics_match_brute_force(full_series):
-    _, s = full_series["benzene"]
-    mats = s.matrices[:200]
+    _, p, _ = full_series["benzene"]
+    _, mats = every_matrix(p, t_max=1.99, dt=0.01)
     maxp, trp = aw.site_observables(mats)
     for node in (1, 4):
         for i in range(len(mats)):
@@ -101,7 +100,7 @@ def test_relabelling_permutes_observables(g, data):
 # ---------------------------------------------------------------- reports
 
 def test_benzene_site_means_frozen(full_series):
-    g, s = full_series["benzene"]
+    g, _, s = full_series["benzene"]
     reports = aw.site_reports(g, s)
     mp = [r.maxp_mean for r in reports]
     tp = [r.trp_mean for r in reports]
@@ -113,7 +112,7 @@ def test_benzene_site_means_frozen(full_series):
 
 
 def test_naphthalene_three_site_families(full_series):
-    g, s = full_series["naphthalene"]
+    g, _, s = full_series["naphthalene"]
     reports = aw.site_reports(g, s)
     # equal means inside each symmetry class
     for cls in g.classes:
@@ -130,54 +129,95 @@ def test_naphthalene_three_site_families(full_series):
 # ---------------------------------------------------------------- revivals
 
 def test_benzene_revival_time(full_series):
-    _, s = full_series["benzene"]
-    T = aw.detect_period(s)
+    _, p, _ = full_series["benzene"]
+    T = aw.detect_period(p)
     assert T is not None
     assert abs(T - 4.27) < 1e-9
     # deviation at the detected revival really is below the tolerance
-    i = int(round(T / 0.01))
-    dev = np.abs(s.matrices[i] - s.matrices[0]).max()
+    dev = np.abs(aw.evolve_ensemble(p, T) - aw.evolve_ensemble(p, 0.0)).max()
     assert dev < 1e-3
 
 
 def test_fused_molecules_never_revive(full_series):
     for name in ("naphthalene", "anthracene", "phenanthrene"):
-        _, s = full_series[name]
-        assert aw.detect_period(s, revival_tol=0.05) is None
+        _, p, _ = full_series[name]
+        assert aw.detect_period(p, revival_tol=0.05) is None
 
 
 def test_constant_series_reports_first_sample():
+    # the zero generator never moves a walker
     p = aw.propagator(np.zeros((4, 4)))
-    s = aw.time_series(p, t_max=1.0, dt=0.25)
-    assert aw.detect_period(s) == pytest.approx(0.25)
+    assert aw.detect_period(p, t_max=1.0, dt=0.25) == pytest.approx(0.25)
 
 
 def test_departed_series_without_return():
-    mats = np.stack([np.eye(3), np.full((3, 3), 1.0 / 3)])
-    assert aw.detect_period(aw.EvolutionSeries(np.array([0.0, 1.0]), mats)) is None
+    # benzene's walkers leave their starts at once and first return at 4.27
+    p = aw.propagator(aw.hamiltonian(aw.load_molecule("benzene")))
+    assert aw.detect_period(p, t_max=4.0, dt=0.25) is None
 
 
 def test_single_sample_has_no_period():
-    assert aw.detect_period(aw.EvolutionSeries(np.zeros(1), np.eye(3)[np.newaxis])) is None
-    # an empty series raised IndexError reading its first sample
-    assert aw.detect_period(aw.EvolutionSeries(np.zeros(0), np.zeros((0, 3, 3)))) is None
+    # t_max < dt: the grid is t = 0 alone
+    p = aw.propagator(aw.hamiltonian(aw.load_molecule("benzene")))
+    assert aw.detect_period(p, t_max=0.5, dt=1.0) is None
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0, 0, True, "0.01", None])
-def test_detect_period_rejects_bad_revival_tol(tol):
+def test_detect_period_rejects_bad_revival_tol(monkeypatch, tol):
     # nan read every sample as "never departed" and reported t = dt as the
     # period; a negative tolerance read every sample as departed and never back
-    s = aw.EvolutionSeries(np.array([0.0, 0.01]), np.stack([np.eye(3), np.eye(3)]))
+    p = aw.propagator(aw.hamiltonian(aw.load_molecule("benzene")))
+
+    def no_evolution(*args):
+        raise AssertionError("evolved before checking revival_tol")
+
+    # rejected before any evolution
+    monkeypatch.setattr(ctqw, "evolve", no_evolution)
+    monkeypatch.setattr(ctqw, "evolve_ensemble", no_evolution)
     with pytest.raises(ValueError, match="revival_tol"):
-        aw.detect_period(s, revival_tol=tol)
-    with pytest.raises(ValueError, match="revival_tol"):
-        aw.detect_period(aw.EvolutionSeries(np.zeros(0), np.zeros((0, 3, 3))), revival_tol=tol)
+        aw.detect_period(p, revival_tol=tol)
+
+
+# t_max 5, dt 0.01 gives 501 samples: blocks of 7 leave a ragged 4-sample tail
+@pytest.mark.parametrize("block", [None, 7])
+def test_detect_period_deviation_equals_full_series(monkeypatch, block):
+    for name in aw.CATALOG:
+        g = aw.load_molecule(name)
+        p = aw.propagator(aw.hamiltonian(g))
+        times, mats = every_matrix(p, t_max=5.0, dt=0.01)
+        streamed = []
+
+        def recorded(*args):
+            streamed.append(aw.evolve(*args))
+            return streamed[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(ctqw, "evolve", recorded)
+            if block is not None:
+                m.setattr(ctqw, "BLOCK_BYTES", 16 * g.node_count ** 2 * block)
+            aw.detect_period(p, t_max=5.0, dt=0.01)
+        [(got_times, (dev,))] = streamed
+        assert np.array_equal(got_times, times)
+        assert np.array_equal(dev, np.abs(mats - mats[0]).max(axis=(1, 2)))
+
+
+def test_detect_period_memory_bounded():
+    # the default grid's full B(t) stack of phenanthrene would take 31 MB;
+    # the streamed pass keeps one block and one deviation per sample
+    p = aw.propagator(aw.hamiltonian(aw.load_molecule("phenanthrene")))
+    tracemalloc.start()
+    try:
+        aw.detect_period(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 # ---------------------------------------------------------------- stability
 
 def test_overall_mean_trp_matches_reports(full_series):
-    g, s = full_series["benzene"]
+    g, _, s = full_series["benzene"]
     reports = aw.site_reports(g, s)
     got = aw.stability_entry(g, s, t_max=200.0, dt=0.01).mean_trp
     npt.assert_allclose(got, np.mean([r.trp_mean for r in reports]), atol=1e-12)
@@ -203,7 +243,7 @@ def test_stability_entry_memory_bounded_by_outputs():
 def test_stability_order_full_catalog(full_series):
     entries = [
         aw.stability_entry(g, s, t_max=200.0, dt=0.01)
-        for g, s in (full_series[n] for n in aw.CATALOG)
+        for g, _, s in (full_series[n] for n in aw.CATALOG)
     ]
     means = {e.molecule: e.mean_trp for e in entries}
     npt.assert_allclose(means["benzene"], 0.1143394773, atol=1e-8)
@@ -225,7 +265,7 @@ def test_stability_order_full_catalog(full_series):
 def test_stability_zero_band_breaks_tie(full_series, monkeypatch):
     entries = [
         aw.stability_entry(g, s, t_max=200.0, dt=0.01)
-        for g, s in (full_series[n] for n in aw.CATALOG)
+        for g, _, s in (full_series[n] for n in aw.CATALOG)
     ]
     monkeypatch.setattr(metrics, "TIE_BAND", 0.0)
     report = aw.stability_order(entries)
@@ -233,7 +273,7 @@ def test_stability_zero_band_breaks_tie(full_series, monkeypatch):
 
 
 def test_stability_exact_duplicate_ties(full_series):
-    g, s = full_series["benzene"]
+    g, _, s = full_series["benzene"]
     e = aw.stability_entry(g, s, t_max=200.0, dt=0.01)
     report = aw.stability_order([e, dataclasses.replace(e, molecule="benzene-copy")])
     assert [r.rank for r in report.rows] == [1, 1]
@@ -248,7 +288,7 @@ def test_stability_rejects_repeated_molecule():
 
 
 def test_stability_requires_matching_grids(full_series):
-    g, s = full_series["benzene"]
+    g, _, s = full_series["benzene"]
     a = aw.stability_entry(g, s, t_max=200.0, dt=0.01)
     b = aw.StabilityEntry(molecule="naphthalene", mean_trp=0.08, t_max=100.0, dt=0.01)
     with pytest.raises(ValueError, match="mismatched sampling grids"):
@@ -266,11 +306,10 @@ def test_stability_entry_rejects_other_grid(t_max, dt):
         aw.stability_entry(g, obs, t_max=t_max, dt=dt)
 
 
-@pytest.mark.parametrize("reader", [aw.observe, aw.time_series])
-def test_readers_reject_series_of_another_molecule(reader):
+def test_readers_reject_series_of_another_molecule():
     # naphthalene's first 6 site columns were reported as benzene's sites
     benzene = aw.load_molecule("benzene")
-    series = reader(aw.propagator(aw.hamiltonian(aw.load_molecule("naphthalene"))), 2.0, 0.1)
+    series = aw.observe(aw.propagator(aw.hamiltonian(aw.load_molecule("naphthalene"))), 2.0, 0.1)
     with pytest.raises(ValueError, match="series has 10 sites, molecule 'benzene' has 6"):
         aw.site_reports(benzene, series)
     with pytest.raises(ValueError, match="series has 10 sites, molecule 'benzene' has 6"):
@@ -289,7 +328,7 @@ def test_stability_rejects_non_finite_mean_trp(bad):
 # ---------------------------------------------------------------- modes
 
 def test_mode_classification_benzene(full_series):
-    g, s = full_series["benzene"]
+    g, _, s = full_series["benzene"]
     rep = aw.classify_modes(aw.site_reports(g, s), g)
     assert rep.matched == ("fully-delocalized",)
     assert rep.high == ()
@@ -298,14 +337,14 @@ def test_mode_classification_benzene(full_series):
 
 
 def test_mode_classification_naphthalene(full_series):
-    g, s = full_series["naphthalene"]
+    g, _, s = full_series["naphthalene"]
     rep = aw.classify_modes(aw.site_reports(g, s), g)
     assert rep.matched == ("perimeter-localized",)
     assert rep.method == "two-means"
 
 
 def test_mode_classification_anthracene(full_series):
-    g, s = full_series["anthracene"]
+    g, _, s = full_series["anthracene"]
     rep = aw.classify_modes(aw.site_reports(g, s), g)
     assert rep.high == (5, 12)
     # (5,12) overlaps the two central patterns equally; both are reported
@@ -313,7 +352,7 @@ def test_mode_classification_anthracene(full_series):
 
 
 def test_mode_classification_phenanthrene(full_series):
-    g, s = full_series["phenanthrene"]
+    g, _, s = full_series["phenanthrene"]
     rep = aw.classify_modes(aw.site_reports(g, s), g)
     assert rep.high == (11, 12)
     assert rep.matched == ("bridged-biphenyl",)
@@ -321,7 +360,7 @@ def test_mode_classification_phenanthrene(full_series):
 
 def test_mode_buckets_partition_sites(full_series):
     for name in aw.CATALOG:
-        g, s = full_series[name]
+        g, _, s = full_series[name]
         rep = aw.classify_modes(aw.site_reports(g, s), g)
         both = set(rep.high) | set(rep.low)
         assert both == set(range(1, g.node_count + 1))
@@ -332,13 +371,13 @@ def test_mode_classification_uncataloged_molecule():
     g = MoleculeGraph(name="triangle", node_count=3,
                       edges=((1, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0)))
     p = aw.propagator(aw.hamiltonian(g))
-    s = aw.time_series(p, t_max=5.0, dt=0.1)
+    s = aw.observe(p, t_max=5.0, dt=0.1)
     rep = aw.classify_modes(aw.site_reports(g, s), g)
     assert rep.matched == ()
 
 
 def test_mode_classification_requires_full_coverage(full_series):
-    g, s = full_series["benzene"]
+    g, _, s = full_series["benzene"]
     reports = aw.site_reports(g, s)
     with pytest.raises(ValueError):
         aw.classify_modes(reports[:-1], g)
@@ -347,7 +386,7 @@ def test_mode_classification_requires_full_coverage(full_series):
 def test_mode_classification_rejects_repeated_site(full_series):
     # a second report for node 4 used to overwrite the first in the
     # coverage check and put node 4 alone in the high bucket
-    g, s = full_series["naphthalene"]
+    g, _, s = full_series["naphthalene"]
     reports = aw.site_reports(g, s)
     extra = dataclasses.replace(reports[3], maxp_mean=1.0)
     for bad in (reports + (extra,), (extra,) + reports):
