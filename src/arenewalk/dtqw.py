@@ -31,8 +31,8 @@ and the step is w = v[src] * coef, v' = w[:2S] + w[2S:] over the S slots.
 These are the coin's own products added in the coin's order, and
 x - y is exactly x + (-y), so the gather is bit-identical to coin then
 route. `_walk` is the only step: it runs a whole block of steps in one
-call, writing each step's products w into the `terms` buffer its arc
-table owns and each new state into its row of the block.
+call, writing each step's products w into a buffer it allocates once
+per call and each new state into its row of the block.
 
 rank_nodes writes BLOCK_BYTES of consecutive states at a time and folds
 the whole block into the node occupancies at once: it squares the
@@ -63,9 +63,7 @@ BLOCK_BYTES = 1 << 18
 class _ArcTable:
     """Arc slots of the directed graph walk and its step's gather (see
     module docstring), built from the adjacency's nonzeros: their
-    row-major order is the slot order. The table owns the buffer `_walk`
-    writes each step's products into, so it serves one walk at a time and
-    is not safe to share between threads."""
+    row-major order is the slot order."""
 
     def __init__(self, g, coin="unweighted"):
         if coin not in ("unweighted", "weighted"):
@@ -88,9 +86,6 @@ class _ArcTable:
         self.cross, self.prev, self.a, self.b = cross, prev, a, b
         self.src = np.concatenate((prev, cross, prev + s, cross + s))
         self.coef = np.concatenate((a[prev], b[cross], b[prev], -a[cross]))
-        # one step's products: those of the stay amplitudes, then the move's
-        self.terms = np.empty(4 * s)
-        self.from_stay, self.from_move = self.terms[:2 * s], self.terms[2 * s:]
         # _node_sums's columns: for k = 1, 2, ..., the nodes with more than
         # k slots and the k-th slot of each (counting from 0)
         self.folds = []
@@ -103,8 +98,10 @@ def _walk(v, arcs, rows):
     """Coin-then-route steps of the stacked amplitudes v = [stay | move],
     one per row of rows, each state written into its row; returns the
     last state."""
-    src, coef, terms = arcs.src, arcs.coef, arcs.terms
-    from_stay, from_move = arcs.from_stay, arcs.from_move
+    src, coef = arcs.src, arcs.coef
+    # one step's products: those of the stay amplitudes, then the move's
+    terms = np.empty(2 * len(v))
+    from_stay, from_move = terms[:len(v)], terms[len(v):]
     multiply, add = np.multiply, np.add
     # out is passed by position: a keyword costs about 5% of a step
     for row in rows:

@@ -5,8 +5,7 @@ weights are dimensionless relative bond strength orders. A MoleculeGraph
 owns what is derived from its input: the weighted adjacency matrix, built
 once while the bonds are validated and kept read-only (laplacian, degrees
 and weighted_degrees read it), and the symmetry partition `classes`.
-Graphs are frozen after construction and safe to share between threads;
-the directed walk's arc tables (dtqw._ArcTable) are not.
+Graphs are frozen after construction and safe to share between threads.
 """
 from __future__ import annotations
 
@@ -141,7 +140,7 @@ def load_molecule(name):
     MAX_NODES), `edges` (list of [i, j, weight], 1-based) and optional
     `classes` (list of lists of node indices; absent, every site is its
     own class) and `labels` (list of strings, one per node). Any other
-    top-level key is an error.
+    top-level key, or one given twice, is an error.
     """
     # open() would read an integer as a file descriptor
     if not isinstance(name, (str, os.PathLike)):
@@ -157,9 +156,21 @@ def load_molecule(name):
                 f"unknown molecule {name!r}: not in catalog {CATALOG} and not a readable file"
             )
     try:
-        # libyaml's C scanner and parser under the same SafeConstructor;
-        # a PyYAML built without libyaml has only the pure-Python SafeLoader
-        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        # libyaml's C scanner and parser under the same SafeConstructor; a
+        # PyYAML built without libyaml has only the pure-Python SafeLoader,
+        # whose reader checks the text as the loader is made
+        loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)(text)
+        try:
+            node = loader.get_single_node()
+            # YAML keeps the last of two equal keys and drops the first unread
+            if isinstance(node, yaml.MappingNode):
+                keys = [k.value for k, _ in node.value if isinstance(k, yaml.ScalarNode)]
+                repeated = sorted({k for k in keys if keys.count(k) > 1})
+                if repeated:
+                    raise ValueError(f"molecule file {name!r} repeats fields: {repeated}")
+            doc = None if node is None else loader.construct_document(node)
+        finally:
+            loader.dispose()
     except yaml.YAMLError as exc:
         raise ValueError(f"malformed molecule file {name!r}: {exc}")
     if not isinstance(doc, dict):

@@ -427,6 +427,9 @@ CHAIN = "edges: [[1, 2, 1.5], [2, 3, 1.5]]"
     pytest.param("allyl", 'edges: !!python/object/apply:os.system ["true"]', id="python-tag"),
     pytest.param("allyl", f"{CHAIN}\nclases: [[1, 3], [2]]", id="misspelt-classes"),
     pytest.param("allyl", f"{CHAIN}\n7: x", id="integer-key"),
+    pytest.param("allyl", f"{CHAIN}\nclasses: [[1, 3], [2]]\nclasses: [[1], [2], [3]]",
+                 id="repeated-classes"),
+    pytest.param("allyl", f"edges: [[1, 2, 1.5]]\n{CHAIN}", id="repeated-edges"),
 ])
 def test_rank_rejects_malformed_molecule_file(runner, tmp_path, name, field):
     # each of these ended in a TypeError traceback, was read as weight 1.0,
@@ -647,6 +650,56 @@ def test_ctqw_replay_rejects_malformed_config(runner, tmp_path, command, key, va
     assert res.exit_code == 2, res.output
     assert "configuration error:" in res.output
     assert not os.path.exists(replay)
+
+
+REPLAY_ARGV = {**CTQW_ARGV, "rank": ["rank", "-m", "benzene", "--steps", "50"]}
+
+
+@pytest.mark.parametrize("command, options", [
+    ("simulate", ["--t-max", "5", "--gamma-scale", "3"]),
+    # an option given at its default value is still given
+    ("simulate", ["--dt", "0.01"]),
+    ("rank", ["--start", "2"]),
+    ("stability", ["-m", "anthracene"]),
+])
+def test_replay_rejects_explicit_options(runner, tmp_path, command, options):
+    # these were ignored without a word and the recorded grid rerun
+    out = str(tmp_path / "run")
+    assert runner.invoke(main, [*REPLAY_ARGV[command], "--out", out]).exit_code == 0
+    replay = str(tmp_path / "replay")
+    res = runner.invoke(main, [command, "--from-manifest", os.path.join(out, "manifest.json"),
+                               *options, "--out", replay])
+    assert res.exit_code == 2, res.output
+    for flag in options[::2]:
+        assert {"-m": "--molecule"}.get(flag, flag) in res.output
+    assert not os.path.exists(replay)
+
+
+@pytest.mark.parametrize("command", ["simulate", "rank", "stability"])
+def test_replay_rejects_unknown_config_key(runner, tmp_path, command):
+    res, replay = replay_malformed(runner, tmp_path, REPLAY_ARGV[command], "bogus", 1)
+    assert res.exit_code == 2, res.output
+    assert "configuration error:" in res.output and "bogus" in res.output
+    assert not os.path.exists(replay)
+
+
+@pytest.mark.parametrize("command", ["simulate", "rank", "stability"])
+def test_replay_takes_out_from_option_or_environment(runner, tmp_path, command):
+    out = str(tmp_path / "run")
+    assert runner.invoke(main, [*REPLAY_ARGV[command], "--out", out]).exit_code == 0
+    manifest = os.path.join(out, "manifest.json")
+    by_option, by_env = str(tmp_path / "option"), str(tmp_path / "env")
+    res = runner.invoke(main, [command, "--from-manifest", manifest, "--out", by_option])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, [command, "--from-manifest", manifest],
+                        env={"ARENEWALK_OUT": by_env})
+    assert res.exit_code == 0, res.output
+    tables = set(os.listdir(out)) - {"manifest.json"}
+    assert tables
+    for fname in tables:
+        want = read_bytes(os.path.join(out, fname))
+        assert read_bytes(os.path.join(by_option, fname)) == want
+        assert read_bytes(os.path.join(by_env, fname)) == want
 
 
 @pytest.mark.parametrize("command", ["simulate", "rank", "stability"])

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -199,8 +201,8 @@ def test_walk_block_equals_one_row_blocks(molecule):
 
 @pytest.mark.parametrize("coin", ["unweighted", "weighted"])
 def test_walks_sharing_an_arc_table_do_not_interfere(coin):
-    # two walks stepped alternately through one table's product buffer
-    # equal the same walks run on their own
+    # two walks stepped alternately over one table equal the same walks
+    # run on their own
     g = aw.load_molecule("phenanthrene")
     arcs = dtqw._ArcTable(g, coin)
     starts = (1, 11)
@@ -211,6 +213,32 @@ def test_walks_sharing_an_arc_table_do_not_interfere(coin):
     for _ in range(50):
         states = [dtqw._walk(v, arcs, np.empty((1, v.size))) for v in states]
     for v, want in zip(states, alone):
+        assert np.array_equal(v, want)
+
+
+def test_walks_in_threads_sharing_an_arc_table_do_not_interfere():
+    # a thread switch every microsecond interleaves the two walks' steps;
+    # any step state kept on the table would leak from one walk into the other
+    g = aw.load_molecule("phenanthrene")
+    arcs = dtqw._ArcTable(g)
+    starts, steps = (1, 11), 20000
+    alone = [walk(arcs, np.concatenate(start_state(arcs, start)), steps) for start in starts]
+    threaded = [None] * len(starts)
+
+    def run(k):
+        threaded[k] = walk(arcs, np.concatenate(start_state(arcs, starts[k])), steps)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(starts))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for v, want in zip(threaded, alone):
         assert np.array_equal(v, want)
 
 

@@ -334,6 +334,24 @@ def test_load_molecule_rejects_unknown_fields(tmp_path):
         aw.load_molecule(str(path))
 
 
+def test_load_molecule_rejects_repeated_fields(tmp_path):
+    # YAML kept the last `classes`, so the pooled sites were silently unpooled
+    path = tmp_path / "twice.yaml"
+    path.write_text("name: allyl\nnodes: 3\nedges: [[1, 2, 1.5], [2, 3, 1.5]]\n"
+                    "classes: [[1, 3], [2]]\nclasses: [[1], [2], [3]]\nnodes: 3\n")
+    with pytest.raises(ValueError, match=r"repeats fields: \['classes', 'nodes'\]"):
+        aw.load_molecule(str(path))
+
+
+def test_load_molecule_without_libyaml_reports_unreadable_text(tmp_path, monkeypatch):
+    # the pure-Python loader rejects a control character as it is made
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    path = tmp_path / "bad.yaml"
+    path.write_text("name: a\x07\n")
+    with pytest.raises(ValueError, match="malformed molecule file"):
+        aw.load_molecule(str(path))
+
+
 @pytest.mark.parametrize("fields", [
     {"edges": 5},
     {"edges": [5, [2, 3, 1.0]]},
