@@ -12,8 +12,8 @@ import arenewalk as aw
 entries = []
 for name in aw.CATALOG:
     g = aw.load_molecule(name)
-    obs = aw.observe(aw.propagator(aw.hamiltonian(g)), t_max=200.0, dt=0.01)
-    entries.append(aw.stability_entry(g, obs, t_max=200.0, dt=0.01))
+    prop = aw.propagator(aw.hamiltonian(g))
+    entries.append(aw.stability_entry(g, prop, t_max=200.0, dt=0.01))
     print(f"{name:13s} mean TRP {entries[-1].mean_trp:.8f}")
 
 report = aw.stability_order(entries)

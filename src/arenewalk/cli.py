@@ -347,10 +347,9 @@ def stability(cfg):
     # every Hamiltonian is checked before any molecule is evolved
     props = [ctqw.propagator(ctqw.hamiltonian(g, cfg.get("gamma_scale"))) for g in molecules]
     t_max, dt = cfg.get("t_max"), cfg.get("dt")
-    # each molecule's observables are reduced to its entry, and dropped,
+    # each molecule's TRP array is reduced to its entry, and dropped,
     # before the next molecule is evolved
-    entries = [metrics.stability_entry(g, metrics.observe(prop, t_max, dt), t_max, dt)
-               for g, prop in zip(molecules, props)]
+    entries = [metrics.stability_entry(g, prop, t_max, dt) for g, prop in zip(molecules, props)]
     report = metrics.stability_order(entries)
     click.echo(report.order_string())
     rows = report.rows

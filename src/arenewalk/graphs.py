@@ -140,7 +140,8 @@ def load_molecule(name):
     MAX_NODES), `edges` (list of [i, j, weight], 1-based) and optional
     `classes` (list of lists of node indices; absent, every site is its
     own class) and `labels` (list of strings, one per node). Any other
-    top-level key, or one given twice, is an error.
+    top-level key, one given twice, or a top-level YAML merge key `<<` is
+    an error.
     """
     # open() would read an integer as a file descriptor
     if not isinstance(name, (str, os.PathLike)):
@@ -168,6 +169,11 @@ def load_molecule(name):
                 repeated = sorted({k for k in keys if keys.count(k) > 1})
                 if repeated:
                     raise ValueError(f"molecule file {name!r} repeats fields: {repeated}")
+                # the constructor folds a merge key's fields into the mapping
+                # unchecked, and an explicit key then silently wins over it
+                if any(k.tag == "tag:yaml.org,2002:merge" for k, _ in node.value):
+                    raise ValueError(f"molecule file {name!r} uses the YAML merge key '<<'; "
+                                     "write each field out")
             doc = None if node is None else loader.construct_document(node)
         finally:
             loader.dispose()

@@ -8,8 +8,9 @@ cloud, and its all-site average orders molecules by stability.
 
 SiteObservables holds both per (sample, site); one site's series is a
 column of it. observe streams it from a propagator without keeping B(t),
-and the site reports and the stability score read it. detect_period
-streams its own pass, keeping one deviation per sample.
+and the site reports read it. stability_entry and detect_period each
+stream their own pass: the stability score keeps only the (sample, site)
+TRP array, and revival detection one deviation per sample.
 """
 from __future__ import annotations
 
@@ -75,22 +76,17 @@ def observe(p, t_max=200.0, dt=0.01):
     return SiteObservables(times, mp, tp)
 
 
-def _observables(g, series):
-    """The SiteObservables series, checked to have one site per node of g."""
+def site_reports(g, series):
+    """Time-mean report per site, class-tagged by the smallest class member.
+    series is the molecule's SiteObservables, one site per node of g."""
     if series.maxp.shape[1] != g.node_count:
         raise ValueError(f"series has {series.maxp.shape[1]} sites, "
                          f"molecule {g.name!r} has {g.node_count} nodes")
-    return series
-
-
-def site_reports(g, series):
-    """Time-mean report per site, class-tagged by the smallest class member."""
-    obs = _observables(g, series)
-    if len(obs.times) == 0:
+    if len(series.times) == 0:
         raise ValueError("empty series")
     class_of = {m: g.labels[cls[0] - 1] for cls in g.classes for m in cls}
-    mp = obs.maxp.mean(axis=0)
-    tp = obs.trp.mean(axis=0)
+    mp = series.maxp.mean(axis=0)
+    tp = series.trp.mean(axis=0)
     return tuple(
         SiteReport(node=k, maxp_mean=float(mp[k - 1]), trp_mean=float(tp[k - 1]),
                    class_id=class_of[k])
@@ -133,12 +129,17 @@ class StabilityEntry:
     dt: float
 
 
-def stability_entry(g, series, t_max, dt):
-    """Stability score for one molecule: TRP averaged over every site and
-    sample. series must be sampled on the grid that t_max and dt define."""
-    if not np.array_equal(series.times, ctqw._grid(t_max, dt)):
-        raise ValueError(f"series is not sampled on the grid t_max={t_max!r}, dt={dt!r}")
-    return StabilityEntry(molecule=g.name, mean_trp=float(_observables(g, series).trp.mean()),
+def stability_entry(g, p, t_max=200.0, dt=0.01):
+    """Stability score for molecule g from its propagator p: TRP averaged
+    over every site and sample of the grid t = 0, dt, 2*dt, ... up to t_max
+    inclusive. B(t) is streamed, and only the (samples, N) TRP array is
+    kept: the array observe returns as trp, with the same bits."""
+    n = len(p.eigenvalues)
+    if n != g.node_count:
+        raise ValueError(f"propagator has {n} sites, "
+                         f"molecule {g.name!r} has {g.node_count} nodes")
+    _, (trp,) = ctqw.evolve(p, t_max, dt, lambda B: site_observables(B)[1:])
+    return StabilityEntry(molecule=g.name, mean_trp=float(trp.mean()),
                           t_max=float(t_max), dt=float(dt))
 
 

@@ -157,8 +157,8 @@ def test_c06_reactive_sites():
 
 def test_c07_stability_ordering(full_series):
     entries = {
-        name: aw.stability_entry(g, s, t_max=200.0, dt=0.01)
-        for name, (g, _, s) in full_series.items()
+        name: aw.stability_entry(g, p, t_max=200.0, dt=0.01)
+        for name, (g, p, _) in full_series.items()
     }
     m = {name: e.mean_trp for name, e in entries.items()}
     pairs = [

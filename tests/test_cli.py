@@ -430,6 +430,9 @@ CHAIN = "edges: [[1, 2, 1.5], [2, 3, 1.5]]"
     pytest.param("allyl", f"{CHAIN}\nclasses: [[1, 3], [2]]\nclasses: [[1], [2], [3]]",
                  id="repeated-classes"),
     pytest.param("allyl", f"edges: [[1, 2, 1.5]]\n{CHAIN}", id="repeated-edges"),
+    pytest.param("allyl", f"{CHAIN}\n<<: {{classes: [[1, 3], [2]]}}\nclasses: [[1], [2], [3]]",
+                 id="merge-key-classes"),
+    pytest.param("allyl", "<<: {edges: [[1, 2, 1.5], [2, 3, 1.5]]}", id="merge-key-edges"),
 ])
 def test_rank_rejects_malformed_molecule_file(runner, tmp_path, name, field):
     # each of these ended in a TypeError traceback, was read as weight 1.0,
@@ -749,9 +752,9 @@ def test_stability_bytes_match_unstreamed(runner, tmp_path):
 
 
 def test_stability_holds_one_molecules_observables(tmp_path):
-    # MAXP and TRP of the largest molecule, 16 * N bytes per sample, plus
-    # one block and 1 MiB for the rest; a second molecule's observables
-    # would not fit
+    # the TRP array of the largest molecule, 8 * N bytes per sample, plus
+    # one block and 1 MiB for the rest; its MAXP array, or a second
+    # molecule's TRP, would not fit
     samples = len(ctqw._grid(200.0, 0.01))
     largest = max(aw.load_molecule(name).node_count for name in aw.CATALOG)
     tracemalloc.start()
@@ -761,16 +764,16 @@ def test_stability_holds_one_molecules_observables(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * largest * samples + ctqw.BLOCK_BYTES + (1 << 20)
+    assert peak < 8 * largest * samples + ctqw.BLOCK_BYTES + (1 << 20)
 
 
 @pytest.mark.parametrize("second", ["benzene", "catalog-name-file"])
 def test_stability_rejects_repeated_molecule(runner, tmp_path, monkeypatch, second):
     # the repeat is caught before any molecule is evolved
     def no_evolution(*args, **kwargs):
-        raise AssertionError("observe called before the repeat check")
+        raise AssertionError("evolved before the repeat check")
 
-    monkeypatch.setattr(metrics, "observe", no_evolution)
+    monkeypatch.setattr(ctqw, "evolve", no_evolution)
     if second == "catalog-name-file":
         # a file whose name: repeats a catalog molecule's name
         second = str(tmp_path / "ring.yaml")

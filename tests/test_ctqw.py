@@ -199,9 +199,12 @@ def test_one_grid_for_evolve_and_stability(t_max, dt):
     ref = np.arange(int(np.floor(t_max / dt + 1e-9)) + 1) * dt
     assert np.array_equal(ctqw._grid(t_max, dt), ref)
     g = aw.load_molecule("benzene")
-    obs = aw.observe(aw.propagator(aw.hamiltonian(g)), t_max, dt)
+    p = aw.propagator(aw.hamiltonian(g))
+    obs = aw.observe(p, t_max, dt)
     assert np.array_equal(obs.times, ref)
-    assert aw.stability_entry(g, obs, t_max, dt).t_max == t_max
+    entry = aw.stability_entry(g, p, t_max, dt)
+    assert entry.t_max == t_max
+    assert entry.mean_trp == float(obs.trp.mean())
 
 
 # ---------------------------------------------------------------- evolution

@@ -343,6 +343,20 @@ def test_load_molecule_rejects_repeated_fields(tmp_path):
         aw.load_molecule(str(path))
 
 
+@pytest.mark.parametrize("fields", [
+    # the explicit `classes` won over the merged one, so the sites were unpooled
+    pytest.param("edges: [[1, 2, 1.5], [2, 3, 1.5]]\n<<: {classes: [[1, 3], [2]]}\n"
+                 "classes: [[1], [2], [3]]\n", id="overridden-classes"),
+    # the required `edges` was supplied only through the merge
+    pytest.param("<<: {edges: [[1, 2, 1.5], [2, 3, 1.5]]}\n", id="merged-edges"),
+])
+def test_load_molecule_rejects_merge_key(tmp_path, fields):
+    path = tmp_path / "merged.yaml"
+    path.write_text(f"name: allyl\nnodes: 3\n{fields}")
+    with pytest.raises(ValueError, match="merge key '<<'"):
+        aw.load_molecule(str(path))
+
+
 def test_load_molecule_without_libyaml_reports_unreadable_text(tmp_path, monkeypatch):
     # the pure-Python loader rejects a control character as it is made
     monkeypatch.delattr(yaml, "CSafeLoader", raising=False)

@@ -217,33 +217,35 @@ def test_detect_period_memory_bounded():
 # ---------------------------------------------------------------- stability
 
 def test_overall_mean_trp_matches_reports(full_series):
-    g, _, s = full_series["benzene"]
+    g, p, s = full_series["benzene"]
     reports = aw.site_reports(g, s)
-    got = aw.stability_entry(g, s, t_max=200.0, dt=0.01).mean_trp
+    got = aw.stability_entry(g, p, t_max=200.0, dt=0.01).mean_trp
     npt.assert_allclose(got, np.mean([r.trp_mean for r in reports]), atol=1e-12)
 
 
 def test_stability_entry_memory_bounded_by_outputs():
-    # doubling the grid adds 20000 samples; the per-site outputs grow by
-    # about 4.5 MB, a materialised B(t) stack would grow by 31 MB
+    # doubling the grid adds 20000 samples, and the pass keeps 8 (N + 1)
+    # bytes for each: its time and one TRP per site, 2.4 MB on phenanthrene.
+    # A quarter of slack is 0.6 MB; keeping MAXP as well would add 2.24 MB,
+    # and a materialised B(t) stack 31 MB
     g = aw.load_molecule("phenanthrene")
     p = aw.propagator(aw.hamiltonian(g))
 
     def peak(t_max):
         tracemalloc.start()
         try:
-            aw.stability_entry(g, aw.observe(p, t_max, 0.01), t_max, 0.01)
+            aw.stability_entry(g, p, t_max, 0.01)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    assert peak(400.0) - peak(200.0) < 20000 * g.node_count ** 2 * 8 / 2
+    assert peak(400.0) - peak(200.0) < 1.25 * 20000 * 8 * (g.node_count + 1)
 
 
 def test_stability_order_full_catalog(full_series):
     entries = [
-        aw.stability_entry(g, s, t_max=200.0, dt=0.01)
-        for g, _, s in (full_series[n] for n in aw.CATALOG)
+        aw.stability_entry(g, p, t_max=200.0, dt=0.01)
+        for g, p, _ in (full_series[n] for n in aw.CATALOG)
     ]
     means = {e.molecule: e.mean_trp for e in entries}
     npt.assert_allclose(means["benzene"], 0.1143394773, atol=1e-8)
@@ -264,8 +266,8 @@ def test_stability_order_full_catalog(full_series):
 
 def test_stability_zero_band_breaks_tie(full_series, monkeypatch):
     entries = [
-        aw.stability_entry(g, s, t_max=200.0, dt=0.01)
-        for g, _, s in (full_series[n] for n in aw.CATALOG)
+        aw.stability_entry(g, p, t_max=200.0, dt=0.01)
+        for g, p, _ in (full_series[n] for n in aw.CATALOG)
     ]
     monkeypatch.setattr(metrics, "TIE_BAND", 0.0)
     report = aw.stability_order(entries)
@@ -273,8 +275,8 @@ def test_stability_zero_band_breaks_tie(full_series, monkeypatch):
 
 
 def test_stability_exact_duplicate_ties(full_series):
-    g, _, s = full_series["benzene"]
-    e = aw.stability_entry(g, s, t_max=200.0, dt=0.01)
+    g, p, _ = full_series["benzene"]
+    e = aw.stability_entry(g, p, t_max=200.0, dt=0.01)
     report = aw.stability_order([e, dataclasses.replace(e, molecule="benzene-copy")])
     assert [r.rank for r in report.rows] == [1, 1]
     assert report.rows[1].tied_with_previous
@@ -288,8 +290,8 @@ def test_stability_rejects_repeated_molecule():
 
 
 def test_stability_requires_matching_grids(full_series):
-    g, _, s = full_series["benzene"]
-    a = aw.stability_entry(g, s, t_max=200.0, dt=0.01)
+    g, p, _ = full_series["benzene"]
+    a = aw.stability_entry(g, p, t_max=200.0, dt=0.01)
     b = aw.StabilityEntry(molecule="naphthalene", mean_trp=0.08, t_max=100.0, dt=0.01)
     with pytest.raises(ValueError, match="mismatched sampling grids"):
         aw.stability_order([a, b])
@@ -297,13 +299,52 @@ def test_stability_requires_matching_grids(full_series):
         aw.stability_order([a])
 
 
-@pytest.mark.parametrize("t_max, dt", [(200.0, 0.01), (1.0, 0.25), (2.0, 0.5), (1.0, "0.5")])
-def test_stability_entry_rejects_other_grid(t_max, dt):
-    # a 3-sample series must not be ranked as if it covered another grid
+def test_stability_entry_equals_observe_trp_mean(full_series):
+    # the streamed score is the mean of the very array observe returns as
+    # trp, so stability.csv keeps its bytes
+    for g, p, obs in full_series.values():
+        assert aw.stability_entry(g, p, 200.0, 0.01).mean_trp == float(obs.trp.mean())
+
+
+@settings(max_examples=10, deadline=None)
+@given(connected_graphs())
+def test_stability_entry_equals_observe_trp_mean_random(g):
+    p = aw.propagator(aw.hamiltonian(g))
+    for t_max, dt in ((2.0, 0.01), (0.005, 0.01)):
+        entry = aw.stability_entry(g, p, t_max, dt)
+        assert entry.mean_trp == float(aw.observe(p, t_max, dt).trp.mean())
+        assert (entry.t_max, entry.dt) == (t_max, dt)
+
+
+@pytest.mark.parametrize("t_max, dt", [(0.0, 0.01), (-1.0, 0.5), (1.0, 0.0), (1.0, float("inf")),
+                                       (float("nan"), 0.5), (1.0, "0.5"), (True, 0.5),
+                                       (1e308, 1e307), (1e8, 1e-3)])
+def test_stability_entry_rejects_bad_grid(monkeypatch, t_max, dt):
+    # the entry evaluates the grid it records, so a grid that evolve rejects
+    # (not positive, not a real number, non-finite phases, above the sample
+    # ceiling) fails before any block is evolved
     g = aw.load_molecule("benzene")
-    obs = aw.observe(aw.propagator(aw.hamiltonian(g)), 1.0, 0.5)
+    p = aw.propagator(aw.hamiltonian(g))
+
+    def no_block(*args):
+        raise AssertionError("a block was evolved")
+
+    monkeypatch.setattr(ctqw, "_unitaries", no_block)
     with pytest.raises(ValueError):
-        aw.stability_entry(g, obs, t_max=t_max, dt=dt)
+        aw.stability_entry(g, p, t_max=t_max, dt=dt)
+
+
+def test_stability_entry_rejects_propagator_of_another_molecule(monkeypatch):
+    # naphthalene's walk must not be scored as benzene's; caught before evolving
+    benzene = aw.load_molecule("benzene")
+    p = aw.propagator(aw.hamiltonian(aw.load_molecule("naphthalene")))
+
+    def no_evolution(*args, **kwargs):
+        raise AssertionError("evolved before the size check")
+
+    monkeypatch.setattr(ctqw, "evolve", no_evolution)
+    with pytest.raises(ValueError, match="propagator has 10 sites, molecule 'benzene' has 6"):
+        aw.stability_entry(benzene, p, 2.0, 0.1)
 
 
 def test_readers_reject_series_of_another_molecule():
@@ -312,8 +353,6 @@ def test_readers_reject_series_of_another_molecule():
     series = aw.observe(aw.propagator(aw.hamiltonian(aw.load_molecule("naphthalene"))), 2.0, 0.1)
     with pytest.raises(ValueError, match="series has 10 sites, molecule 'benzene' has 6"):
         aw.site_reports(benzene, series)
-    with pytest.raises(ValueError, match="series has 10 sites, molecule 'benzene' has 6"):
-        aw.stability_entry(benzene, series, 2.0, 0.1)
 
 
 @pytest.mark.parametrize("bad",[float("nan"), float("inf")])
