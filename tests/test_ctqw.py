@@ -118,8 +118,8 @@ def test_propagator_rejects_matrix_over_node_ceiling(n):
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_propagator_rejects_non_finite_matrix(bad):
-    # np.allclose counts inf == inf, so a symmetric inf passed the symmetry
-    # check and eigh returned NaN eigenvalues
+    # inf - inf is NaN, which passes the symmetry check, and eigh returned
+    # NaN eigenvalues
     with pytest.raises(ValueError, match="must be finite"):
         aw.propagator(np.array([[bad, -1.0], [-1.0, bad]]))
 
@@ -132,6 +132,18 @@ def test_propagator_rejects_nonsymmetric():
         aw.propagator(np.array([[1.0, -1.0], [-1.000001, 1.000001]]))
     with pytest.raises(ValueError):
         aw.propagator(np.zeros((2, 3)))
+    # below any absolute tolerance, but the whole of the matrix's scale:
+    # eigh reads one triangle and returned eigenvalues [0, 0]
+    with pytest.raises(ValueError, match="symmetric"):
+        aw.propagator(np.array([[0.0, 1e-13], [0.0, 0.0]]))
+
+
+def test_propagator_accepts_roundoff_asymmetry():
+    # the asymmetry is a few ulps of 1e6, far above an absolute 1e-12
+    H = np.array([[2e6, 1e6], [1e6 + 4e-10, 3e6]])
+    assert 0 < abs(H[1, 0] - H[0, 1]) < 1e-9
+    p = aw.propagator(H)
+    npt.assert_allclose(p.eigenvalues, np.linalg.eigvalsh(H), rtol=1e-12)
 
 
 def test_unitary_matches_expm():

@@ -2,7 +2,9 @@
 
 cli._g12 prints most values in [1e-4, 1) as 12-digit ints and leaves the
 rest to "%.12g" itself; these tests hold every path to the text that
-"%.12g" % x writes.
+"%.12g" % x writes. cli._rows shares one line of format across each run of
+lines with the same specs; the run tests hold its tables to the text of
+the row format applied line by line.
 """
 from fractions import Fraction
 
@@ -72,6 +74,57 @@ def test_special_values():
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=50))
 def test_floats_in_unit_interval(values):
     assert_prints_as_g12(values)
+
+
+def column_of_codes(codes, seed=0):
+    """Floats whose _g12 codes are codes: six random digits in decade d for
+    a code d < 4, so no product lies near a rounding tie, and a value in
+    [1, 2) for the fallback code."""
+    codes = np.asarray(codes, dtype=np.intp)
+    rng = np.random.default_rng(seed)
+    digits = rng.integers(110_000, 990_000, codes.size) / 10.0 ** (6 + np.minimum(codes, 3))
+    values = np.where(codes == FALLBACK, rng.uniform(1.0, 2.0, codes.size), digits)
+    assert np.array_equal(_g12(values)[0], codes)
+    return values.tolist()
+
+
+def assert_rows_line_by_line(row, *columns):
+    assert _rows(row, *columns) == "".join(row % line for line in zip(*columns))
+
+
+RUN_ROW = "%.12g,%%,%s,%d,%.12g\n"
+
+
+@pytest.mark.parametrize("codes_a, codes_b", [
+    ([0] * 5 + [1] * 7 + [2] * 3, [3] * 15),  # runs split on the first column only
+    ([2] * 15, [0] * 4 + [3] * 9 + [1] * 2),  # on the second column only
+    ([0] * 6 + [1] * 4 + [2] * 5, [3] * 6 + [0] * 2 + [2] * 7),  # on both, together and apart
+    ([1] * 8 + [FALLBACK] + [1] * 8, [1] * 17),  # a fallback cell inside a long run
+    ([0] * 9 + [3], [2] * 10),  # a run starting on the last line
+    ([0] * 10, [2] * 9 + [FALLBACK]),
+    ([FALLBACK] * 4, [FALLBACK] * 4),
+    ([3], [0]),  # one line
+    ([], []),  # no lines
+])
+def test_rows_runs_match_line_by_line(codes_a, codes_b):
+    count = len(codes_a)
+    names = [f"s{i}%" for i in range(count)]
+    assert_rows_line_by_line(RUN_ROW, column_of_codes(codes_a, 1), names, list(range(count)),
+                             column_of_codes(codes_b, 2))
+
+
+runs = st.lists(st.tuples(st.integers(0, FALLBACK), st.integers(1, 40)), max_size=12)
+
+
+@given(runs, runs)
+def test_rows_random_runs_match_line_by_line(runs_a, runs_b):
+    codes_a = [code for code, n in runs_a for _ in range(n)]
+    codes_b = [code for code, n in runs_b for _ in range(n)]
+    count = max(len(codes_a), len(codes_b))
+    codes_a += [0] * (count - len(codes_a))
+    codes_b += [FALLBACK] * (count - len(codes_b))
+    assert_rows_line_by_line(RUN_ROW, column_of_codes(codes_a, 3), ["x"] * count,
+                             list(range(count)), column_of_codes(codes_b, 4))
 
 
 def test_rows_assembles_mixed_specs():
