@@ -35,6 +35,17 @@ def _finite_non_negative(x, what):
     raise ValueError(f"{what} must be a finite real number >= 0, got {x!r}")
 
 
+def _finite_matrix(x, name, dtype):
+    """x as a 2-D array of dtype, or ValueError unless it is one with
+    finite entries."""
+    a = np.asarray(x, dtype=dtype)
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be a 2-D matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    return a
+
+
 def badger_bond_order(k_mu):
     """Bond order from a local stretching force constant, monotone in k."""
     k = _finite_non_negative(k_mu, "force constant")
@@ -51,11 +62,15 @@ def badger_force_constant(bond_order):
 
 
 def wilson_residual(G, F, D, lam):
-    """Frobenius norm of G@F@D - D@diag(lam); zero for an exact mode decomposition."""
-    G = np.asarray(G, dtype=float)
-    F = np.asarray(F, dtype=float)
-    D = np.asarray(D, dtype=complex)
+    """Frobenius norm of G@F@D - D@diag(lam); zero for an exact mode
+    decomposition. G, F and D must be finite m x m matrices and lam m
+    finite numbers, or ValueError."""
+    G = _finite_matrix(G, "G", float)
+    F = _finite_matrix(F, "F", float)
+    D = _finite_matrix(D, "D", complex)
     lam = np.asarray(lam, dtype=float).ravel()
+    if not np.isfinite(lam).all():
+        raise ValueError("Lambda must be finite")
     m = F.shape[0]
     for name, mat in (("G", G), ("F", F), ("D", D)):
         if mat.shape != (m, m):
@@ -70,10 +85,11 @@ def local_force_constants(F, D):
 
     With K = D^H F D, mode mu gets k_mu = 1 / (d_mu^H K^-1 d_mu). K must be
     well conditioned; an estimate above COND_LIMIT raises ComputationError
-    rather than silently pseudo-inverting.
+    rather than silently pseudo-inverting. F and D must be finite m x m
+    matrices, or ValueError.
     """
-    F = np.asarray(F, dtype=float)
-    D = np.asarray(D, dtype=complex)
+    F = _finite_matrix(F, "F", float)
+    D = _finite_matrix(D, "D", complex)
     m = F.shape[0]
     if F.shape != (m, m):
         raise ValueError(f"F must be square, got {F.shape}")

@@ -31,8 +31,10 @@ and the step is w = v[src] * coef, v' = w[:2S] + w[2S:] over the S slots.
 These are the coin's own products added in the coin's order, and
 x - y is exactly x + (-y), so the gather is bit-identical to coin then
 route. `_walk` is the only step: it runs a whole block of steps in one
-call, writing each step's products w into a buffer it allocates once
-per call and each new state into its row of the block.
+call and allocates nothing per step. Each step gathers v[src] straight
+into a products buffer allocated once per call, scales it by coef in
+place and adds its halves into the step's row of the block. rank_nodes
+makes the block's row views once per walk and passes them as a list.
 
 rank_nodes writes BLOCK_BYTES of consecutive states at a time and folds
 the whole block into the node occupancies at once: it squares the
@@ -102,10 +104,13 @@ def _walk(v, arcs, rows):
     # one step's products: those of the stay amplitudes, then the move's
     terms = np.empty(2 * len(v))
     from_stay, from_move = terms[:len(v)], terms[len(v):]
-    multiply, add = np.multiply, np.add
+    # the method take skips np.take's Python wrapper; mode "raise" would
+    # buffer out, and "wrap" is exact since every src lies in [0, len(v))
+    take, multiply, add = np.ndarray.take, np.multiply, np.add
     # out is passed by position: a keyword costs about 5% of a step
     for row in rows:
-        multiply(v[src], coef, terms)
+        take(v, src, None, terms, "wrap")
+        multiply(terms, coef, terms)
         v = add(from_stay, from_move, row)
     return v
 
@@ -171,10 +176,12 @@ def rank_nodes(g, steps=None, start=1, coin="unweighted"):
     base, d = arcs.first[start - 1], arcs.deg[start - 1]
     v[base:base + d] = 1.0 / math.sqrt(d)
     history = np.empty((min(_block_rows(s), steps), 2 * s))
+    # row views made once per walk, not once per step
+    rows = list(history)
     occ = np.zeros(n)
     for done in range(0, steps, len(history)):
         block = history[:steps - done]
-        v = _walk(v, arcs, block)
+        v = _walk(v, arcs, rows[:steps - done])
         p = block[:, :s] ** 2
         p += block[:, s:] ** 2
         sums = _node_sums(arcs, p)

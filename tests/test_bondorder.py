@@ -177,3 +177,65 @@ def test_local_force_constants_positive_for_spd(n, seed):
     except ComputationError:
         return  # ill-conditioned draw, nothing to check
     assert np.all(k > 0)
+
+
+# ---------------------------------------------------------------- matrix input checks
+
+def with_entry(m, i, j, value):
+    """m as float with m[i, j] set to value."""
+    m = np.array(m, dtype=float)
+    m[i, j] = value
+    return m
+
+
+@pytest.mark.parametrize("bad", ["G", "F", "D"])
+@pytest.mark.parametrize("shape", [(), (3,), (3, 3, 1)], ids=["0-d", "1-d", "3-d"])
+def test_wilson_residual_rejects_non_2d(bad, shape):
+    # a 0-d F raised IndexError reading F.shape[0]
+    args = {"G": np.eye(3), "F": np.eye(3), "D": np.eye(3)}
+    args[bad] = np.ones(shape)
+    with pytest.raises(ValueError, match=f"{bad} must be a 2-D matrix"):
+        aw.wilson_residual(args["G"], args["F"], args["D"], np.ones(3))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("bad", ["G", "F", "D"])
+def test_wilson_residual_rejects_non_finite_matrix(bad, value):
+    # a NaN came back as a NaN residual with no error
+    args = {"G": np.eye(3), "F": np.eye(3), "D": np.eye(3)}
+    args[bad] = with_entry(args[bad], 1, 2, value)
+    with pytest.raises(ValueError, match=f"{bad} must be finite"):
+        aw.wilson_residual(args["G"], args["F"], args["D"], np.ones(3))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_wilson_residual_rejects_non_finite_lambda(value):
+    with pytest.raises(ValueError, match="Lambda must be finite"):
+        aw.wilson_residual(np.eye(3), np.eye(3), np.eye(3), [1.0, value, 1.0])
+
+
+def test_wilson_residual_rejects_non_finite_complex_modes():
+    D = np.eye(3, dtype=complex)
+    D[0, 1] = complex(0.0, float("inf"))
+    with pytest.raises(ValueError, match="D must be finite"):
+        aw.wilson_residual(np.eye(3), np.eye(3), D, np.ones(3))
+
+
+@pytest.mark.parametrize("bad", ["F", "D"])
+@pytest.mark.parametrize("shape", [(), (3,), (3, 3, 1)], ids=["0-d", "1-d", "3-d"])
+def test_local_force_constants_rejects_non_2d(bad, shape):
+    # a 0-d F raised IndexError reading F.shape[0]
+    args = {"F": np.eye(3), "D": np.eye(3)}
+    args[bad] = np.ones(shape)
+    with pytest.raises(ValueError, match=f"{bad} must be a 2-D matrix"):
+        aw.local_force_constants(args["F"], args["D"])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("bad", ["F", "D"])
+def test_local_force_constants_rejects_non_finite(bad, value):
+    # raised LinAlgError "SVD did not converge" from the condition estimate
+    args = {"F": np.diag([2.0, 5.0, 9.0]), "D": np.eye(3)}
+    args[bad] = with_entry(args[bad], 2, 0, value)
+    with pytest.raises(ValueError, match=f"{bad} must be finite"):
+        aw.local_force_constants(args["F"], args["D"])

@@ -139,6 +139,15 @@ def assert_arc_table_matches_reference(g, coin):
                       (arcs.prev, ring_prev), (arcs.a, ref.a), (arcs.b, ref.b)):
         assert np.array_equal(got, want)
     assert np.array_equal(arcs.cross[arcs.cross], slots)
+    # the step's gather: _walk takes it in mode "wrap", which is exact only
+    # while every index lies in [0, 2S); each amplitude feeds two products
+    s = slots.size
+    assert arcs.src.min() >= 0 and arcs.src.max() < 2 * s
+    assert np.array_equal(np.bincount(arcs.src, minlength=2 * s), np.full(2 * s, 2))
+    assert np.array_equal(arcs.src, np.concatenate((ring_prev, ref.cross,
+                                                    ring_prev + s, ref.cross + s)))
+    assert np.array_equal(arcs.coef, np.concatenate((ref.a[ring_prev], ref.b[ref.cross],
+                                                     ref.b[ring_prev], -ref.a[ref.cross])))
 
 
 @pytest.mark.parametrize("coin", ["unweighted", "weighted"])
@@ -185,18 +194,25 @@ def test_directed_step_equals_coin_then_route(molecule, coin):
             assert np.array_equal(v, np.concatenate((stay, move)))
 
 
-@pytest.mark.parametrize("molecule", aw.CATALOG)
-def test_walk_block_equals_one_row_blocks(molecule):
+@pytest.mark.parametrize("molecule, rows", [
+    pytest.param(m, rows, id=m if rows == "array" else f"{m}-row-list")
+    for rows in ("array", "row-list") for m in aw.CATALOG])
+def test_walk_block_equals_one_row_blocks(molecule, rows):
+    # a 2-D block, and the list of row views rank_nodes passes, cut shorter
+    # than its buffer as on a walk's last block
     g = aw.load_molecule(molecule)
     arcs = dtqw._ArcTable(g)
     v0 = np.concatenate(start_state(arcs, g.node_count))
-    block = np.empty((37, v0.size))
+    history = np.full((37, v0.size), np.nan)
+    block = history if rows == "array" else list(history)[:29]
     last = dtqw._walk(v0, arcs, block)
+    walked = history[:len(block)]
     v = v0
-    for row in block:
+    for row in walked:
         v = dtqw._walk(v, arcs, np.empty((1, v.size)))
         assert np.array_equal(v, row)
-    assert np.array_equal(last, block[-1])
+    assert np.array_equal(last, walked[-1])
+    assert np.isnan(history[len(block):]).all()
 
 
 @pytest.mark.parametrize("coin", ["unweighted", "weighted"])
