@@ -4,12 +4,8 @@ Bond orders from force constants
 
 The power-law rule BO = 0.29909 * k^0.86585 converts a local stretching
 force constant into a relative bond strength order, calibrated so a
-single bond scores 1 and a double bond 2. Local force constants come
-out of the Wilson-equation matrices when a normal-mode decomposition is
-available.
+single bond scores 1 and a double bond 2.
 """
-
-import numpy as np
 
 import arenewalk as aw
 
@@ -22,14 +18,3 @@ for k in (4.0313, 5.2, 6.5, 8.9706):
 k_aromatic = aw.badger_force_constant(1.468)
 print(f"\nBO 1.468 -> k = {k_aromatic:.4f}")
 print(f"round trip: {aw.badger_bond_order(k_aromatic):.4f}")
-
-# local force constants from a toy 3-mode system: F in internal
-# coordinates, D holding the normal modes column by column
-F = np.diag([4.6, 5.9, 9.1]) + 0.3
-lam, D = np.linalg.eigh(F)
-print("\nWilson residual for the exact decomposition:",
-      f"{aw.wilson_residual(np.eye(3), F, D, lam):.2e}")
-
-k_local = aw.local_force_constants(F, D)
-print("local force constants:", np.round(k_local, 4))
-print("as bond orders:       ", np.round([aw.badger_bond_order(k) for k in k_local], 4))

@@ -3,18 +3,13 @@
 Continuous-time walks (Laplacian generator, exact spectral propagator)
 produce per-site MAXP/TRP observables, delocalization-mode matches and a
 cross-molecule stability order; a directed discrete-time walk ranks
-sites by reactivity. A small bond-order toolbox converts local-mode
-force constants to relative bond strength orders.
+sites by reactivity. Badger's power law converts a local stretching
+force constant to a relative bond strength order, and back.
 """
 
 __version__ = "0.1.0"
 
-from .bondorder import (
-    badger_bond_order,
-    badger_force_constant,
-    local_force_constants,
-    wilson_residual,
-)
+from .bondorder import badger_bond_order, badger_force_constant
 from .ctqw import (
     Propagator,
     evolve,
@@ -73,7 +68,6 @@ __all__ = [
     "hamiltonian",
     "laplacian",
     "load_molecule",
-    "local_force_constants",
     "observe",
     "propagator",
     "rank_nodes",
@@ -83,5 +77,4 @@ __all__ = [
     "stability_order",
     "unitary",
     "weighted_degrees",
-    "wilson_residual",
 ]

@@ -354,8 +354,11 @@ def stability(cfg):
     if len(names) < 2:
         raise click.UsageError("stability needs at least two --molecule flags")
     molecules = [graphs.load_molecule(name) for name in names]
-    # a repeated molecule is rejected before any evolution is paid for
+    # a repeated molecule, or one too small for TRP, is rejected before
+    # any evolution is paid for
     metrics._check_unique_names([g.name for g in molecules])
+    for g in molecules:
+        metrics._check_walkers(g.node_count)
     # every Hamiltonian is checked before any molecule is evolved
     props = [ctqw.propagator(ctqw.hamiltonian(g, cfg.get("gamma_scale"))) for g in molecules]
     t_max, dt = cfg.get("t_max"), cfg.get("dt")

@@ -2,8 +2,9 @@
 
 Bad arguments and malformed input raise plain ValueError. ComputationError
 marks runs that were configured correctly but failed numerically (for
-example an ill-conditioned mode-coupling matrix). The CLI maps the two
-families to distinct exit codes.
+example a discrete-time walk whose norm drifts from 1). The CLI maps
+ValueError to exit 2, and ComputationError, like numpy's LinAlgError from
+a failed eigendecomposition, to exit 3.
 """
 
 

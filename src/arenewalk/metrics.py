@@ -56,13 +56,19 @@ class SiteReport:
     class_id: str | None = None
 
 
+def _check_walkers(n):
+    """Raise ValueError unless n >= 3: TRP drops one max and one min of
+    the n walkers and averages the rest."""
+    if n < 3:
+        raise ValueError(f"TRP needs at least 3 walkers, got {n}")
+
+
 def site_observables(mats):
     """MAXP and TRP per (sample, site) of occupancy matrices shaped
     (samples, walkers, sites): the max over walkers, and the walker mean
     after dropping one max and one min. Both arrays are (samples, sites)."""
     n = mats.shape[1]
-    if n < 3:
-        raise ValueError(f"TRP needs at least 3 walkers, got {n}")
+    _check_walkers(n)
     top = mats.max(axis=1)
     # clip absorbs 1e-16-scale roundoff; the exact values lie in [0, 1]
     trimmed = (mats.sum(axis=1) - top - mats.min(axis=1)) / (n - 2)

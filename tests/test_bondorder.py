@@ -1,19 +1,13 @@
-"""Badger-rule conversions and Wilson-matrix force-constant extraction."""
+"""Badger-rule conversions between force constants and bond orders."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import arenewalk as aw
 from arenewalk.bondorder import BADGER_EXPONENT, BADGER_PREFACTOR
-from arenewalk.errors import ComputationError
-
-
-def random_spd(n, rng):
-    M = rng.standard_normal((n, n))
-    return M @ M.T + n * np.eye(n)
 
 
 # ---------------------------------------------------------------- badger
@@ -97,145 +91,3 @@ def test_badger_force_constant_rejects_overflow():
 def test_badger_accepts_numpy_and_integer_numbers():
     assert aw.badger_bond_order(np.float64(4.0)) == aw.badger_bond_order(4.0)
     assert aw.badger_bond_order(4) == aw.badger_bond_order(4.0)
-
-
-# ---------------------------------------------------------------- wilson residual
-
-def test_wilson_residual_exact_solution():
-    # columns of D eigenvectors of GF, Lambda the eigenvalues: residual 0
-    rng = np.random.default_rng(7)
-    F = random_spd(5, rng)
-    lam, D = np.linalg.eigh(F)  # G = I, so GF D = D diag(lam)
-    G = np.eye(5)
-    assert aw.wilson_residual(G, F, D, lam) < 1e-10
-
-
-def test_wilson_residual_detects_perturbation():
-    rng = np.random.default_rng(8)
-    F = random_spd(4, rng)
-    lam, D = np.linalg.eigh(F)
-    lam_bad = lam.copy()
-    lam_bad[2] += 1.0
-    # GFD - D diag(lam_bad) differs from zero only in column 2, by 1.0 * d_2
-    expected = np.linalg.norm(D[:, 2])
-    npt.assert_allclose(
-        aw.wilson_residual(np.eye(4), F, D, lam_bad), expected, rtol=1e-10
-    )
-
-
-def test_wilson_residual_shape_mismatch():
-    with pytest.raises(ValueError):
-        aw.wilson_residual(np.eye(3), np.eye(3), np.eye(2), np.ones(3))
-    with pytest.raises(ValueError):
-        aw.wilson_residual(np.eye(3), np.eye(3), np.eye(3), np.ones(2))
-
-
-# ---------------------------------------------------------------- local force constants
-
-def test_local_force_constants_diagonal_case():
-    F = np.diag([2.0, 5.0, 9.0])
-    D = np.eye(3)
-    npt.assert_allclose(aw.local_force_constants(F, D), [2.0, 5.0, 9.0], rtol=1e-12)
-
-
-def test_local_force_constants_match_direct_formula():
-    rng = np.random.default_rng(21)
-    F = random_spd(6, rng)
-    D = rng.standard_normal((6, 6))
-    got = aw.local_force_constants(F, D)
-    K = D.conj().T @ F @ D
-    Kinv = np.linalg.inv(K)
-    want = [1.0 / (D[:, m].conj() @ Kinv @ D[:, m]).real for m in range(6)]
-    npt.assert_allclose(got, want, rtol=1e-9)
-
-
-def test_local_force_constants_global_scale_invariance():
-    # rescaling the whole mode matrix cancels out of the quadratic form
-    rng = np.random.default_rng(22)
-    F = random_spd(4, rng)
-    D = rng.standard_normal((4, 4))
-    a = aw.local_force_constants(F, D)
-    b = aw.local_force_constants(F, 3.7 * D)
-    npt.assert_allclose(a, b, rtol=1e-9)
-
-
-def test_local_force_constants_singular_modes():
-    F = np.eye(2)
-    D = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank one, K singular
-    with pytest.raises(ComputationError):
-        aw.local_force_constants(F, D)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
-def test_local_force_constants_positive_for_spd(n, seed):
-    rng = np.random.default_rng(seed)
-    F = random_spd(n, rng)
-    D = rng.standard_normal((n, n)) + np.eye(n)
-    try:
-        k = aw.local_force_constants(F, D)
-    except ComputationError:
-        return  # ill-conditioned draw, nothing to check
-    assert np.all(k > 0)
-
-
-# ---------------------------------------------------------------- matrix input checks
-
-def with_entry(m, i, j, value):
-    """m as float with m[i, j] set to value."""
-    m = np.array(m, dtype=float)
-    m[i, j] = value
-    return m
-
-
-@pytest.mark.parametrize("bad", ["G", "F", "D"])
-@pytest.mark.parametrize("shape", [(), (3,), (3, 3, 1)], ids=["0-d", "1-d", "3-d"])
-def test_wilson_residual_rejects_non_2d(bad, shape):
-    # a 0-d F raised IndexError reading F.shape[0]
-    args = {"G": np.eye(3), "F": np.eye(3), "D": np.eye(3)}
-    args[bad] = np.ones(shape)
-    with pytest.raises(ValueError, match=f"{bad} must be a 2-D matrix"):
-        aw.wilson_residual(args["G"], args["F"], args["D"], np.ones(3))
-
-
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-@pytest.mark.parametrize("bad", ["G", "F", "D"])
-def test_wilson_residual_rejects_non_finite_matrix(bad, value):
-    # a NaN came back as a NaN residual with no error
-    args = {"G": np.eye(3), "F": np.eye(3), "D": np.eye(3)}
-    args[bad] = with_entry(args[bad], 1, 2, value)
-    with pytest.raises(ValueError, match=f"{bad} must be finite"):
-        aw.wilson_residual(args["G"], args["F"], args["D"], np.ones(3))
-
-
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
-def test_wilson_residual_rejects_non_finite_lambda(value):
-    with pytest.raises(ValueError, match="Lambda must be finite"):
-        aw.wilson_residual(np.eye(3), np.eye(3), np.eye(3), [1.0, value, 1.0])
-
-
-def test_wilson_residual_rejects_non_finite_complex_modes():
-    D = np.eye(3, dtype=complex)
-    D[0, 1] = complex(0.0, float("inf"))
-    with pytest.raises(ValueError, match="D must be finite"):
-        aw.wilson_residual(np.eye(3), np.eye(3), D, np.ones(3))
-
-
-@pytest.mark.parametrize("bad", ["F", "D"])
-@pytest.mark.parametrize("shape", [(), (3,), (3, 3, 1)], ids=["0-d", "1-d", "3-d"])
-def test_local_force_constants_rejects_non_2d(bad, shape):
-    # a 0-d F raised IndexError reading F.shape[0]
-    args = {"F": np.eye(3), "D": np.eye(3)}
-    args[bad] = np.ones(shape)
-    with pytest.raises(ValueError, match=f"{bad} must be a 2-D matrix"):
-        aw.local_force_constants(args["F"], args["D"])
-
-
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-@pytest.mark.parametrize("bad", ["F", "D"])
-def test_local_force_constants_rejects_non_finite(bad, value):
-    # raised LinAlgError "SVD did not converge" from the condition estimate
-    args = {"F": np.diag([2.0, 5.0, 9.0]), "D": np.eye(3)}
-    args[bad] = with_entry(args[bad], 2, 0, value)
-    with pytest.raises(ValueError, match=f"{bad} must be finite"):
-        aw.local_force_constants(args["F"], args["D"])

@@ -190,8 +190,10 @@ def test_rejects_grid_above_sample_ceiling(runner, tmp_path, argv, dt, message):
     ["stability", "-m", "benzene", "-m", "naphthalene", "--gamma-scale", "1e308"],
     # only the second molecule's Hamiltonian overflows; benzene is not evolved first
     ["stability", "-m", "benzene", "-m", "HEAVY", "--gamma-scale", "100"],
+    # a 2-node molecule has no TRP; benzene is not evolved before it is rejected
+    ["stability", "-m", "benzene", "-m", "DIMER"],
 ], ids=["simulate-phase", "simulate-scale", "simulate-grid", "stability-phase",
-        "stability-scale", "stability-second-scale"])
+        "stability-scale", "stability-second-scale", "stability-two-nodes"])
 def test_overflowing_walk_exits_2_before_any_block(runner, tmp_path, monkeypatch, argv):
     def no_block(*args):
         raise AssertionError("a block was evolved")
@@ -200,7 +202,9 @@ def test_overflowing_walk_exits_2_before_any_block(runner, tmp_path, monkeypatch
     heavy = tmp_path / "heavy.yaml"
     heavy.write_text("name: heavy\nnodes: 3\nedges:\n  - [1, 2, 1.0e+307]\n"
                      "  - [2, 3, 1.0e+307]\n")
-    argv = [str(heavy) if a == "HEAVY" else a for a in argv]
+    dimer = tmp_path / "dimer.yaml"
+    dimer.write_text("name: dimer\nnodes: 2\nedges:\n  - [1, 2, 1.0]\n")
+    argv = [{"HEAVY": str(heavy), "DIMER": str(dimer)}.get(a, a) for a in argv]
     out = tmp_path / "x"
     res = runner.invoke(main, [*argv, "--out", str(out)])
     assert res.exit_code == 2, res.output

@@ -79,6 +79,31 @@ def test_metrics_match_brute_force(full_series):
             )
 
 
+def assert_trp_identity(p, obs, t_max, dt, atol):
+    """Every column of B(t) sums to 1, so TRP = (1 - MAXP - MIN) / (N - 2),
+    with MIN the smallest occupancy of the column. obs is p's
+    SiteObservables on the grid of t_max and dt."""
+    _, mats = every_matrix(p, t_max, dt)
+    n = mats.shape[1]
+    npt.assert_allclose(obs.trp, (1.0 - obs.maxp - mats.min(axis=1)) / (n - 2),
+                        rtol=0, atol=atol)
+
+
+def test_trp_unitarity_identity_catalog(full_series):
+    # the largest gap measured on the catalog at the default grid is 5.6e-16
+    # (benzene)
+    for _, p, obs in full_series.values():
+        assert_trp_identity(p, obs, 200.0, 0.01, atol=1e-15)
+
+
+@settings(max_examples=10, deadline=None)
+@given(connected_graphs())
+def test_trp_unitarity_identity_random(g):
+    # the largest gap measured over 500 random graphs at t <= 5 is 1.8e-15
+    p = aw.propagator(aw.hamiltonian(g))
+    assert_trp_identity(p, aw.observe(p, 5.0, 0.1), 5.0, 0.1, atol=4e-15)
+
+
 def test_metrics_need_three_sites():
     with pytest.raises(ValueError):
         aw.site_observables(np.eye(2)[np.newaxis])
