@@ -10,6 +10,12 @@ place. A writing subcommand is declared once, from the function that
 builds its tables, by `_writer`, which owns --out, --from-manifest and
 the manifest.
 
+Every file is written as UTF-8 bytes. Tables are built as bytes from
+end to end: row formats and headers are bytes literals, each table's
+names, labels and class tags are encoded once before its rows are
+formatted, and `_atomic_write` writes the bytes chunks it gets to a
+binary file, so no text layer encodes a copy of each table.
+
 `_rows` is the only table writer but one: `simulate`'s t column is
 formatted once by "%.12g" itself, since nearly every default-grid time
 is outside the fast path below, where `_rows` took about twice as long.
@@ -46,7 +52,7 @@ EXIT_COMPUTATION = 3
 
 
 # the spec of a "%.12g" cell by its _g12 code: the decade d of a fast cell, or 4
-_G12_SPECS = ("0.%d", "0.0%d", "0.00%d", "0.000%d", "%.12g")
+_G12_SPECS = (b"0.%d", b"0.0%d", b"0.00%d", b"0.000%d", b"%.12g")
 _DECADE_SCALES = np.array([1e12, 1e13, 1e14, 1e15])
 
 
@@ -86,8 +92,10 @@ def _g12(column):
 
 
 def _rows(row, *columns):
-    """CSV text of one line per entry of the columns: row is the %-format
-    of a single line, applied once to all lines' interleaved cells. Each
+    """CSV bytes of one line per entry of the columns: row is the bytes
+    %-format of a single line, applied once to all lines' interleaved
+    cells. A "%s" column holds bytes, encoded by the caller once per table
+    (bytes % takes no str), and is passed on unconverted. Each
     "%.12g" column takes per-line specs and cells from _g12: a 12-digit int
     where the scaled value, exact to 2**-14, is more than 1e-3 from a
     rounding tie, and "%.12g" itself for the rest, which writes the same
@@ -97,17 +105,17 @@ def _rows(row, *columns):
     format is joined from one piece per run."""
     count, width = len(columns[0]), len(columns)
     cells = [None] * (width * count)
-    texts, codes, k = [""], [], 0  # the line's text around its "%.12g" specs
-    for token in re.split(r"(%%|%\.12g|%[sd])", row):
-        if token == "%.12g":
+    texts, codes, k = [b""], [], 0  # the line's text around its "%.12g" specs
+    for token in re.split(rb"(%%|%\.12g|%[sd])", row):
+        if token == b"%.12g":
             code, cells[k::width] = _g12(columns[k])
             codes.append(code)
-            texts.append("")
+            texts.append(b"")
         else:
             texts[-1] += token
-            if token in ("%s", "%d"):
+            if token in (b"%s", b"%d"):
                 cells[k::width] = columns[k]
-        k += token in ("%s", "%d", "%.12g")
+        k += token in (b"%s", b"%d", b"%.12g")
     # a run starts at line 0 and at every line where any spec changes
     changed = np.zeros(count, dtype=bool)
     changed[:1] = True
@@ -118,19 +126,20 @@ def _rows(row, *columns):
     for code, text in zip(codes, texts[1:]):
         lines += np.array([spec + text for spec in _G12_SPECS], dtype=object)[code[starts]]
     lengths = np.diff(starts, append=count).tolist()
-    return "".join([line * n for line, n in zip(lines.tolist(), lengths)]) % tuple(cells)
+    return b"".join([line * n for line, n in zip(lines.tolist(), lengths)]) % tuple(cells)
 
 
 def _atomic_write(path, chunks):
-    """Write the strings of chunks to a temporary file beside path, then
-    rename it over path: a failure part-way leaves path as it was. The file
-    gets mode 0o666 less the umask, as open(path, "w") gives a new file."""
+    """Write the bytes chunks, as they come, to a binary temporary file
+    beside path, then rename it over path: a failure part-way, such as a
+    str chunk (TypeError), leaves path as it was. The file gets mode 0o666
+    less the umask, as open(path, "w") gives a new file."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -225,7 +234,7 @@ def _writer(*options):
     --from-manifest, from its tables function: the command's name and help
     are the function's. tables gets the options' values, or the config
     replayed from --from-manifest, as cfg; it validates cfg, may fill in
-    resolved values and returns {file name: iterable of text chunks}. It
+    resolved values and returns {file name: iterable of bytes chunks}. It
     computes everything before it returns, so a bad config writes nothing;
     the chunks only format its results as each file and then manifest.json
     are written to out."""
@@ -259,7 +268,7 @@ def _writer(*options):
                 "wall_time_s": round(time.perf_counter() - started, 6),
             }
             _atomic_write(os.path.join(out, "manifest.json"),
-                          [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
+                          [(json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()])
             click.echo(f"{command}: wrote {', '.join(files)}, manifest.json to {out}")
 
         replay = click.option("--from-manifest", type=click.Path(exists=True, dir_okay=False),
@@ -300,16 +309,17 @@ def simulate(cfg):
     obs = metrics.observe(prop, cfg.get("t_max"), cfg.get("dt"))
     reports = metrics.site_reports(g, obs)
     # t is formatted once; each node's block of rows is formatted only as
-    # it is written, so one node's text is held at a time
-    times = ("%.12g\n" * len(obs.times) % tuple(obs.times.tolist())).splitlines()
-    prefix = g.name.replace("%", "%%")
-    series = (_rows(f"{prefix},{k + 1},%s,%.12g,%.12g\n", times, obs.maxp[:, k], obs.trp[:, k])
-              for k in range(g.node_count))
-    report = _rows("%s,%d,%s,%.12g,%.12g\n", [g.name] * len(reports),
-                   [r.node for r in reports], [r.class_id for r in reports],
+    # it is written, so one node's rows are held at a time
+    times = (b"%.12g\n" * len(obs.times) % tuple(obs.times.tolist())).splitlines()
+    name = g.name.encode()
+    prefix = name.replace(b"%", b"%%")
+    series = (_rows(b"%s,%d,%%s,%%.12g,%%.12g\n" % (prefix, k + 1), times,
+                    obs.maxp[:, k], obs.trp[:, k]) for k in range(g.node_count))
+    report = _rows(b"%s,%d,%s,%.12g,%.12g\n", [name] * len(reports),
+                   [r.node for r in reports], [r.class_id.encode() for r in reports],
                    [r.maxp_mean for r in reports], [r.trp_mean for r in reports])
-    return {"site_series.csv": itertools.chain(["molecule,node,t,maxp,trp\n"], series),
-            "site_report.csv": ["molecule,node,class,maxp_mean,trp_mean\n", report]}
+    return {"site_series.csv": itertools.chain([b"molecule,node,t,maxp,trp\n"], series),
+            "site_report.csv": [b"molecule,node,class,maxp_mean,trp_mean\n", report]}
 
 
 @_writer(
@@ -332,8 +342,9 @@ def rank(cfg):
     ranking = dtqw.rank_nodes(g, steps=cfg.get("steps"), start=cfg.get("start"),
                               coin=cfg.get("coin_degree"))
     cfg["steps"] = ranking.steps
-    return {"ranks.csv": ["node,label,score,rank\n", _rows(
-        "%d,%s,%.12g,%d\n", ranking.nodes, ranking.labels, ranking.scores, ranking.ranks)]}
+    return {"ranks.csv": [b"node,label,score,rank\n", _rows(
+        b"%d,%s,%.12g,%d\n", ranking.nodes, [label.encode() for label in ranking.labels],
+        ranking.scores, ranking.ranks)]}
 
 
 @_writer(
@@ -368,8 +379,8 @@ def stability(cfg):
     report = metrics.stability_order(entries)
     click.echo(report.order_string())
     rows = report.rows
-    return {"stability.csv": ["molecule,mean_trp,rank\n", _rows(
-        "%s,%.12g,%d\n", [r.molecule for r in rows], [r.mean_trp for r in rows],
+    return {"stability.csv": [b"molecule,mean_trp,rank\n", _rows(
+        b"%s,%.12g,%d\n", [r.molecule.encode() for r in rows], [r.mean_trp for r in rows],
         [r.rank for r in rows])]}
 
 
@@ -387,11 +398,12 @@ def cmd_bond_order(k):
 def export_graph(molecule, out):
     """Write a molecule's adjacency and Laplacian matrices as CSV."""
     g = graphs.load_molecule(molecule)
-    header = ",".join(("label",) + g.labels) + "\n"
-    row = "%s" + ",%.12g" * g.node_count + "\n"
+    labels = [label.encode() for label in g.labels]
+    header = b",".join([b"label", *labels]) + b"\n"
+    row = b"%s" + b",%.12g" * g.node_count + b"\n"
     for fname, M in (("adjacency.csv", g.adjacency),
                      ("laplacian.csv", graphs.laplacian(g))):
-        _atomic_write(os.path.join(out, fname), [header, _rows(row, g.labels, *M.T)])
+        _atomic_write(os.path.join(out, fname), [header, _rows(row, labels, *M.T)])
     click.echo(f"export-graph: wrote adjacency.csv, laplacian.csv to {out}")
 
 

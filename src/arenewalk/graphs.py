@@ -147,7 +147,7 @@ def load_molecule(name):
     if not isinstance(name, (str, os.PathLike)):
         raise ValueError(f"molecule must be a name or a path, got {name!r}")
     if name in CATALOG:
-        text = (resources.files("arenewalk.data") / f"{name}.yaml").read_text()
+        text = (resources.files("arenewalk.data") / f"{name}.yaml").read_text(encoding="utf-8")
     else:
         try:
             with open(name, "r", encoding="utf-8") as fh:

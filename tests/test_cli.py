@@ -236,6 +236,28 @@ def test_csv_breaking_name_exits_2(runner, tmp_path, command):
     assert not os.path.exists(out)
 
 
+def test_non_ascii_names_and_labels_reach_every_csv_as_utf8(runner, tmp_path):
+    g0 = aw.load_molecule("naphthalene")
+    name, labels = "naphthalène", [f"Cα{k}" for k in range(1, 11)]
+    edges = "".join(f"  - [{i}, {j}, {w!r}]\n" for i, j, w in g0.edges)
+    path = tmp_path / "naphthalene.yaml"
+    path.write_text(f"name: {name}\nnodes: 10\nedges:\n{edges}labels: [{', '.join(labels)}]\n",
+                    encoding="utf-8")
+    runs = {"simulate": (["--t-max", "0.05"], {"site_series.csv": [name],
+                                                "site_report.csv": [name, *labels]}),
+            "rank": (["--steps", "20"], {"ranks.csv": labels}),
+            "stability": (["-m", "benzene", "--t-max", "0.05"], {"stability.csv": [name]}),
+            "export-graph": ([], {"adjacency.csv": labels, "laplacian.csv": labels})}
+    for command, (argv, expected) in runs.items():
+        out = tmp_path / command
+        res = runner.invoke(main, [command, "-m", str(path), *argv, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        for fname, texts in expected.items():
+            text = (out / fname).read_bytes().decode("utf-8")
+            cells = {cell for line in text.splitlines() for cell in line.split(",")}
+            assert set(texts) <= cells, (command, fname)
+
+
 @pytest.mark.parametrize("argv", [["rank", "--steps", "1"], ["simulate", "--t-max", "0.01"],
                                   ["export-graph"]])
 def test_molecule_over_node_ceiling_exits_2(runner, tmp_path, argv):
@@ -320,15 +342,25 @@ def test_simulate_memory_grows_by_less_than_1kb_per_sample(tmp_path):
     assert peak("200") - peak("100") < 10000 * 1024
 
 
-def test_atomic_write_failure_keeps_previous_file(tmp_path):
+def failing_chunks():
+    yield b"a,b\n"
+    raise RuntimeError("formatting failed")
+
+
+def text_chunks():
+    # the writer takes bytes only; a str chunk is a caller's mistake
+    yield b"a,b\n"
+    yield "1,2\n"
+
+
+@pytest.mark.parametrize("chunks, error, match", [
+    (failing_chunks, RuntimeError, "formatting failed"),
+    (text_chunks, TypeError, "bytes-like"),
+], ids=["raises", "str-chunk"])
+def test_atomic_write_failure_keeps_previous_file(tmp_path, chunks, error, match):
     path = tmp_path / "table.csv"
     path.write_text("previous\n")
-
-    def chunks():
-        yield "a,b\n"
-        raise RuntimeError("formatting failed")
-
-    with pytest.raises(RuntimeError, match="formatting failed"):
+    with pytest.raises(error, match=match):
         _atomic_write(str(path), chunks())
     assert path.read_text() == "previous\n"
     assert os.listdir(tmp_path) == ["table.csv"]

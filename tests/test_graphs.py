@@ -1,7 +1,11 @@
 """Molecule graph construction, validation, and matrix builders."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -88,6 +92,19 @@ def test_catalog_shapes(name, nodes, edges, nclasses):
     assert g.node_count == nodes
     assert len(g.edges) == edges
     assert len(g.classes) == nclasses
+
+
+def test_catalog_reads_as_utf8_under_any_locale():
+    # a read without an explicit encoding would take the locale's, which
+    # warn_default_encoding reports and -W error turns into a failure
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-c",
+         "import arenewalk as aw; [aw.load_molecule(name) for name in aw.CATALOG]"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
 
 
 def test_benzene_uniform_weights():

@@ -2,9 +2,9 @@
 
 cli._g12 prints most values in [1e-4, 1) as 12-digit ints and leaves the
 rest to "%.12g" itself; these tests hold every path to the text that
-"%.12g" % x writes. cli._rows shares one line of format across each run of
-lines with the same specs; the run tests hold its tables to the text of
-the row format applied line by line.
+"%.12g" % x writes, encoded. cli._rows shares one line of format across
+each run of lines with the same specs; the run tests hold its tables to
+the bytes of the row format applied line by line.
 """
 from fractions import Fraction
 
@@ -21,7 +21,7 @@ FALLBACK = 4  # the _g12 code of a cell left to "%.12g"
 
 def assert_prints_as_g12(values):
     values = np.asarray(values, dtype=float)
-    assert _rows("%.12g\n", values) == "".join(["%.12g\n" % x for x in values.tolist()])
+    assert _rows(b"%.12g\n", values) == "".join(["%.12g\n" % x for x in values.tolist()]).encode()
 
 
 def test_seeded_values_by_decade():
@@ -89,10 +89,10 @@ def column_of_codes(codes, seed=0):
 
 
 def assert_rows_line_by_line(row, *columns):
-    assert _rows(row, *columns) == "".join(row % line for line in zip(*columns))
+    assert _rows(row, *columns) == b"".join(row % line for line in zip(*columns))
 
 
-RUN_ROW = "%.12g,%%,%s,%d,%.12g\n"
+RUN_ROW = b"%.12g,%%,%s,%d,%.12g\n"
 
 
 @pytest.mark.parametrize("codes_a, codes_b", [
@@ -108,7 +108,7 @@ RUN_ROW = "%.12g,%%,%s,%d,%.12g\n"
 ])
 def test_rows_runs_match_line_by_line(codes_a, codes_b):
     count = len(codes_a)
-    names = [f"s{i}%" for i in range(count)]
+    names = [f"s{i}%".encode() for i in range(count)]
     assert_rows_line_by_line(RUN_ROW, column_of_codes(codes_a, 1), names, list(range(count)),
                              column_of_codes(codes_b, 2))
 
@@ -123,14 +123,14 @@ def test_rows_random_runs_match_line_by_line(runs_a, runs_b):
     count = max(len(codes_a), len(codes_b))
     codes_a += [0] * (count - len(codes_a))
     codes_b += [FALLBACK] * (count - len(codes_b))
-    assert_rows_line_by_line(RUN_ROW, column_of_codes(codes_a, 3), ["x"] * count,
+    assert_rows_line_by_line(RUN_ROW, column_of_codes(codes_a, 3), [b"x"] * count,
                              list(range(count)), column_of_codes(codes_b, 4))
 
 
 def test_rows_assembles_mixed_specs():
-    row = "%s,%d,50%%.12g,%.12g,%s;%.12g\n"
-    cells = (["a", "b%d"], [1, 2], [0.25, 3.0], ["x", "y"], [np.nan, 0.001234])
-    assert _rows(row, *cells) == "a,1,50%.12g,0.25,x;nan\nb%d,2,50%.12g,3,y;0.001234\n"
+    row = b"%s,%d,50%%.12g,%.12g,%s;%.12g\n"
+    cells = ([b"a", b"b%d"], [1, 2], [0.25, 3.0], [b"x", b"y"], [np.nan, 0.001234])
+    assert _rows(row, *cells) == "a,1,50%.12g,0.25,x;nan\nb%d,2,50%.12g,3,y;0.001234\n".encode()
 
 
 @pytest.mark.parametrize("molecule", aw.CATALOG)
