@@ -194,8 +194,6 @@ _GRID_OPTIONS = (
                  help="Last sampled time."),
     click.option("--dt", type=float, default=0.01, show_default=True,
                  help="Sampling interval."),
-    click.option("--gamma-scale", type=float, default=1.0, show_default=True,
-                 help="Global rate multiplier on the walk generator."),
 )
 
 
@@ -305,7 +303,7 @@ def simulate(cfg):
     (molecule,node,class,maxp_mean,trp_mean) and manifest.json.
     """
     g = _molecule(cfg)
-    prop = ctqw.propagator(ctqw.hamiltonian(g, cfg.get("gamma_scale")))
+    prop = ctqw.propagator(ctqw.hamiltonian(g))
     obs = metrics.observe(prop, cfg.get("t_max"), cfg.get("dt"))
     reports = metrics.site_reports(g, obs)
     # t is formatted once; each node's block of rows is formatted only as
@@ -370,9 +368,12 @@ def stability(cfg):
     metrics._check_unique_names([g.name for g in molecules])
     for g in molecules:
         metrics._check_walkers(g.node_count)
-    # every Hamiltonian is checked before any molecule is evolved
-    props = [ctqw.propagator(ctqw.hamiltonian(g, cfg.get("gamma_scale"))) for g in molecules]
+    # every molecule's grid and phases are checked before any is evolved
+    props = [ctqw.propagator(ctqw.hamiltonian(g)) for g in molecules]
     t_max, dt = cfg.get("t_max"), cfg.get("dt")
+    t_last = ctqw._grid(t_max, dt)[-1]
+    for prop in props:
+        ctqw._check_phases(prop, t_last)
     # each molecule's TRP array is reduced to its entry, and dropped,
     # before the next molecule is evolved
     entries = [metrics.stability_entry(g, prop, t_max, dt) for g, prop in zip(molecules, props)]

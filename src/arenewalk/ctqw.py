@@ -1,7 +1,8 @@
 """Continuous-time quantum walk on a weighted molecular graph.
 
-The generator is gamma * L, gamma times the weighted graph Laplacian, passed
-as the plain read-only (N, N) float64 matrix. Evolution uses a one-time
+The generator is the weighted graph Laplacian L, passed as the plain
+read-only (N, N) float64 matrix; a rate gamma only rescales time, since
+exp(-i gamma L t) = exp(-i L gamma t). Evolution uses a one-time
 symmetric eigendecomposition, so any time t is reached exactly (no time
 stepping error). U(t) = Q diag(exp(-i lam t)) Q^T is symmetric, so on a set
 of times it is one product of the eigenvector pairs Q[j, l] Q[k, l] with
@@ -44,24 +45,19 @@ class Propagator:
     eigenvectors: np.ndarray
 
 
-def hamiltonian(g, gamma_scale=1.0):
-    """Walk generator gamma_scale * laplacian(g) for a molecule graph, as a
-    read-only (N, N) float64 array; rejects a gamma_scale that is not a
-    finite real number > 0, or whose product with the Laplacian overflows."""
-    if not (graphs._is_real(gamma_scale) and 0 < gamma_scale < np.inf):
-        raise ValueError(f"gamma_scale must be a finite real number > 0, got {gamma_scale!r}")
-    with np.errstate(over="ignore"):
-        matrix = gamma_scale * graphs.laplacian(g)
-    if not np.isfinite(matrix).all():
-        raise ValueError(f"gamma_scale {gamma_scale!r} overflows the Hamiltonian")
+def hamiltonian(g):
+    """Walk generator laplacian(g) for a molecule graph, as a read-only
+    (N, N) float64 array; finite, since MoleculeGraph rejects weights whose
+    weighted degree overflows."""
+    matrix = graphs.laplacian(g)
     matrix.flags.writeable = False
     return matrix
 
 
 def propagator(h):
     """Eigendecompose the generator once; U(t) is then exact for every t.
-    h is a real symmetric matrix, such as the read-only gamma * L that
-    hamiltonian returns."""
+    h is any real symmetric matrix, such as the read-only L that hamiltonian
+    returns, or gamma * L for a walk at rate gamma."""
     H = np.asarray(h, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"Hamiltonian must be square, got {H.shape}")

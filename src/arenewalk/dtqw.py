@@ -190,7 +190,8 @@ def rank_nodes(g, steps=None, start=1, coin="unweighted"):
         # numpy sums that axis 0 pairwise; it sums a C-ordered copy row
         # after row, in half the time of np.add.accumulate
         occ = np.ascontiguousarray(sums).sum(axis=0)
-    if abs(float(p[-1].sum()) - 1.0) > 1e-9:
+    # written so that a NaN norm trips it too
+    if not abs(float(p[-1].sum()) - 1.0) <= 1e-9:
         raise ComputationError(f"walk norm drifted to {p[-1].sum()!r}; refusing to rank")
     class_of = np.empty(n, dtype=int)
     for k, cls in enumerate(g.classes):

@@ -38,7 +38,8 @@ def _is_real(x):
 
 @dataclass(frozen=True, eq=False)
 class MoleculeGraph:
-    """Connected undirected graph with finite positive edge weights.
+    """Connected undirected graph with finite positive edge weights whose
+    sum at each node, the weighted degree, is finite.
 
     edges hold (i, j, weight) with 1-based node indices, stored with i < j.
     classes partition the nodes into symmetry-equivalent groups, stored
@@ -84,6 +85,13 @@ class MoleculeGraph:
                 raise ValueError(f"duplicate edge ({i}, {j})")
             A[i - 1, j - 1] = A[j - 1, i - 1] = w
             canon.append((min(i, j), max(i, j), w))
+        # the row sums are the weighted degrees and the Laplacian's diagonal:
+        # once they are finite, so is everything derived from A
+        with np.errstate(over="ignore"):
+            (over,) = np.nonzero(~np.isfinite(A.sum(axis=1)))
+        if over.size:
+            raise ValueError(f"weighted degree of node {over[0] + 1} overflows: "
+                             "its bond weights sum to inf")
         A.flags.writeable = False
         object.__setattr__(self, "adjacency", A)
         object.__setattr__(self, "edges", tuple(canon))

@@ -71,7 +71,7 @@ def test_simulate_writes_expected_files(runner, tmp_path):
     manifest = json.load(open(os.path.join(out, "manifest.json")))
     assert manifest["command"] == "simulate"
     assert manifest["config"] == {
-        "molecule": "benzene", "t_max": 1.0, "dt": 0.5, "gamma_scale": 1.0,
+        "molecule": "benzene", "t_max": 1.0, "dt": 0.5,
     }
     assert sorted(manifest["outputs"]) == ["site_report.csv", "site_series.csv"]
     assert manifest["package"]["name"] == "arenewalk"
@@ -113,12 +113,12 @@ GRID = ["--t-max", "2", "--dt", "0.25"]
 
 @pytest.mark.parametrize("argv, config", [
     (["simulate", "-m", "benzene", *GRID],
-     {"molecule": "benzene", "t_max": 2.0, "dt": 0.25, "gamma_scale": 1.0}),
+     {"molecule": "benzene", "t_max": 2.0, "dt": 0.25}),
     # rank records the steps it resolved, stability its molecules as a list
     (["rank", "-m", "naphthalene"],
      {"molecule": "naphthalene", "steps": 1000, "start": 1, "coin_degree": "unweighted"}),
     (["stability", "-m", "benzene", "-m", "naphthalene", *GRID],
-     {"molecules": ["benzene", "naphthalene"], "t_max": 2.0, "dt": 0.25, "gamma_scale": 1.0}),
+     {"molecules": ["benzene", "naphthalene"], "t_max": 2.0, "dt": 0.25}),
 ], ids=["simulate", "rank", "stability"])
 def test_deterministic_and_replayable(runner, tmp_path, argv, config):
     out1, out2, out3 = (str(tmp_path / d) for d in ("a", "b", "c"))
@@ -179,32 +179,43 @@ def test_rejects_grid_above_sample_ceiling(runner, tmp_path, argv, dt, message):
     assert not os.path.exists(tmp_path / "x")
 
 
+def write_path3(tmp_path, name, weight):
+    """A 3-node path molecule file whose two bonds have the given weight."""
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(f"name: {name}\nnodes: 3\nedges:\n  - [1, 2, {weight}]\n"
+                    f"  - [2, 3, {weight}]\n")
+    return str(path)
+
+
 @pytest.mark.parametrize("argv", [
-    # finite H, but t * lam overflows: every mean was nan with exit 0
-    ["simulate", "-m", "benzene", "--gamma-scale", "1e306"],
-    # gamma_scale * laplacian overflows to inf
-    ["simulate", "-m", "benzene", "--gamma-scale", "1e308"],
+    # BIG's H is finite (largest eigenvalue 3e306), but 200 * 3e306
+    # overflows: every mean was nan with exit 0
+    ["simulate", "-m", "BIG"],
+    # HEAVY's middle node has weighted degree 2e308, which overflows to inf
+    ["simulate", "-m", "HEAVY"],
     # a finite 10001-sample grid whose last t * lam overflows
     ["simulate", "-m", "benzene", "--t-max", "1e308", "--dt", "1e304"],
-    ["stability", "-m", "benzene", "-m", "naphthalene", "--gamma-scale", "1e306"],
-    ["stability", "-m", "benzene", "-m", "naphthalene", "--gamma-scale", "1e308"],
-    # only the second molecule's Hamiltonian overflows; benzene is not evolved first
-    ["stability", "-m", "benzene", "-m", "HEAVY", "--gamma-scale", "100"],
+    ["stability", "-m", "BIG", "-m", "benzene"],
+    ["stability", "-m", "HEAVY", "-m", "benzene"],
+    # only the second molecule's weights overflow; benzene is not evolved first
+    ["stability", "-m", "benzene", "-m", "HEAVY"],
+    # only the second molecule's phases overflow; anthracene is not evolved first
+    ["stability", "-m", "anthracene", "-m", "BIG"],
     # a 2-node molecule has no TRP; benzene is not evolved before it is rejected
     ["stability", "-m", "benzene", "-m", "DIMER"],
 ], ids=["simulate-phase", "simulate-scale", "simulate-grid", "stability-phase",
-        "stability-scale", "stability-second-scale", "stability-two-nodes"])
+        "stability-scale", "stability-second-scale", "stability-second-phase",
+        "stability-two-nodes"])
 def test_overflowing_walk_exits_2_before_any_block(runner, tmp_path, monkeypatch, argv):
     def no_block(*args):
         raise AssertionError("a block was evolved")
 
     monkeypatch.setattr(ctqw, "_unitaries", no_block)
-    heavy = tmp_path / "heavy.yaml"
-    heavy.write_text("name: heavy\nnodes: 3\nedges:\n  - [1, 2, 1.0e+307]\n"
-                     "  - [2, 3, 1.0e+307]\n")
     dimer = tmp_path / "dimer.yaml"
     dimer.write_text("name: dimer\nnodes: 2\nedges:\n  - [1, 2, 1.0]\n")
-    argv = [{"HEAVY": str(heavy), "DIMER": str(dimer)}.get(a, a) for a in argv]
+    files = {"BIG": write_path3(tmp_path, "big", "1.0e+306"),
+             "HEAVY": write_path3(tmp_path, "heavy", "1.0e+308"), "DIMER": str(dimer)}
+    argv = [files.get(a, a) for a in argv]
     out = tmp_path / "x"
     res = runner.invoke(main, [*argv, "--out", str(out)])
     assert res.exit_code == 2, res.output
@@ -256,6 +267,25 @@ def test_non_ascii_names_and_labels_reach_every_csv_as_utf8(runner, tmp_path):
             text = (out / fname).read_bytes().decode("utf-8")
             cells = {cell for line in text.splitlines() for cell in line.split(",")}
             assert set(texts) <= cells, (command, fname)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "-m", "HEAVY", "--t-max", "0.01"],
+    ["rank", "-m", "HEAVY", "--steps", "1"],
+    ["rank", "-m", "HEAVY", "--steps", "1", "--coin-degree", "weighted"],
+    ["stability", "-m", "benzene", "-m", "HEAVY", "--t-max", "0.01"],
+    ["export-graph", "-m", "HEAVY"],
+], ids=["simulate", "rank-unweighted", "rank-weighted", "stability", "export-graph"])
+def test_overflowing_weighted_degree_exits_2(runner, tmp_path, argv):
+    # export-graph wrote inf into laplacian.csv and the weighted coin nan
+    # into every score, both with exit 0
+    heavy = write_path3(tmp_path, "heavy", "1.0e+308")
+    out = tmp_path / "x"
+    res = runner.invoke(main, [heavy if a == "HEAVY" else a for a in argv] + ["--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "configuration error" in res.output
+    assert "weighted degree of node 2 overflows" in res.output
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("argv", [["rank", "--steps", "1"], ["simulate", "--t-max", "0.01"],
@@ -695,7 +725,7 @@ REPLAY_ARGV = {**CTQW_ARGV, "rank": ["rank", "-m", "benzene", "--steps", "50"]}
 
 
 @pytest.mark.parametrize("command, options", [
-    ("simulate", ["--t-max", "5", "--gamma-scale", "3"]),
+    ("simulate", ["--t-max", "5", "--dt", "3"]),
     # an option given at its default value is still given
     ("simulate", ["--dt", "0.01"]),
     ("rank", ["--start", "2"]),
@@ -898,6 +928,16 @@ def test_export_graph_bytes(runner, tmp_path, molecule):
 
 
 # ---------------------------------------------------------------- exit codes
+
+@pytest.mark.parametrize("command", ["simulate", "stability"])
+def test_gamma_scale_is_an_unknown_option(runner, tmp_path, command):
+    # a rate only rescales time: run at gamma with --t-max and --dt times gamma
+    res = runner.invoke(main, [*CTQW_ARGV[command], "--gamma-scale", "1",
+                               "--out", str(tmp_path / "x")])
+    assert res.exit_code == 2, res.output
+    assert "No such option" in res.output and "--gamma-scale" in res.output
+    assert not os.path.exists(tmp_path / "x")
+
 
 def test_computation_error_maps_to_exit_3(runner, tmp_path, monkeypatch):
     import arenewalk.cli as cli_mod

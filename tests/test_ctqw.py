@@ -29,25 +29,17 @@ def test_hamiltonian_is_weighted_laplacian():
     npt.assert_allclose(H.sum(axis=1), 0, atol=1e-12)
 
 
-def test_hamiltonian_scale():
-    g = two_node(1.3)
-    H1 = aw.hamiltonian(g)
-    H2 = aw.hamiltonian(g, gamma_scale=2.0)
-    npt.assert_allclose(H2, 2.0 * H1)
-    with pytest.raises(ValueError):
-        aw.hamiltonian(g, gamma_scale=0.0)
-    with pytest.raises(ValueError):
-        aw.hamiltonian(g, gamma_scale=-1.0)
-    with pytest.raises(ValueError, match="finite"):
-        aw.hamiltonian(g, gamma_scale=float("inf"))
-
-
 @pytest.mark.parametrize("gamma", [1.0, 2.0])
 def test_hamiltonian_is_read_only_scaled_laplacian(gamma):
+    # the generator is L itself; a walk at rate gamma passes gamma * L to
+    # propagator, a new array, and at gamma = 1 that is L bit for bit
     g = aw.load_molecule("naphthalene")
-    H = aw.hamiltonian(g, gamma)
+    H = aw.hamiltonian(g)
     assert type(H) is np.ndarray and H.dtype == np.float64
-    assert np.array_equal(H, gamma * aw.laplacian(g))
+    assert np.array_equal(H, aw.laplacian(g))
+    scaled = gamma * H
+    assert np.array_equal(scaled, gamma * aw.laplacian(g))
+    assert np.array_equal(scaled, H) == (gamma == 1.0)
     with pytest.raises(ValueError, match="read-only"):
         H[0, 0] = 0.0
 
@@ -57,20 +49,6 @@ def test_propagator_of_hamiltonian_equals_propagator_of_laplacian():
     p, q = aw.propagator(aw.hamiltonian(g)), aw.propagator(aw.laplacian(g))
     assert np.array_equal(p.eigenvalues, q.eigenvalues)
     assert np.array_equal(p.eigenvectors, q.eigenvectors)
-
-
-@pytest.mark.parametrize("value", [True, "2", None])
-def test_hamiltonian_rejects_non_real_scale(value):
-    with pytest.raises(ValueError, match="real number"):
-        aw.hamiltonian(two_node(), gamma_scale=value)
-
-
-@pytest.mark.parametrize("scale", [1e308, float(np.finfo(float).max)])
-def test_hamiltonian_rejects_overflowing_scale(scale):
-    # gamma_scale * 2.936 overflows to inf; tier-1 also turns numpy's
-    # overflow RuntimeWarning into an error, so none may fire
-    with pytest.raises(ValueError, match="overflows the Hamiltonian"):
-        aw.hamiltonian(aw.load_molecule("benzene"), gamma_scale=scale)
 
 
 @pytest.mark.parametrize("t_max, dt", [("5", 0.01), (True, 0.5), (1.0, True), (None, 0.5)])
@@ -193,7 +171,7 @@ def test_unitary_of_zero_hamiltonian_at_huge_time():
     (1.0, 1e308, 1e304),   # a 10001-sample grid whose last t * lam overflows
 ])
 def test_evolve_rejects_non_finite_phases_before_any_block(monkeypatch, scale, t_max, dt):
-    p = aw.propagator(aw.hamiltonian(aw.load_molecule("benzene"), gamma_scale=scale))
+    p = aw.propagator(scale * aw.hamiltonian(aw.load_molecule("benzene")))
 
     def no_block(*args):
         raise AssertionError("a block was evolved")
@@ -201,6 +179,35 @@ def test_evolve_rejects_non_finite_phases_before_any_block(monkeypatch, scale, t
     monkeypatch.setattr(ctqw, "_unitaries", no_block)
     with pytest.raises(ValueError, match="is not finite"):
         aw.observe(p, t_max, dt)
+
+
+RATES = (0.5, 2.0, 3.7)
+
+
+def assert_rate_is_a_time_unit(g, times):
+    # exp(-i gamma H t) = exp(-i H gamma t): a rate only rescales time. The
+    # two sides differ by the roundoff of two eigendecompositions, whose
+    # phase error grows as gamma * max|lam| * t; the largest gap measured was
+    # 6.6e-13 on the catalog up to t = 200, and over 1000 random graphs
+    # 3.1e-13 up to t = 17.3 against 4.1e-12 at t = 200
+    H = aw.hamiltonian(g)
+    p = aw.propagator(H)
+    for gamma in RATES:
+        q = aw.propagator(gamma * H)
+        for t in times:
+            npt.assert_allclose(aw.evolve_ensemble(q, t), aw.evolve_ensemble(p, gamma * t),
+                                rtol=0, atol=1e-11)
+
+
+def test_rate_is_a_time_unit():
+    for name in aw.CATALOG:
+        assert_rate_is_a_time_unit(aw.load_molecule(name), (0.37, 17.3, 199.99))
+
+
+@settings(max_examples=20, deadline=None)
+@given(connected_graphs())
+def test_rate_is_a_time_unit_random_graphs(g):
+    assert_rate_is_a_time_unit(g, (0.37, 17.3))
 
 
 @pytest.mark.parametrize("t_max, dt", [(200.0, 0.01), (1.0, 0.5), (0.3, 0.1), (5.0, 0.01),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -533,3 +534,26 @@ def test_rank_nodes_norm_guard(monkeypatch):
     monkeypatch.setattr(dtqw, "_ArcTable", Leaky)
     with pytest.raises(ComputationError):
         aw.rank_nodes(aw.load_molecule("benzene"), steps=50)
+
+
+def test_rank_nodes_norm_guard_trips_on_nan(monkeypatch, tmp_path):
+    # a NaN norm compares False against any bound, so the guard must be
+    # written to trip on it; rank wrote NaN scores with exit 0
+    from click.testing import CliRunner
+
+    from arenewalk.cli import main
+
+    class Poisoned(dtqw._ArcTable):
+        def __init__(self, g, coin):
+            super().__init__(g, coin)
+            self.coef = self.coef.copy()
+            self.coef[0] = np.nan
+
+    monkeypatch.setattr(dtqw, "_ArcTable", Poisoned)
+    with pytest.raises(ComputationError, match="nan"):
+        aw.rank_nodes(aw.load_molecule("benzene"), steps=50)
+    out = tmp_path / "x"
+    res = CliRunner().invoke(main, ["rank", "-m", "benzene", "--steps", "50", "--out", str(out)])
+    assert res.exit_code == 3, res.output
+    assert "computation error" in res.output
+    assert not os.path.exists(out)

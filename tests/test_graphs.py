@@ -433,6 +433,24 @@ def test_invalid_edges_rejected(edges):
         MoleculeGraph(name="bad", node_count=2, edges=edges)
 
 
+@pytest.mark.parametrize("weight", [1e308, float(np.finfo(float).max)])
+def test_overflowing_weighted_degree_rejected(weight):
+    # node 2 sums to weight + 1.0, which rounds to the finite weight; node
+    # 3 sums to 2 * weight, inf. Tier-1 turns numpy's overflow
+    # RuntimeWarning into an error, so none may fire
+    edges = ((1, 2, 1.0), (2, 3, weight), (3, 4, weight))
+    with pytest.raises(ValueError, match="weighted degree of node 3 overflows"):
+        MoleculeGraph(name="heavy", node_count=4, edges=edges)
+
+
+def test_largest_finite_weighted_degree_accepted():
+    # node 2 sums to 1.6e308, just below the largest double (1.8e308), so
+    # the Laplacian and the Hamiltonian are finite
+    g = MoleculeGraph(name="heavy", node_count=3, edges=((1, 2, 8e307), (2, 3, 8e307)))
+    assert np.isfinite(aw.hamiltonian(g)).all()
+    assert aw.weighted_degrees(g)[1] == 1.6e308
+
+
 def test_integer_weights_and_numpy_indices_accepted():
     g = MoleculeGraph(name="pair", node_count=np.int64(2), edges=((np.int64(1), 2, 2),))
     assert g.edges == ((1, 2, 2.0),)
