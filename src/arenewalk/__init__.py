@@ -4,12 +4,12 @@ Continuous-time walks (Laplacian generator, exact spectral propagator)
 produce per-site MAXP/TRP observables, delocalization-mode matches and a
 cross-molecule stability order; a directed discrete-time walk ranks
 sites by reactivity. Badger's power law converts a local stretching
-force constant to a relative bond strength order, and back.
+force constant to a relative bond strength order.
 """
 
 __version__ = "0.1.0"
 
-from .bondorder import badger_bond_order, badger_force_constant
+from .bondorder import badger_bond_order
 from .ctqw import (
     Propagator,
     evolve,
@@ -24,7 +24,6 @@ from .graphs import (
     CATALOG,
     MoleculeGraph,
     degrees,
-    laplacian,
     load_molecule,
     weighted_degrees,
 )
@@ -59,14 +58,12 @@ __all__ = [
     "StabilityEntry",
     "StabilityReport",
     "badger_bond_order",
-    "badger_force_constant",
     "classify_modes",
     "degrees",
     "detect_period",
     "evolve",
     "evolve_ensemble",
     "hamiltonian",
-    "laplacian",
     "load_molecule",
     "observe",
     "propagator",

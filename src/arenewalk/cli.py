@@ -403,7 +403,7 @@ def export_graph(molecule, out):
     header = b",".join([b"label", *labels]) + b"\n"
     row = b"%s" + b",%.12g" * g.node_count + b"\n"
     for fname, M in (("adjacency.csv", g.adjacency),
-                     ("laplacian.csv", graphs.laplacian(g))):
+                     ("laplacian.csv", ctqw.hamiltonian(g))):
         _atomic_write(os.path.join(out, fname), [header, _rows(row, labels, *M.T)])
     click.echo(f"export-graph: wrote adjacency.csv, laplacian.csv to {out}")
 

@@ -46,10 +46,11 @@ class Propagator:
 
 
 def hamiltonian(g):
-    """Walk generator laplacian(g) for a molecule graph, as a read-only
+    """Walk generator of a molecule graph, its weighted Laplacian
+    L = D - A: positive semidefinite with zero row sums, as a read-only
     (N, N) float64 array; finite, since MoleculeGraph rejects weights whose
     weighted degree overflows."""
-    matrix = graphs.laplacian(g)
+    matrix = np.diag(graphs.weighted_degrees(g)) - g.adjacency
     matrix.flags.writeable = False
     return matrix
 
@@ -72,6 +73,11 @@ def propagator(h):
     if np.abs(H - H.T).max(initial=0.0) > 1e-12 * np.abs(H).max(initial=0.0):
         raise ValueError("Hamiltonian must be symmetric")
     lam, Q = np.linalg.eigh(H)
+    # a finite H can still have eigenvalues beyond the float range: those of
+    # L reach up to twice its largest weighted degree
+    if not (np.isfinite(lam).all() and np.isfinite(Q).all()):
+        raise ValueError("Hamiltonian's spectrum is not finite: an eigenvalue "
+                         "or eigenvector overflows the float range")
     return Propagator(eigenvalues=lam, eigenvectors=Q)
 
 

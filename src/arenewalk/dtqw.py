@@ -131,14 +131,11 @@ class NodeRanking:
     carry equal scores. Rank 1 = least accumulated information = most
     reactive."""
 
-    molecule: str
     nodes: tuple
     labels: tuple
     scores: tuple
     ranks: tuple
-    start: int
     steps: int
-    coin: str
 
 
 def _block_rows(nsub):
@@ -200,12 +197,9 @@ def rank_nodes(g, steps=None, start=1, coin="unweighted"):
     scores = class_scores[class_of]
     ranks = metrics._dense_ranks(class_scores)[class_of]
     return NodeRanking(
-        molecule=g.name,
         nodes=tuple(range(1, n + 1)),
         labels=g.labels,
         scores=tuple(float(s) for s in scores),
         ranks=tuple(int(r) for r in ranks),
-        start=int(start),
         steps=int(steps),
-        coin=coin,
     )

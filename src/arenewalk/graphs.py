@@ -3,8 +3,8 @@
 Nodes are the carbon sites of a conjugated system, numbered from 1. Edge
 weights are dimensionless relative bond strength orders. A MoleculeGraph
 owns what is derived from its input: the weighted adjacency matrix, built
-once while the bonds are validated and kept read-only (laplacian, degrees
-and weighted_degrees read it), and the symmetry partition `classes`.
+once while the bonds are validated and kept read-only (degrees and
+weighted_degrees read it), and the symmetry partition `classes`.
 Graphs are frozen after construction and safe to share between threads.
 """
 from __future__ import annotations
@@ -199,12 +199,6 @@ def load_molecule(name):
                          f"{sorted(unknown, key=str)}")
     return MoleculeGraph(name=doc["name"], node_count=doc["nodes"], edges=doc["edges"],
                          classes=doc.get("classes"), labels=doc.get("labels"))
-
-
-def laplacian(g):
-    """Weighted graph Laplacian L = D - A; positive semidefinite, zero row sums."""
-    A = g.adjacency
-    return np.diag(A.sum(axis=1)) - A
 
 
 def degrees(g):

@@ -53,7 +53,7 @@ class SiteReport:
     node: int
     maxp_mean: float
     trp_mean: float
-    class_id: str | None = None
+    class_id: str
 
 
 def _check_walkers(n):
@@ -78,6 +78,8 @@ def site_observables(mats):
 def observe(p, t_max=200.0, dt=0.01):
     """SiteObservables of a propagator on the grid t = 0, dt, 2*dt, ... up
     to t_max inclusive, reduced block by block as B(t) is evolved."""
+    # checked here too, so that no block is evolved for a walk without TRP
+    _check_walkers(len(p.eigenvalues))
     times, (mp, tp) = ctqw.evolve(p, t_max, dt, site_observables)
     return SiteObservables(times, mp, tp)
 
@@ -144,6 +146,7 @@ def stability_entry(g, p, t_max=200.0, dt=0.01):
     if n != g.node_count:
         raise ValueError(f"propagator has {n} sites, "
                          f"molecule {g.name!r} has {g.node_count} nodes")
+    _check_walkers(n)
     _, (trp,) = ctqw.evolve(p, t_max, dt, lambda B: site_observables(B)[1:])
     return StabilityEntry(molecule=g.name, mean_trp=float(trp.mean()),
                           t_max=float(t_max), dt=float(dt))
@@ -244,12 +247,11 @@ MODE_CATALOG = {
 
 @dataclass(frozen=True)
 class ModeReport:
-    molecule: str
+    """The high-maxp_mean sites, ascending, and the ids of the catalog
+    patterns that match them best."""
+
     high: tuple
-    low: tuple
     matched: tuple
-    method: str
-    threshold: float
 
 
 def _two_means_threshold(values):
@@ -279,30 +281,22 @@ def _jaccard(a, b):
 
 
 def classify_modes(reports, g):
-    """Split sites into high/low maxp_mean buckets and match the high set
-    against the molecule's candidate patterns by endpoint overlap.
+    """Pick the sites of high maxp_mean and match them against the
+    molecule's candidate patterns by endpoint overlap.
 
-    The split is a two-cluster partition of the means; when all means
-    agree the molecule-wide median is used instead (every site lands in
-    the low bucket). Ties between equally matching patterns keep catalog
-    order. Molecules without catalog patterns get an empty match. reports
-    is a sequence with one report per site.
+    The high sites are those above the two-cluster split of the means;
+    when all means agree there is no split and no high site. Ties between
+    equally matching patterns keep catalog order. Molecules without
+    catalog patterns get an empty match. reports is a sequence with one
+    report per site.
     """
     by_node = {r.node: r.maxp_mean for r in reports}
     if len(reports) != g.node_count or sorted(by_node) != list(range(1, g.node_count + 1)):
         raise ValueError("reports must cover every site exactly once")
     values = np.array([by_node[k] for k in range(1, g.node_count + 1)])
     thr = _two_means_threshold(values)
-    if thr is None:
-        # all means equal at tolerance: single bucket, nothing above the median
-        thr = float(np.median(values))
-        cut = thr + 1e-9 * max(abs(values).max(), 1e-300)
-        method = "median"
-    else:
-        cut = thr
-        method = "two-means"
-    high = frozenset(k for k in range(1, g.node_count + 1) if values[k - 1] > cut)
-    low = tuple(sorted(set(range(1, g.node_count + 1)) - high))
+    high = frozenset(k for k in range(1, g.node_count + 1)
+                     if thr is not None and values[k - 1] > thr)
     patterns = MODE_CATALOG.get(g.name, ())
     matched = ()
     if patterns:
@@ -310,11 +304,4 @@ def classify_modes(reports, g):
         best = max(scores)
         matched = tuple(p.mode_id for p, s in zip(patterns, scores)
                         if abs(s - best) < 1e-12)
-    return ModeReport(
-        molecule=g.name,
-        high=tuple(sorted(high)),
-        low=low,
-        matched=matched,
-        method=method,
-        threshold=float(thr),
-    )
+    return ModeReport(high=tuple(sorted(high)), matched=matched)

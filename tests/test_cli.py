@@ -203,9 +203,11 @@ def write_path3(tmp_path, name, weight):
     ["stability", "-m", "anthracene", "-m", "BIG"],
     # a 2-node molecule has no TRP; benzene is not evolved before it is rejected
     ["stability", "-m", "benzene", "-m", "DIMER"],
+    # simulate evolved its first block before the TRP check rejected it
+    ["simulate", "-m", "DIMER"],
 ], ids=["simulate-phase", "simulate-scale", "simulate-grid", "stability-phase",
         "stability-scale", "stability-second-scale", "stability-second-phase",
-        "stability-two-nodes"])
+        "stability-two-nodes", "simulate-two-nodes"])
 def test_overflowing_walk_exits_2_before_any_block(runner, tmp_path, monkeypatch, argv):
     def no_block(*args):
         raise AssertionError("a block was evolved")
@@ -220,6 +222,21 @@ def test_overflowing_walk_exits_2_before_any_block(runner, tmp_path, monkeypatch
     res = runner.invoke(main, [*argv, "--out", str(out)])
     assert res.exit_code == 2, res.output
     assert "configuration error" in res.output
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv", [["simulate", "-m", "WIDE"],
+                                  ["stability", "-m", "benzene", "-m", "WIDE"]],
+                         ids=["simulate", "stability-second"])
+def test_overflowing_spectrum_exits_2(runner, tmp_path, argv):
+    # WIDE's weighted degrees are finite (1.6e308) but its largest
+    # eigenvalue, 3 * 8e307, is not: the phase check reported it at t = 200
+    wide = write_path3(tmp_path, "wide", "8.0e+307")
+    out = tmp_path / "x"
+    res = runner.invoke(main, [wide if a == "WIDE" else a for a in argv] + ["--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "spectrum is not finite" in res.output
+    assert "at t =" not in res.output
     assert not os.path.exists(out)
 
 
@@ -906,7 +923,7 @@ def test_export_graph_round_trip(runner, tmp_path):
     npt.assert_allclose(A, g.adjacency, atol=1e-12)
     rows = read_csv(os.path.join(out, "laplacian.csv"))
     L = np.array([[float(x) for x in row[1:]] for row in rows[1:]])
-    npt.assert_allclose(L, aw.laplacian(g), atol=1e-12)
+    npt.assert_allclose(L, aw.hamiltonian(g), atol=1e-12)
 
 
 @pytest.mark.parametrize("molecule", [*aw.CATALOG, "long-digits"])
@@ -921,7 +938,8 @@ def test_export_graph_bytes(runner, tmp_path, molecule):
     res = runner.invoke(main, ["export-graph", "-m", molecule, "--out", out])
     assert res.exit_code == 0, res.output
     g = aw.load_molecule(molecule)
-    for fname, M in (("adjacency.csv", g.adjacency), ("laplacian.csv", aw.laplacian(g))):
+    A = g.adjacency
+    for fname, M in (("adjacency.csv", A), ("laplacian.csv", np.diag(A.sum(axis=1)) - A)):
         rows = [(g.labels[i], *(g12(v) for v in M[i])) for i in range(g.node_count)]
         assert read_bytes(os.path.join(out, fname)) == write_csv_text(
             ("label", *g.labels), rows)

@@ -290,8 +290,8 @@ def test_rank_nodes_default_step_budget():
     g = aw.load_molecule("naphthalene")
     r = aw.rank_nodes(g)
     assert r.steps == 10 * g.node_count**2
-    assert r.start == 1
-    assert r.coin == "unweighted"
+    # the walk's other defaults: start at node 1 with the unweighted coin
+    assert r.scores == aw.rank_nodes(g, r.steps, start=1, coin="unweighted").scores
 
 
 def test_rank_one_sites():

@@ -181,7 +181,7 @@ def test_adjacency_single_edge():
 
 def assert_matrices_match_edge_loops(g):
     A = loop_adjacency(g)
-    for got, want in ((g.adjacency, A), (aw.laplacian(g), np.diag(A.sum(axis=1)) - A),
+    for got, want in ((g.adjacency, A), (aw.hamiltonian(g), np.diag(A.sum(axis=1)) - A),
                       (aw.degrees(g), loop_degrees(g)), (aw.weighted_degrees(g), A.sum(axis=1))):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -272,7 +272,7 @@ def test_degrees_vs_weighted_degrees():
 
 def test_laplacian_structure():
     g = aw.load_molecule("benzene")
-    L = aw.laplacian(g)
+    L = aw.hamiltonian(g)
     npt.assert_allclose(np.diag(L), 2.936)
     assert L[0, 1] == -1.468
     npt.assert_allclose(L.sum(axis=1), 0, atol=1e-12)
@@ -281,14 +281,14 @@ def test_laplacian_structure():
 def test_laplacian_naphthalene_fusion_diagonal():
     # node 9 carries bonds 4-9 (1.288), 8-9 (1.335), 9-10 (1.335)
     g = aw.load_molecule("naphthalene")
-    L = aw.laplacian(g)
+    L = aw.hamiltonian(g)
     npt.assert_allclose(L[8, 8], 1.288 + 1.335 + 1.335, atol=1e-12)
 
 
 def test_laplacian_psd_and_connected():
     for name in aw.CATALOG:
         g = aw.load_molecule(name)
-        evals = np.linalg.eigvalsh(aw.laplacian(g))
+        evals = np.linalg.eigvalsh(aw.hamiltonian(g))
         assert evals[0] > -1e-10
         npt.assert_allclose(evals[0], 0, atol=1e-10)
         # multiplicity one for the zero mode on a connected graph

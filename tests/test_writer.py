@@ -138,6 +138,6 @@ def test_export_graph_cells_all_fall_back(molecule):
     # bond weights lie above 1 and the rest are zeros, so the export's
     # tables take none of their cells from the fast path
     g = aw.load_molecule(molecule)
-    for M in (g.adjacency, aw.laplacian(g)):
+    for M in (g.adjacency, aw.hamiltonian(g)):
         assert np.all(_g12(M.ravel())[0] == FALLBACK)
         assert_prints_as_g12(M.ravel())
