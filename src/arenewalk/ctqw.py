@@ -7,15 +7,16 @@ symmetric eigendecomposition, so any time t is reached exactly (no time
 stepping error). U(t) = Q diag(exp(-i lam t)) Q^T is symmetric, so on a set
 of times it is one product of the eigenvector pairs Q[j, l] Q[k, l] with
 j <= k and the phases: the upper triangle, which one (N, N) index array
-gathers back to the full matrices. unitary and evolve share that product,
-so a sample has the same bits from either. evolve is the one pass over a
-grid: it evolves blocks of BLOCK_BYTES and keeps only what its reduce
-returns of each, so nothing here holds every B(t) of a grid unless the
-reduce keeps it. Beyond what the reduce keeps, a pass holds at most
-BLOCK_BYTES + 24 N^2 (N + 1) / 2 bytes: a block's temporaries stay within
-BLOCK_BYTES, and the N^2 (N + 1) / 2 pair entries, computed once per
-pass, take 8 bytes each, plus 16 for numpy's complex copy of them in each
-product.
+gathers back to the full matrices. The product is one real GEMM over the
+float view of the phases, run in whole tiles of TILE samples, so a sample
+has the same bits in any block, and from unitary as from evolve. evolve
+is the one pass over a grid: it evolves blocks of BLOCK_BYTES and keeps
+only what its reduce returns of each, so nothing here holds every B(t) of
+a grid unless the reduce keeps it. Beyond what the reduce keeps, a pass
+holds at most BLOCK_BYTES + 16 N^2 (N + 1) / 2 bytes: a block's
+temporaries stay within BLOCK_BYTES, and the N^2 (N + 1) / 2 pair
+entries, computed once per pass, take 8 bytes each, plus 8 for the
+gathered eigenvector rows they are multiplied by while they are built.
 hbar = 1 throughout.
 """
 from __future__ import annotations
@@ -33,6 +34,14 @@ from . import graphs
 # and 31.0, 23.3, 22.8 and 25.1 ms at N = 50 (2001): 2 MB is within 8% of
 # the fastest size at each N.
 BLOCK_BYTES = 2 << 20
+# Samples per tile of the product: each block is padded with zero phases
+# to whole tiles. OpenBLAS's real GEMM rounds a ragged column tile its own
+# way, so unpadded a sample's bits depended on its block: on a 2-core x86
+# host (OpenBLAS 0.3.31, at 1 and 2 threads), blocks of 1-40 samples and
+# lone samples differed from the complex product on acenes of 18, 22 and
+# 50 nodes and random graphs of 30, 50, 64 and 90 nodes. 4-sample tiles
+# gave its bits there and on the catalog; 16 leaves margin.
+TILE = 16
 # Largest sampling grid accepted; checked before anything is allocated.
 MAX_SAMPLES = 10_000_000
 
@@ -91,22 +100,27 @@ def _triangle(p):
     j, k = np.triu_indices(n)
     index = np.empty((n, n), dtype=np.intp)
     index[j, k] = index[k, j] = np.arange(len(j))
-    return (Q.T[:, j] * Q.T[:, k]).T, index
+    pairs = Q[j]
+    pairs *= Q[k]
+    return pairs, index
 
 
 def _unitaries(p, pairs, times):
     """The upper triangle of U(t) = Q diag(exp(-i lam t)) Q^T at each of
     times, shaped (N(N+1)/2, samples): row r is U[j, k] for the r-th pair
     of _triangle, pairs times the phases."""
-    # numpy evaluates a one-column product as a matrix-vector product, which
-    # rounds differently, so a lone sample is evaluated as a pair
-    if len(times) == 1:
-        return _unitaries(p, pairs, [times[0], times[0]])[:, :1]
-    phases = np.exp(-1j * np.outer(times, p.eigenvalues))
-    # t is the fastest axis in memory: a C-ordered phases @ pairs.T gives the
+    m = len(times)
+    # zero phases pad the block to whole tiles, so each sample is evaluated
+    # in a full tile (see TILE), a lone one too
+    phases = np.empty((len(p.eigenvalues), -(-m // TILE) * TILE), dtype=complex)
+    np.exp(np.outer(p.eigenvalues, times) * -1j, out=phases[:, :m])
+    phases[:, m:] = 0
+    # one real GEMM over the interleaved real and imaginary parts: half the
+    # flops of the complex product, and pairs is not cast to complex. t is
+    # the fastest axis in memory: a C-ordered phases @ pairs.T gives the
     # same values, but site_observables then reduces over rows of only N
     # elements and observe ran 1.6x slower
-    return pairs @ phases.T
+    return (pairs @ phases.view(float)).view(complex)[:, :m]
 
 
 def _square(tri, index):
@@ -177,6 +191,9 @@ def evolve(p, t_max, dt, reduce):
     count = len(times)
     n = len(p.eigenvalues)
     step = max(1, BLOCK_BYTES // (16 * n * n))
+    # whole tiles, so only the last block is padded
+    if step >= TILE:
+        step -= step % TILE
     bounds = list(range(0, count, step)) + [count]
     pairs, index = _triangle(p)
     outputs = None

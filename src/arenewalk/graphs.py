@@ -19,7 +19,7 @@ import yaml
 
 CATALOG = ("benzene", "naphthalene", "anthracene", "phenanthrene")
 # Largest node count accepted, checked before anything N-sized is allocated.
-# The CTQW's peak memory grows as about 12 N^3 bytes (204 MB at 256, traced
+# The CTQW's peak memory grows as about 8 N^3 bytes (136 MB at 256, traced
 # by tracemalloc); 256 is 5x the largest benchmarked molecule (N = 50).
 MAX_NODES = 256
 # Characters that would split or quote a CSV cell the CLI writes unquoted.

@@ -270,14 +270,6 @@ def test_degrees_vs_weighted_degrees():
     npt.assert_allclose(aw.weighted_degrees(g).sum(), 2 * sum(w for _, _, w in g.edges))
 
 
-def test_laplacian_structure():
-    g = aw.load_molecule("benzene")
-    L = aw.hamiltonian(g)
-    npt.assert_allclose(np.diag(L), 2.936)
-    assert L[0, 1] == -1.468
-    npt.assert_allclose(L.sum(axis=1), 0, atol=1e-12)
-
-
 def test_laplacian_naphthalene_fusion_diagonal():
     # node 9 carries bonds 4-9 (1.288), 8-9 (1.335), 9-10 (1.335)
     g = aw.load_molecule("naphthalene")
