@@ -371,9 +371,7 @@ def stability(cfg):
     # every molecule's grid and phases are checked before any is evolved
     props = [ctqw.propagator(ctqw.hamiltonian(g)) for g in molecules]
     t_max, dt = cfg.get("t_max"), cfg.get("dt")
-    t_last = ctqw._grid(t_max, dt)[-1]
-    for prop in props:
-        ctqw._check_phases(prop, t_last)
+    ctqw._grid(t_max, dt, *props)
     # each molecule's TRP array is reduced to its entry, and dropped,
     # before the next molecule is evolved
     entries = [metrics.stability_entry(g, prop, t_max, dt) for g, prop in zip(molecules, props)]

@@ -68,7 +68,11 @@ def propagator(h):
     """Eigendecompose the generator once; U(t) is then exact for every t.
     h is any real symmetric matrix, such as the read-only L that hamiltonian
     returns, or gamma * L for a walk at rate gamma."""
-    H = np.asarray(h, dtype=float)
+    H = np.asarray(h)
+    # the cast to float would drop an imaginary part with only a warning
+    if np.iscomplexobj(H):
+        raise ValueError(f"Hamiltonian must be real, got dtype {H.dtype}")
+    H = H.astype(float, copy=False)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"Hamiltonian must be square, got {H.shape}")
     # a raw matrix has not passed MoleculeGraph's node ceiling
@@ -156,8 +160,9 @@ def evolve_ensemble(p, t):
     return np.abs(unitary(p, t)) ** 2
 
 
-def _grid(t_max, dt):
-    """The validated sampling grid t = 0, dt, 2*dt, ... up to t_max inclusive."""
+def _grid(t_max, dt, *props):
+    """The validated sampling grid t = 0, dt, 2*dt, ... up to t_max
+    inclusive, whose last phases are finite for each of the propagators."""
     for name, value in (("t_max", t_max), ("dt", dt)):
         if not graphs._is_real(value):
             raise ValueError(f"{name} must be a real number, got {value!r}")
@@ -173,6 +178,8 @@ def _grid(t_max, dt):
             f"t_max {t_max} / dt {dt} asks for {count:.6g} samples, "
             f"above the limit of {MAX_SAMPLES}"
         )
+    for p in props:
+        _check_phases(p, (count - 1) * dt)
     return np.arange(int(count)) * dt
 
 
@@ -186,8 +193,7 @@ def evolve(p, t_max, dt, reduce):
     whatever block it is in, so the values do not depend on the block
     length.
     """
-    times = _grid(t_max, dt)
-    _check_phases(p, times[-1])
+    times = _grid(t_max, dt, p)
     count = len(times)
     n = len(p.eigenvalues)
     step = max(1, BLOCK_BYTES // (16 * n * n))
@@ -199,6 +205,10 @@ def evolve(p, t_max, dt, reduce):
     outputs = None
     for start, stop in zip(bounds, bounds[1:]):
         parts = reduce(_square(np.abs(_unitaries(p, pairs, times[start:stop])) ** 2, index))
+        for part in parts:
+            if np.shape(part)[:1] != (stop - start,):
+                raise ValueError(f"reduce must return one row per sample: expected "
+                                 f"{stop - start} rows, got shape {np.shape(part)}")
         if outputs is None:
             outputs = tuple(np.empty((count,) + a.shape[1:], dtype=a.dtype) for a in parts)
         for out, part in zip(outputs, parts):

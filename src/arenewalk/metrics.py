@@ -8,9 +8,8 @@ cloud, and its all-site average orders molecules by stability.
 
 SiteObservables holds both per (sample, site); one site's series is a
 column of it. observe streams it from a propagator without keeping B(t),
-and the site reports read it. stability_entry and detect_period each
-stream their own pass: the stability score keeps only the (sample, site)
-TRP array, and revival detection one deviation per sample.
+and the site reports read it. stability_entry streams its own pass for
+the TRP array alone; detect_period reads only the spectrum.
 """
 from __future__ import annotations
 
@@ -106,19 +105,24 @@ def detect_period(p, t_max=200.0, dt=0.01, revival_tol=1e-3):
     """Revival time of the walk of a propagator on the grid t = 0, dt,
     2*dt, ... up to t_max inclusive, or None.
 
-    B(t) is streamed, keeping only its deviation from B(0) per sample. The
-    deviation is scanned for a departure (first sample above revival_tol)
-    followed by a return below it; the return time is the period. A walk
-    that never departs is constant at this tolerance and reports the first
-    positive sample. revival_tol must be a finite real number > 0.
+    revival_tol, a finite real number > 0, bounds the phase spread s(t) =
+    max_l |exp(-i (lam_l - lam_0) t) - 1|: the period is the first return
+    below it after a departure above it. A walk that never departs is
+    constant at this tolerance and reports the first positive sample. At a
+    period max|B - I| <= 2 revival_tol, as U exp(i lam_0 t) - I has 2-norm
+    s: |U_jk| <= s off the diagonal and |U_jj| >= 1 - s. Equal phases give
+    B = I; they are also necessary when the generator's off-diagonal
+    support is connected, as a MoleculeGraph's is.
     """
     if not (graphs._is_real(revival_tol) and 0 < revival_tol < np.inf):
         raise ValueError(f"revival_tol must be a finite number > 0, got {revival_tol!r}")
-    # the bits of grid sample 0, which evolve evaluates by the same product
-    B0 = ctqw.evolve_ensemble(p, 0.0)
-    times, (dev,) = ctqw.evolve(p, t_max, dt, lambda B: (np.abs(B - B0).max(axis=(1, 2)),))
+    times = ctqw._grid(t_max, dt, p)
     if len(times) < 2:
         return None
+    # |exp(i x) - 1| = 2 |sin(x / 2)|; halving first keeps lam_l - lam_0 finite
+    dev = np.zeros(len(times))
+    for shift in p.eigenvalues[1:] / 2 - p.eigenvalues[0] / 2:
+        np.maximum(dev, 2 * np.abs(np.sin(shift * times)), out=dev)
     above = np.nonzero(dev[1:] > revival_tol)[0]
     if above.size == 0:
         return float(times[1])

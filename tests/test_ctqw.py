@@ -121,6 +121,16 @@ def test_propagator_rejects_nonsymmetric():
         aw.propagator(np.array([[0.0, 1e-13], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("h", [np.array([[0, 1j, 0], [-1j, 0, 1], [0, 1, 0]]),
+                               [[0, 1j], [-1j, 0]], np.eye(2, dtype=complex)])
+def test_propagator_rejects_complex_matrix(h):
+    # the float cast dropped the imaginary part with only a ComplexWarning:
+    # the first matrix is Hermitian with eigenvalues -sqrt 2, 0, sqrt 2, and
+    # its real part has -1, 0, 1. A zero imaginary part is rejected too
+    with pytest.raises(ValueError, match="must be real"):
+        aw.propagator(h)
+
+
 def test_propagator_accepts_roundoff_asymmetry():
     # the asymmetry is a few ulps of 1e6, far above an absolute 1e-12
     H = np.array([[2e6, 1e6], [1e6 + 4e-10, 3e6]])
@@ -279,6 +289,16 @@ def test_sample_ceiling_boundary(monkeypatch):
     assert len(every_matrix(p, t_max=0.99, dt=0.01)[0]) == 100
     with pytest.raises(ValueError, match="above the limit of 100"):
         every_matrix(p, t_max=1.0, dt=0.01)
+
+
+@pytest.mark.parametrize("reduce", [lambda B: (B.max(),), lambda B: (B[:1, 0, 0],)],
+                         ids=["scalar", "one-row"])
+def test_evolve_rejects_reduce_without_a_row_per_sample(reduce):
+    # both broadcast over the block: 11 samples that all equal the block's
+    # max, or its first sample's B[0, 0]
+    p = aw.propagator(aw.hamiltonian(aw.load_molecule("benzene")))
+    with pytest.raises(ValueError, match="expected 11 rows"):
+        aw.evolve(p, 1.0, 0.1, reduce)
 
 
 def test_series_matches_single_shot():

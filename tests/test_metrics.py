@@ -157,7 +157,8 @@ def test_benzene_revival_time(full_series):
     _, p, _ = full_series["benzene"]
     T = aw.detect_period(p)
     assert T is not None
-    assert abs(T - 4.27) < 1e-9
+    # the first grid sample after the exact period 2 pi / 1.468 = 4.2801
+    assert abs(T - 4.28) < 1e-9
     # deviation at the detected revival really is below the tolerance
     dev = np.abs(aw.evolve_ensemble(p, T) - aw.evolve_ensemble(p, 0.0)).max()
     assert dev < 1e-3
@@ -176,7 +177,7 @@ def test_constant_series_reports_first_sample():
 
 
 def test_departed_series_without_return():
-    # benzene's walkers leave their starts at once and first return at 4.27
+    # benzene's walkers leave their starts at once and first return at 4.28
     p = aw.propagator(aw.hamiltonian(aw.load_molecule("benzene")))
     assert aw.detect_period(p, t_max=4.0, dt=0.25) is None
 
@@ -187,48 +188,68 @@ def test_single_sample_has_no_period():
     assert aw.detect_period(p, t_max=0.5, dt=1.0) is None
 
 
+# grids that are not positive, not real numbers, have non-finite phases
+# on benzene or are above the sample ceiling
+BAD_GRIDS = [(0.0, 0.01), (-1.0, 0.5), (1.0, 0.0), (1.0, float("inf")), (float("nan"), 0.5),
+             (1.0, "0.5"), (True, 0.5), (1e308, 1e307), (1e8, 1e-3)]
+
+
+@pytest.mark.parametrize("t_max, dt", BAD_GRIDS)
+def test_detect_period_rejects_bad_grid(t_max, dt):
+    p = aw.propagator(aw.hamiltonian(aw.load_molecule("benzene")))
+    with pytest.raises(ValueError):
+        aw.detect_period(p, t_max=t_max, dt=dt)
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0, 0, True, "0.01", None])
 def test_detect_period_rejects_bad_revival_tol(monkeypatch, tol):
     # nan read every sample as "never departed" and reported t = dt as the
     # period; a negative tolerance read every sample as departed and never back
     p = aw.propagator(aw.hamiltonian(aw.load_molecule("benzene")))
 
-    def no_evolution(*args):
-        raise AssertionError("evolved before checking revival_tol")
+    def no_grid(*args):
+        raise AssertionError("read the grid before checking revival_tol")
 
-    # rejected before any evolution
-    monkeypatch.setattr(ctqw, "evolve", no_evolution)
-    monkeypatch.setattr(ctqw, "evolve_ensemble", no_evolution)
+    # rejected before the grid is built
+    monkeypatch.setattr(ctqw, "_grid", no_grid)
     with pytest.raises(ValueError, match="revival_tol"):
         aw.detect_period(p, revival_tol=tol)
 
 
-# t_max 5, dt 0.01 gives 501 samples: blocks of 7 leave a ragged 4-sample tail
-@pytest.mark.parametrize("block", [None, 7])
-def test_detect_period_deviation_equals_full_series(monkeypatch, block):
-    for name in aw.CATALOG:
-        g = aw.load_molecule(name)
-        p = aw.propagator(aw.hamiltonian(g))
-        times, mats = every_matrix(p, t_max=5.0, dt=0.01)
-        streamed = []
+# K_3 at weight 1 never comes back below 1e-3 on this grid
+@pytest.mark.parametrize("n, w", [(3, 1.0), (4, 1.468), (5, 1.0), (7, 1.2)])
+@pytest.mark.parametrize("tol", [1e-3, 0.05])
+def test_complete_graph_revival(n, w, tol):
+    # K_n with weight w has the spectrum {0, n w}, so its phase spread is
+    # 2 |sin(n w t / 2)|: the period is the first sample after the first
+    # departure above tol where that is back below tol
+    edges = tuple((i, j, w) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+    p = aw.propagator(aw.hamiltonian(MoleculeGraph(name="complete", node_count=n, edges=edges)))
+    times = np.arange(2001) * 0.01
+    spread = 2 * np.abs(np.sin(n * w * times / 2))
+    depart = 1 + np.nonzero(spread[1:] > tol)[0][0]
+    back = np.nonzero(spread[depart:] < tol)[0]
+    expected = times[depart + back[0]] if back.size else None
+    assert aw.detect_period(p, t_max=20.0, dt=0.01, revival_tol=tol) == expected
 
-        def recorded(*args):
-            streamed.append(aw.evolve(*args))
-            return streamed[-1]
 
-        with monkeypatch.context() as m:
-            m.setattr(ctqw, "evolve", recorded)
-            if block is not None:
-                m.setattr(ctqw, "BLOCK_BYTES", 16 * g.node_count ** 2 * block)
-            aw.detect_period(p, t_max=5.0, dt=0.01)
-        [(got_times, (dev,))] = streamed
-        assert np.array_equal(got_times, times)
-        assert np.array_equal(dev, np.abs(mats - mats[0]).max(axis=(1, 2)))
+@settings(max_examples=20, deadline=None)
+@given(connected_graphs())
+def test_revival_bounds_occupancy_deviation(g):
+    # U(T) exp(i lam_0 T) - I has 2-norm s(T) <= revival_tol, so off the
+    # diagonal B(T) <= s^2 and on it B(T) >= (1 - s)^2: B(T) is within
+    # 2 revival_tol of I
+    p = aw.propagator(aw.hamiltonian(g))
+    for tol in (1e-3, 0.05, 0.3, 1.0, 1.9):
+        T = aw.detect_period(p, t_max=50.0, dt=0.01, revival_tol=tol)
+        if T is not None:
+            assert np.abs(aw.evolve_ensemble(p, T) - np.eye(g.node_count)).max() <= 2 * tol
 
 
 def test_detect_period_memory_bounded():
-    # the default grid's full B(t) stack of phenanthrene would take 31 MB;
-    # the streamed pass keeps one block and one deviation per sample
+    # the scan keeps one phase spread per sample: it never holds a
+    # (samples, N) array, which on phenanthrene's default grid takes
+    # 20001 * 14 * 8 bytes = 2.24 MB (its full B(t) stack would take 31 MB)
     p = aw.propagator(aw.hamiltonian(aw.load_molecule("phenanthrene")))
     tracemalloc.start()
     try:
@@ -236,7 +257,7 @@ def test_detect_period_memory_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 << 20
+    assert peak < 20001 * 14 * 8
 
 
 # ---------------------------------------------------------------- stability
@@ -341,9 +362,7 @@ def test_stability_entry_equals_observe_trp_mean_random(g):
         assert (entry.t_max, entry.dt) == (t_max, dt)
 
 
-@pytest.mark.parametrize("t_max, dt", [(0.0, 0.01), (-1.0, 0.5), (1.0, 0.0), (1.0, float("inf")),
-                                       (float("nan"), 0.5), (1.0, "0.5"), (True, 0.5),
-                                       (1e308, 1e307), (1e8, 1e-3)])
+@pytest.mark.parametrize("t_max, dt", BAD_GRIDS)
 def test_stability_entry_rejects_bad_grid(monkeypatch, t_max, dt):
     # the entry evaluates the grid it records, so a grid that evolve rejects
     # (not positive, not a real number, non-finite phases, above the sample
