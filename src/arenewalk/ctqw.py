@@ -7,20 +7,30 @@ symmetric eigendecomposition, so any time t is reached exactly (no time
 stepping error). U(t) = Q diag(exp(-i lam t)) Q^T is symmetric, so on a set
 of times it is one product of the eigenvector pairs Q[j, l] Q[k, l] with
 j <= k and the phases: the upper triangle, which one (N, N) index array
-gathers back to the full matrices. The product is one real GEMM over the
+gathers back to the full matrices. The product is a real GEMM over the
 float view of the phases, run in whole tiles of TILE samples, so a sample
-has the same bits in any block, and from unitary as from evolve. evolve
-is the one pass over a grid: it evolves blocks of BLOCK_BYTES and keeps
-only what its reduce returns of each, so nothing here holds every B(t) of
-a grid unless the reduce keeps it. Beyond what the reduce keeps, a pass
-holds at most BLOCK_BYTES + 16 N^2 (N + 1) / 2 bytes: a block's
-temporaries stay within BLOCK_BYTES, and the N^2 (N + 1) / 2 pair
-entries, computed once per pass, take 8 bytes each, plus 8 for the
-gathered eigenvector rows they are multiplied by while they are built.
+has the same bits in any block, and from unitary as from evolve. While one
+tile's product, TILE N^2 (N + 1) multiply-adds, is within SERIAL_GEMM
+(N <= 25), each tile is its own GEMM, which OpenBLAS computes on the
+calling thread; above it each block is one GEMM, which OpenBLAS threads.
+evolve is the one pass over a grid: it evolves blocks and keeps only what
+its reduce returns of each, so nothing here holds every B(t) of a grid
+unless the reduce keeps it. Under SERIAL_GEMM it shares the blocks after
+the first among one thread per CPU the process may run on, each block of
+BLOCK_BYTES / threads; above it one thread evolves blocks of BLOCK_BYTES.
+Beyond what the reduce keeps, a pass holds at most
+BLOCK_BYTES + 16 N^2 (N + 1) / 2 bytes across all its threads: their
+blocks' temporaries together stay within BLOCK_BYTES, and the
+N^2 (N + 1) / 2 pair entries, computed once per pass and shared, take 8
+bytes each, plus 8 for the gathered eigenvector rows they are multiplied
+by while they are built. The threads give every sample the bits one
+thread gives it.
 hbar = 1 throughout.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +52,10 @@ BLOCK_BYTES = 2 << 20
 # 50 nodes and random graphs of 30, 50, 64 and 90 nodes. 4-sample tiles
 # gave its bits there and on the catalog; 16 leaves margin.
 TILE = 16
+# OpenBLAS runs a GEMM of at most this many multiply-adds on the calling
+# thread: 65536 times its default GEMM_MULTITHREAD_THRESHOLD of 4. One
+# tile's product takes TILE N^2 (N + 1), within it for N <= 25.
+SERIAL_GEMM = 65536 * 4
 # Largest sampling grid accepted; checked before anything is allocated.
 MAX_SAMPLES = 10_000_000
 
@@ -109,22 +123,38 @@ def _triangle(p):
     return pairs, index
 
 
+def _tiled(n):
+    """Whether one tile's product, TILE N^2 (N + 1) multiply-adds, is within
+    SERIAL_GEMM: true for N <= 25."""
+    return TILE * n * n * (n + 1) <= SERIAL_GEMM
+
+
 def _unitaries(p, pairs, times):
     """The upper triangle of U(t) = Q diag(exp(-i lam t)) Q^T at each of
     times, shaped (N(N+1)/2, samples): row r is U[j, k] for the r-th pair
     of _triangle, pairs times the phases."""
-    m = len(times)
+    n, m = len(p.eigenvalues), len(times)
     # zero phases pad the block to whole tiles, so each sample is evaluated
     # in a full tile (see TILE), a lone one too
-    phases = np.empty((len(p.eigenvalues), -(-m // TILE) * TILE), dtype=complex)
+    phases = np.empty((n, -(-m // TILE) * TILE), dtype=complex)
     np.exp(np.outer(p.eigenvalues, times) * -1j, out=phases[:, :m])
     phases[:, m:] = 0
-    # one real GEMM over the interleaved real and imaginary parts: half the
+    # a real GEMM over the interleaved real and imaginary parts: half the
     # flops of the complex product, and pairs is not cast to complex. t is
     # the fastest axis in memory: a C-ordered phases @ pairs.T gives the
     # same values, but site_observables then reduces over rows of only N
     # elements and observe ran 1.6x slower
-    return (pairs @ phases.view(float)).view(complex)[:, :m]
+    if _tiled(n):
+        # one GEMM per tile, each small enough to stay on this thread, so
+        # evolve's threads do not each wake OpenBLAS's own; written through
+        # out into the layout of the one product below
+        def tiles(a):
+            return a.reshape(len(a), -1, 2 * TILE).transpose(1, 0, 2)
+        out = np.empty((len(pairs), 2 * phases.shape[1]))
+        np.matmul(pairs, tiles(phases.view(float)), out=tiles(out))
+    else:
+        out = pairs @ phases.view(float)
+    return out.view(complex)[:, :m]
 
 
 def _square(tri, index):
@@ -183,38 +213,93 @@ def _grid(t_max, dt, *props):
     return np.arange(int(count)) * dt
 
 
+def _cpus():
+    """The CPUs this process may run on: evolve runs a thread on each."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call outside Linux and some BSDs
+        return os.cpu_count() or 1
+
+
+def _share(blocks, threads, run):
+    """Call run(start, stop) on every block: the caller takes blocks 0,
+    threads, 2 threads, ... and helper thread k the blocks k, k + threads,
+    .... The first exception of any thread, an interrupt included, stops the
+    others at their next block, and is raised once every helper is joined."""
+    halt = threading.Event()
+    errors = []
+
+    def share(k):
+        try:
+            for block in blocks[k::threads]:
+                if halt.is_set():
+                    return
+                run(*block)
+        except BaseException as exc:  # raised again by the caller
+            errors.append(exc)
+            halt.set()
+
+    helpers = []
+    try:
+        for k in range(1, min(threads, len(blocks))):
+            helper = threading.Thread(target=share, args=(k,))
+            helper.start()
+            helpers.append(helper)
+        share(0)
+    except BaseException as exc:  # a helper that did not start, or an interrupt
+        errors.append(exc)
+        halt.set()
+    for helper in helpers:
+        while helper.is_alive():
+            try:
+                helper.join()
+            except BaseException as exc:  # an interrupt while joining
+                errors.append(exc)
+                halt.set()
+    if errors:
+        raise errors[0]
+
+
 def evolve(p, t_max, dt, reduce):
     """Stream B(t) on the grid t = 0, dt, 2*dt, ... up to t_max inclusive.
 
-    B is computed in consecutive time blocks of about BLOCK_BYTES, and
-    reduce maps each (samples, N, N) block to a tuple of arrays whose first
-    axis runs over those samples. Returns the grid times and the reduced
-    arrays over the whole grid. _unitaries gives each sample the same bits
-    whatever block it is in, so the values do not depend on the block
-    length.
+    B is computed in consecutive time blocks, and reduce maps each
+    (samples, N, N) block to a tuple of arrays whose first axis runs over
+    those samples. Returns the grid times and the reduced arrays over the
+    whole grid. _unitaries gives each sample the same bits whatever block
+    it is in, so the values do not depend on the block length. For N <= 25
+    the blocks after the first are shared among one thread per CPU, so
+    reduce is called from several threads at once and must keep no state.
     """
     times = _grid(t_max, dt, p)
     count = len(times)
     n = len(p.eigenvalues)
-    step = max(1, BLOCK_BYTES // (16 * n * n))
+    # a thread per CPU while one tile's product stays on its thread (see
+    # _unitaries); above that OpenBLAS threads each block's GEMM itself.
+    # The threads' blocks together take BLOCK_BYTES.
+    threads = _cpus() if _tiled(n) else 1
+    step = max(1, BLOCK_BYTES // threads // (16 * n * n))
     # whole tiles, so only the last block is padded
     if step >= TILE:
         step -= step % TILE
     bounds = list(range(0, count, step)) + [count]
+    blocks = list(zip(bounds, bounds[1:]))
     pairs, index = _triangle(p)
     outputs = None
-    for start, stop in zip(bounds, bounds[1:]):
+
+    def run(start, stop):
+        nonlocal outputs
         parts = reduce(_square(np.abs(_unitaries(p, pairs, times[start:stop])) ** 2, index))
         for part in parts:
             if np.shape(part)[:1] != (stop - start,):
                 raise ValueError(f"reduce must return one row per sample: expected "
                                  f"{stop - start} rows, got shape {np.shape(part)}")
+        # set by the first block, which runs before any helper starts
         if outputs is None:
             outputs = tuple(np.empty((count,) + a.shape[1:], dtype=a.dtype) for a in parts)
         for out, part in zip(outputs, parts):
             out[start:stop] = part
-        # dropped before the next block, whose temporaries then fill
-        # BLOCK_BYTES alone
-        del parts, part
-    return times, outputs
 
+    run(*blocks[0])
+    _share(blocks[1:], threads, run)
+    return times, outputs

@@ -597,6 +597,19 @@ def test_manifest_records_blas_thread_environment(runner, tmp_path, monkeypatch)
     assert csv_found == csv_unset
 
 
+def test_simulate_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
+    # evolve shares anthracene's blocks among one thread per CPU
+    tables = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(ctqw, "_cpus", lambda cpus=cpus: cpus)
+        out = tmp_path / str(cpus)
+        main(["simulate", "-m", "anthracene", "--out", str(out)], standalone_mode=False)
+        assert json.loads((out / "manifest.json").read_text())["cpus"] == cpus
+        tables.append({f.name: f.read_bytes() for f in out.glob("*.csv")})
+    assert sorted(tables[0]) == ["site_report.csv", "site_series.csv"]
+    assert tables[0] == tables[1]
+
+
 def test_manifest_records_blas_build(runner, tmp_path, monkeypatch):
     def run(name):
         out = str(tmp_path / name)

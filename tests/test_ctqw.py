@@ -1,5 +1,7 @@
 """Continuous-time walk: Hamiltonian, propagator, evolution series."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -401,6 +403,91 @@ def test_blocked_series_equals_whole_grid(t_max):
 @given(g=connected_graphs())
 def test_blocked_series_equals_whole_grid_random_graphs(t_max, g):
     assert_blocked_equals_whole_grid(g, t_max)
+
+
+def assert_same_bits_on_1_and_3_threads(g, t_max):
+    # 3 threads on a host of fewer CPUs, switched often: a block whose rows
+    # were lost would leave np.empty's garbage in the output
+    p = aw.propagator(aw.hamiltonian(g))
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            for cpus in (1, 3):
+                mp.setattr(ctqw, "_cpus", lambda cpus=cpus: cpus)
+                runs.append(every_matrix(p, t_max=t_max, dt=0.01))
+    finally:
+        sys.setswitchinterval(interval)
+    (times, one), (times3, three) = runs
+    assert np.array_equal(times, times3) and np.array_equal(one, three)
+
+
+def test_evolve_gives_the_same_bits_on_1_and_3_threads():
+    # on 3 threads 5001 samples span 5 blocks at N = 6 and 25 at N = 14;
+    # ladders of 24 and 26 nodes fall either side of SERIAL_GEMM, and the
+    # 26-node one is evolved on 1 thread whatever the CPU count
+    for name in aw.CATALOG:
+        assert_same_bits_on_1_and_3_threads(aw.load_molecule(name), 50.0)
+    assert ctqw._tiled(24) and not ctqw._tiled(26)
+    for rungs in (12, 13):
+        assert_same_bits_on_1_and_3_threads(ladder(rungs), 20.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(g=connected_graphs())
+def test_evolve_gives_the_same_bits_on_1_and_3_threads_random_graphs(g):
+    assert_same_bits_on_1_and_3_threads(g, 50.0)
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_evolve_raises_a_helper_threads_error_after_joining(monkeypatch, error):
+    # anthracene's 20001 samples are one more than whole tiles, so only the
+    # last of its blocks is ragged, and of 3 threads a helper evolves it
+    monkeypatch.setattr(ctqw, "_cpus", lambda: 3)
+    p = aw.propagator(aw.hamiltonian(aw.load_molecule("anthracene")))
+    raised_in = []
+
+    def reduce(B):
+        if len(B) % ctqw.TILE:
+            raised_in.append(threading.current_thread())
+            raise error("the last block")
+        return (B[:, 0, 0],)
+
+    before = threading.active_count()
+    with pytest.raises(error, match="the last block"):
+        aw.evolve(p, 200.0, 0.01, reduce)
+    assert len(raised_in) == 1 and raised_in[0] is not threading.main_thread()
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_evolve_stops_every_thread_at_its_next_block(monkeypatch, error):
+    # the caller raises on its second block while each helper waits in the
+    # reduce of its first: the helpers finish that block, and at most one
+    # more that they began before they saw the error, of 32 each
+    monkeypatch.setattr(ctqw, "_cpus", lambda: 3)
+    p = aw.propagator(aw.hamiltonian(aw.load_molecule("anthracene")))
+    calls = {}
+    raised = threading.Event()
+
+    def reduce(B):
+        me = threading.current_thread()
+        calls[me] = calls.get(me, 0) + 1
+        if me is threading.main_thread():
+            if calls[me] == 2:
+                raised.set()
+                raise error("the caller's block")
+        else:
+            assert raised.wait(timeout=60)
+        return (B[:, 0, 0],)
+
+    before = threading.active_count()
+    with pytest.raises(error, match="the caller's block"):
+        aw.evolve(p, 200.0, 0.01, reduce)
+    assert threading.active_count() == before
+    helpers = [count for thread, count in calls.items() if thread is not threading.main_thread()]
+    assert len(helpers) == 2 and max(helpers) <= 2
 
 
 @pytest.mark.parametrize("t", [0.37, 17.3, 199.99])
