@@ -261,8 +261,9 @@ def _writer(*options):
                 "blas_env": {k: v for k, v in sorted(os.environ.items())
                              if k.startswith(("OPENBLAS_", "OMP_", "MKL_"))},
                 "blas_build": _blas_build(),
-                # the threads ctqw.evolve shares its blocks among, which set
-                # wall_time_s but no CSV byte
+                # the CPUs the process may run on, up to 4 of which
+                # ctqw.evolve runs threads on: they set wall_time_s but no
+                # CSV byte
                 "cpus": ctqw._cpus(),
                 "config": cfg,
                 "outputs": list(files),

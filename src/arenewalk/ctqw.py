@@ -9,22 +9,24 @@ of times it is one product of the eigenvector pairs Q[j, l] Q[k, l] with
 j <= k and the phases: the upper triangle, which one (N, N) index array
 gathers back to the full matrices. The product is a real GEMM over the
 float view of the phases, run in whole tiles of TILE samples, so a sample
-has the same bits in any block, and from unitary as from evolve. While one
-tile's product, TILE N^2 (N + 1) multiply-adds, is within SERIAL_GEMM
-(N <= 25), each tile is its own GEMM, which OpenBLAS computes on the
-calling thread; above it each block is one GEMM, which OpenBLAS threads.
+has the same bits in any block, and from unitary as from evolve. The pairs
+are cut into chunks of equal rows whose product with one tile is within
+SERIAL_GEMM multiply-adds, so under OpenBLAS's default threshold every
+GEMM runs on the calling thread, at every N; all of them are one matmul.
 evolve is the one pass over a grid: it evolves blocks and keeps only what
 its reduce returns of each, so nothing here holds every B(t) of a grid
-unless the reduce keeps it. Under SERIAL_GEMM it shares the blocks after
-the first among one thread per CPU the process may run on, each block of
-BLOCK_BYTES / threads; above it one thread evolves blocks of BLOCK_BYTES.
+unless the reduce keeps it. It shares the blocks after the first among
+one thread per CPU the process may run on, each block of
+BLOCK_BYTES / threads, with at most BLOCK_BYTES // MIN_BLOCK_BYTES
+threads, and no more than a block of BLOCK_BYTES holds whole tiles.
 Beyond what the reduce keeps, a pass holds at most
 BLOCK_BYTES + 16 N^2 (N + 1) / 2 bytes across all its threads: their
 blocks' temporaries together stay within BLOCK_BYTES, and the
 N^2 (N + 1) / 2 pair entries, computed once per pass and shared, take 8
 bytes each, plus 8 for the gathered eigenvector rows they are multiplied
-by while they are built. The threads give every sample the bits one
-thread gives it.
+by while they are built; the zero rows that pad the last chunk are fewer
+than the chunks. The threads give every sample the bits one thread gives
+it.
 hbar = 1 throughout.
 """
 from __future__ import annotations
@@ -53,9 +55,18 @@ BLOCK_BYTES = 2 << 20
 # gave its bits there and on the catalog; 16 leaves margin.
 TILE = 16
 # OpenBLAS runs a GEMM of at most this many multiply-adds on the calling
-# thread: 65536 times its default GEMM_MULTITHREAD_THRESHOLD of 4. One
-# tile's product takes TILE N^2 (N + 1), within it for N <= 25.
+# thread: 65536 times its default GEMM_MULTITHREAD_THRESHOLD of 4. Another
+# BLAS, or an OpenBLAS built with another threshold, may thread GEMMs this
+# small, and then each of evolve's threads wakes its own BLAS threads (the
+# manifest's blas_build names the BLAS).
 SERIAL_GEMM = 65536 * 4
+# Smallest block evolve gives a thread, so at most BLOCK_BYTES //
+# MIN_BLOCK_BYTES = 4 threads. On a 2-core x86 host the five stability
+# passes of acenes 1-5 took 103-108 ms of CPU on one thread at
+# BLOCK_BYTES, 114-116 at a quarter of it, 134-138 at an eighth and
+# 506-521 at a 64th; forced onto the 2 CPUs, 4 threads took 111-120 ms of
+# wall against 103-108 for 2 and 105-111 for 1, and 8 threads 214-249.
+MIN_BLOCK_BYTES = BLOCK_BYTES // 4
 # Largest sampling grid accepted; checked before anything is allocated.
 MAX_SAMPLES = 10_000_000
 
@@ -111,22 +122,21 @@ def propagator(h):
 def _triangle(p):
     """The invariants of every product of a pass: the eigenvector pairs
     pairs[r, l] = Q[j, l] Q[k, l] for the r-th pair j <= k in row-major
-    order, shaped (N(N+1)/2, N), and the (N, N) index array whose [j, k]
-    and [k, j] both hold r."""
+    order, cut into chunks of equal rows whose product with one tile is
+    within SERIAL_GEMM, shaped (chunks, 1, rows, N) with zero rows padding
+    the last chunk, and the (N, N) index array whose [j, k] and [k, j]
+    both hold r."""
     Q = p.eigenvectors
     n = len(Q)
     j, k = np.triu_indices(n)
     index = np.empty((n, n), dtype=np.intp)
     index[j, k] = index[k, j] = np.arange(len(j))
-    pairs = Q[j]
-    pairs *= Q[k]
-    return pairs, index
-
-
-def _tiled(n):
-    """Whether one tile's product, TILE N^2 (N + 1) multiply-adds, is within
-    SERIAL_GEMM: true for N <= 25."""
-    return TILE * n * n * (n + 1) <= SERIAL_GEMM
+    chunks = -(-len(j) // max(1, SERIAL_GEMM // (2 * TILE * n)))
+    rows = -(-len(j) // chunks)
+    pairs = np.zeros((chunks * rows, n))
+    pairs[:len(j)] = Q[j]
+    pairs[:len(j)] *= Q[k]
+    return pairs.reshape(chunks, 1, rows, n), index
 
 
 def _unitaries(p, pairs, times):
@@ -136,25 +146,23 @@ def _unitaries(p, pairs, times):
     n, m = len(p.eigenvalues), len(times)
     # zero phases pad the block to whole tiles, so each sample is evaluated
     # in a full tile (see TILE), a lone one too
-    phases = np.empty((n, -(-m // TILE) * TILE), dtype=complex)
+    tiles = -(-m // TILE)
+    phases = np.empty((n, tiles * TILE), dtype=complex)
     np.exp(np.outer(p.eigenvalues, times) * -1j, out=phases[:, :m])
     phases[:, m:] = 0
     # a real GEMM over the interleaved real and imaginary parts: half the
     # flops of the complex product, and pairs is not cast to complex. t is
     # the fastest axis in memory: a C-ordered phases @ pairs.T gives the
     # same values, but site_observables then reduces over rows of only N
-    # elements and observe ran 1.6x slower
-    if _tiled(n):
-        # one GEMM per tile, each small enough to stay on this thread, so
-        # evolve's threads do not each wake OpenBLAS's own; written through
-        # out into the layout of the one product below
-        def tiles(a):
-            return a.reshape(len(a), -1, 2 * TILE).transpose(1, 0, 2)
-        out = np.empty((len(pairs), 2 * phases.shape[1]))
-        np.matmul(pairs, tiles(phases.view(float)), out=tiles(out))
-    else:
-        out = pairs @ phases.view(float)
-    return out.view(complex)[:, :m]
+    # elements and observe ran 1.6x slower. One GEMM per chunk of pairs and
+    # tile, each within SERIAL_GEMM, so OpenBLAS computes it on the calling
+    # thread and evolve's threads do not each wake its own; all of them
+    # are one matmul, written through out into the (rows, 2 samples) layout
+    chunks, _, rows, _ = pairs.shape
+    out = np.empty((chunks * rows, 2 * TILE * tiles))
+    np.matmul(pairs, phases.view(float).reshape(n, tiles, 2 * TILE).transpose(1, 0, 2),
+              out=out.reshape(chunks, rows, tiles, 2 * TILE).transpose(0, 2, 1, 3))
+    return out[:n * (n + 1) // 2].view(complex)[:, :m]
 
 
 def _square(tri, index):
@@ -214,7 +222,8 @@ def _grid(t_max, dt, *props):
 
 
 def _cpus():
-    """The CPUs this process may run on: evolve runs a thread on each."""
+    """The CPUs this process may run on, from its affinity: a CPU quota
+    of its cgroup is not read. evolve runs up to a thread on each."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call outside Linux and some BSDs
@@ -267,18 +276,21 @@ def evolve(p, t_max, dt, reduce):
     (samples, N, N) block to a tuple of arrays whose first axis runs over
     those samples. Returns the grid times and the reduced arrays over the
     whole grid. _unitaries gives each sample the same bits whatever block
-    it is in, so the values do not depend on the block length. For N <= 25
-    the blocks after the first are shared among one thread per CPU, so
-    reduce is called from several threads at once and must keep no state.
+    it is in, so the values do not depend on the block length. The blocks
+    after the first are shared among up to one thread per CPU, so reduce
+    is called from several threads at once and must keep no state. A
+    reduce that calls evolve, or callers that run evolve on several
+    threads, multiply its threads, which can then outnumber the CPUs.
     """
     times = _grid(t_max, dt, p)
     count = len(times)
     n = len(p.eigenvalues)
-    # a thread per CPU while one tile's product stays on its thread (see
-    # _unitaries); above that OpenBLAS threads each block's GEMM itself.
-    # The threads' blocks together take BLOCK_BYTES.
-    threads = _cpus() if _tiled(n) else 1
-    step = max(1, BLOCK_BYTES // threads // (16 * n * n))
+    # a thread per CPU, as every GEMM stays on its thread (see _unitaries);
+    # the threads' blocks together take BLOCK_BYTES, and each holds at
+    # least MIN_BLOCK_BYTES and a whole tile
+    step = max(1, BLOCK_BYTES // (16 * n * n))
+    threads = max(1, min(_cpus(), BLOCK_BYTES // MIN_BLOCK_BYTES, step // TILE))
+    step //= threads
     # whole tiles, so only the last block is padded
     if step >= TILE:
         step -= step % TILE

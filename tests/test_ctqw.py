@@ -372,13 +372,28 @@ def test_every_block_length_gives_the_complex_products_bits(g):
     # a sample's bits depend on neither its block nor its place in it
     p = aw.propagator(aw.hamiltonian(g))
     pairs, _ = ctqw._triangle(p)
+    n = g.node_count
     times = np.arange(101) * 1.99
-    ref = pairs.astype(complex) @ np.exp(np.outer(p.eigenvalues, times) * -1j)
+    rows = pairs.reshape(-1, n)[:n * (n + 1) // 2]
+    ref = rows.astype(complex) @ np.exp(np.outer(p.eigenvalues, times) * -1j)
     for block in range(1, 41):
         parts = [ctqw._unitaries(p, pairs, times[s:s + block]) for s in range(0, len(times), block)]
         assert np.array_equal(np.concatenate(parts, axis=1), ref), block
     for i in (0, 1, 37, 64, 100):
         assert np.array_equal(ctqw._unitaries(p, pairs, times[i:i + 1]), ref[:, i:i + 1]), i
+
+
+@pytest.mark.parametrize("n", [6, 25, 26, 50, 128, 256])
+def test_every_gemm_is_within_serial_gemm(n):
+    # each chunk of pairs times a tile is one GEMM, small enough for OpenBLAS
+    # to keep on the calling thread; the zero rows pad only the last chunk
+    ring = MoleculeGraph(name="ring", node_count=n,
+                         edges=tuple((k, k % n + 1, 1.5) for k in range(1, n + 1)))
+    pairs, _ = ctqw._triangle(aw.propagator(aw.hamiltonian(ring)))
+    chunks, _, rows, _ = pairs.shape
+    assert rows * n * 2 * ctqw.TILE <= ctqw.SERIAL_GEMM
+    assert 0 <= chunks * rows - n * (n + 1) // 2 < chunks
+    assert not pairs.reshape(-1, n)[n * (n + 1) // 2:].any()
 
 
 def assert_blocked_equals_whole_grid(g, t_max):
@@ -425,13 +440,35 @@ def assert_same_bits_on_1_and_3_threads(g, t_max):
 
 def test_evolve_gives_the_same_bits_on_1_and_3_threads():
     # on 3 threads 5001 samples span 5 blocks at N = 6 and 25 at N = 14;
-    # ladders of 24 and 26 nodes fall either side of SERIAL_GEMM, and the
-    # 26-node one is evolved on 1 thread whatever the CPU count
+    # the pairs of a 24-node ladder are one chunk, of a 26-node one two
     for name in aw.CATALOG:
         assert_same_bits_on_1_and_3_threads(aw.load_molecule(name), 50.0)
-    assert ctqw._tiled(24) and not ctqw._tiled(26)
-    for rungs in (12, 13):
-        assert_same_bits_on_1_and_3_threads(ladder(rungs), 20.0)
+    for rungs, chunks in ((12, 1), (13, 2)):
+        g = ladder(rungs)
+        assert len(ctqw._triangle(aw.propagator(aw.hamiltonian(g)))[0]) == chunks
+        assert_same_bits_on_1_and_3_threads(g, 20.0)
+
+
+def test_evolve_threads_keep_the_smallest_block_and_a_tile(monkeypatch):
+    # on 64 CPUs anthracene's blocks go to BLOCK_BYTES // MIN_BLOCK_BYTES
+    # threads; a 128-node ring's block of BLOCK_BYTES holds 8 samples, under
+    # a tile, so its pass stays on one thread
+    monkeypatch.setattr(ctqw, "_cpus", lambda: 64)
+    ring = MoleculeGraph(name="ring", node_count=128,
+                         edges=tuple((k, k % 128 + 1, 1.5) for k in range(1, 129)))
+    for g, t_max, threads in ((aw.load_molecule("anthracene"), 200.0, 4), (ring, 1.0, 1)):
+        p = aw.propagator(aw.hamiltonian(g))
+        seen, longest = set(), []
+
+        def reduce(B):
+            seen.add(threading.current_thread())
+            longest.append(len(B))
+            return (B[:, 0, 0],)
+
+        aw.evolve(p, t_max, 0.01, reduce)
+        assert len(seen) == threads
+        assert 16 * g.node_count ** 2 * max(longest) <= ctqw.BLOCK_BYTES // threads
+    assert ctqw.BLOCK_BYTES // ctqw.MIN_BLOCK_BYTES == 4
 
 
 @settings(max_examples=20, deadline=None)
@@ -488,6 +525,22 @@ def test_evolve_stops_every_thread_at_its_next_block(monkeypatch, error):
     assert threading.active_count() == before
     helpers = [count for thread, count in calls.items() if thread is not threading.main_thread()]
     assert len(helpers) == 2 and max(helpers) <= 2
+
+
+def test_a_reduce_may_call_evolve(monkeypatch):
+    # each 5001-sample pass of benzene is 3 blocks on 2 threads, so every
+    # outer block starts an inner pass with helpers of its own
+    monkeypatch.setattr(ctqw, "_cpus", lambda: 2)
+    p = aw.propagator(aw.hamiltonian(aw.load_molecule("benzene")))
+    expected = aw.evolve(p, 50.0, 0.01, lambda B: (B[:, 0, 0],))[1][0]
+
+    def reduce(B):
+        assert np.array_equal(aw.evolve(p, 50.0, 0.01, lambda B: (B[:, 0, 0],))[1][0], expected)
+        return (B[:, 0, 0],)
+
+    before = threading.active_count()
+    assert np.array_equal(aw.evolve(p, 50.0, 0.01, reduce)[1][0], expected)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("t", [0.37, 17.3, 199.99])
