@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .bondorder import badger_bond_order
 from .ctqw import (
     Propagator,
-    evolve,
     evolve_ensemble,
     hamiltonian,
     propagator,
@@ -61,7 +60,6 @@ __all__ = [
     "classify_modes",
     "degrees",
     "detect_period",
-    "evolve",
     "evolve_ensemble",
     "hamiltonian",
     "load_molecule",

@@ -13,20 +13,22 @@ has the same bits in any block, and from unitary as from evolve. The pairs
 are cut into chunks of equal rows whose product with one tile is within
 SERIAL_GEMM multiply-adds, so under OpenBLAS's default threshold every
 GEMM runs on the calling thread, at every N; all of them are one matmul.
-evolve is the one pass over a grid: it evolves blocks and keeps only what
-its reduce returns of each, so nothing here holds every B(t) of a grid
-unless the reduce keeps it. It shares the blocks after the first among
-one thread per CPU the process may run on, each block of
-BLOCK_BYTES / threads, with at most BLOCK_BYTES // MIN_BLOCK_BYTES
-threads, and no more than a block of BLOCK_BYTES holds whole tiles.
-Beyond what the reduce keeps, a pass holds at most
-BLOCK_BYTES + 16 N^2 (N + 1) / 2 bytes across all its threads: their
-blocks' temporaries together stay within BLOCK_BYTES, and the
+evolve is the one pass over a grid: it evolves blocks and hands each to
+its caller's sink, so nothing here holds every B(t) of a grid unless the
+sink keeps it. It shares the blocks among one thread per CPU the process
+may run on, each block of BLOCK_BYTES / threads, with at most
+BLOCK_BYTES // MIN_BLOCK_BYTES threads, and no more than a block of
+BLOCK_BYTES holds whole tiles; every block is whole tiles, at least one.
+Beyond what the sink keeps, a pass holds at most
+BLOCK_BYTES + 16 N^2 (N + 1) / 2 bytes across all its threads. The
 N^2 (N + 1) / 2 pair entries, computed once per pass and shared, take 8
 bytes each, plus 8 for the gathered eigenvector rows they are multiplied
 by while they are built; the zero rows that pad the last chunk are fewer
-than the chunks. The threads give every sample the bits one thread gives
-it.
+than the chunks. Up to 90 nodes the threads' blocks' temporaries
+together stay within BLOCK_BYTES; from 91 nodes up a block is one tile,
+whose temporaries take about 192 N^2 bytes, below the 4 N^2 (N + 1)
+bytes of gathered rows freed once the pairs are built (from 47 nodes
+up). The threads give every sample the bits one thread gives it.
 hbar = 1 throughout.
 """
 from __future__ import annotations
@@ -269,49 +271,29 @@ def _share(blocks, threads, run):
         raise errors[0]
 
 
-def evolve(p, t_max, dt, reduce):
-    """Stream B(t) on the grid t = 0, dt, 2*dt, ... up to t_max inclusive.
+def evolve(p, times, sink):
+    """Stream B(t) over times, a grid that _grid validated for p.
 
-    B is computed in consecutive time blocks, and reduce maps each
-    (samples, N, N) block to a tuple of arrays whose first axis runs over
-    those samples. Returns the grid times and the reduced arrays over the
-    whole grid. _unitaries gives each sample the same bits whatever block
-    it is in, so the values do not depend on the block length. The blocks
-    after the first are shared among up to one thread per CPU, so reduce
-    is called from several threads at once and must keep no state. A
-    reduce that calls evolve, or callers that run evolve on several
-    threads, multiply its threads, which can then outnumber the CPUs.
+    B is computed in consecutive time blocks, and sink(start, stop, B) is
+    called on each, with B the (stop - start, N, N) occupancies at
+    times[start:stop]. _unitaries gives each sample the same bits whatever
+    block it is in, so the values do not depend on the block length. The
+    blocks are shared among up to one thread per CPU, so sink is called
+    from several threads at once, each call with rows of its own.
     """
-    times = _grid(t_max, dt, p)
-    count = len(times)
     n = len(p.eigenvalues)
     # a thread per CPU, as every GEMM stays on its thread (see _unitaries);
     # the threads' blocks together take BLOCK_BYTES, and each holds at
     # least MIN_BLOCK_BYTES and a whole tile
-    step = max(1, BLOCK_BYTES // (16 * n * n))
+    step = BLOCK_BYTES // (16 * n * n)
     threads = max(1, min(_cpus(), BLOCK_BYTES // MIN_BLOCK_BYTES, step // TILE))
     step //= threads
-    # whole tiles, so only the last block is padded
-    if step >= TILE:
-        step -= step % TILE
-    bounds = list(range(0, count, step)) + [count]
-    blocks = list(zip(bounds, bounds[1:]))
+    # whole tiles, at least one, so only the last block is padded
+    step = max(TILE, step - step % TILE)
+    bounds = list(range(0, len(times), step)) + [len(times)]
     pairs, index = _triangle(p)
-    outputs = None
 
     def run(start, stop):
-        nonlocal outputs
-        parts = reduce(_square(np.abs(_unitaries(p, pairs, times[start:stop])) ** 2, index))
-        for part in parts:
-            if np.shape(part)[:1] != (stop - start,):
-                raise ValueError(f"reduce must return one row per sample: expected "
-                                 f"{stop - start} rows, got shape {np.shape(part)}")
-        # set by the first block, which runs before any helper starts
-        if outputs is None:
-            outputs = tuple(np.empty((count,) + a.shape[1:], dtype=a.dtype) for a in parts)
-        for out, part in zip(outputs, parts):
-            out[start:stop] = part
+        sink(start, stop, _square(np.abs(_unitaries(p, pairs, times[start:stop])) ** 2, index))
 
-    run(*blocks[0])
-    _share(blocks[1:], threads, run)
-    return times, outputs
+    _share(list(zip(bounds, bounds[1:])), threads, run)

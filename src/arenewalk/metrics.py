@@ -77,10 +77,17 @@ def site_observables(mats):
 def observe(p, t_max=200.0, dt=0.01):
     """SiteObservables of a propagator on the grid t = 0, dt, 2*dt, ... up
     to t_max inclusive, reduced block by block as B(t) is evolved."""
+    n = len(p.eigenvalues)
     # checked here too, so that no block is evolved for a walk without TRP
-    _check_walkers(len(p.eigenvalues))
-    times, (mp, tp) = ctqw.evolve(p, t_max, dt, site_observables)
-    return SiteObservables(times, mp, tp)
+    _check_walkers(n)
+    times = ctqw._grid(t_max, dt, p)
+    maxp, trp = np.empty((len(times), n)), np.empty((len(times), n))
+
+    def sink(start, stop, B):
+        maxp[start:stop], trp[start:stop] = site_observables(B)
+
+    ctqw.evolve(p, times, sink)
+    return SiteObservables(times, maxp, trp)
 
 
 def site_reports(g, series):
@@ -151,7 +158,13 @@ def stability_entry(g, p, t_max=200.0, dt=0.01):
         raise ValueError(f"propagator has {n} sites, "
                          f"molecule {g.name!r} has {g.node_count} nodes")
     _check_walkers(n)
-    _, (trp,) = ctqw.evolve(p, t_max, dt, lambda B: site_observables(B)[1:])
+    times = ctqw._grid(t_max, dt, p)
+    trp = np.empty((len(times), n))
+
+    def sink(start, stop, B):
+        trp[start:stop] = site_observables(B)[1]
+
+    ctqw.evolve(p, times, sink)
     return StabilityEntry(molecule=g.name, mean_trp=float(trp.mean()),
                           t_max=float(t_max), dt=float(dt))
 

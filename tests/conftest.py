@@ -12,6 +12,7 @@ import pytest
 from hypothesis import strategies as st
 
 import arenewalk as aw
+from arenewalk import ctqw
 from arenewalk.graphs import MoleculeGraph
 
 
@@ -60,11 +61,25 @@ def reference_layout(g, coin="unweighted"):
         a=np.sqrt(1.0 / (alpha + 1.0))[node_of], b=np.sqrt(alpha / (alpha + 1.0))[node_of])
 
 
+def stream_rows(p, t_max, dt, reduce, shape=()):
+    """The grid times and reduce's rows over them: one ctqw.evolve pass on
+    the validated grid, whose sink stores reduce(B) of each (samples, N, N)
+    block of B(t) as its rows, each of the given shape."""
+    times = ctqw._grid(t_max, dt, p)
+    rows = np.empty((len(times),) + shape)
+
+    def sink(start, stop, B):
+        rows[start:stop] = reduce(B)
+
+    ctqw.evolve(p, times, sink)
+    return times, rows
+
+
 def every_matrix(p, t_max, dt):
     """The grid times and every B(t) on them, shaped (samples, N, N): the
     full evolution that tests compare streamed reductions against."""
-    times, (matrices,) = aw.evolve(p, t_max, dt, lambda B: (B,))
-    return times, matrices
+    n = len(p.eigenvalues)
+    return stream_rows(p, t_max, dt, lambda B: B, (n, n))
 
 
 @pytest.fixture(scope="session")

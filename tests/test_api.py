@@ -17,6 +17,7 @@ def test_all_lists_every_public_name():
     assert not hasattr(aw.graphs, "laplacian")
     assert not hasattr(aw, "badger_force_constant")
     assert not hasattr(aw.bondorder, "badger_force_constant")
+    assert not hasattr(aw, "evolve")
 
 
 def test_result_records_hold_no_echoed_inputs():

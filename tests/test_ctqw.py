@@ -8,7 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
-from conftest import connected_graphs, every_matrix
+from conftest import connected_graphs, every_matrix, stream_rows
 from hypothesis import given, settings
 
 import arenewalk as aw
@@ -293,16 +293,6 @@ def test_sample_ceiling_boundary(monkeypatch):
         every_matrix(p, t_max=1.0, dt=0.01)
 
 
-@pytest.mark.parametrize("reduce", [lambda B: (B.max(),), lambda B: (B[:1, 0, 0],)],
-                         ids=["scalar", "one-row"])
-def test_evolve_rejects_reduce_without_a_row_per_sample(reduce):
-    # both broadcast over the block: 11 samples that all equal the block's
-    # max, or its first sample's B[0, 0]
-    p = aw.propagator(aw.hamiltonian(aw.load_molecule("benzene")))
-    with pytest.raises(ValueError, match="expected 11 rows"):
-        aw.evolve(p, 1.0, 0.1, reduce)
-
-
 def test_series_matches_single_shot():
     # a lone sample gets the bits it has inside a block of the grid
     for name in aw.CATALOG:
@@ -451,8 +441,8 @@ def test_evolve_gives_the_same_bits_on_1_and_3_threads():
 
 def test_evolve_threads_keep_the_smallest_block_and_a_tile(monkeypatch):
     # on 64 CPUs anthracene's blocks go to BLOCK_BYTES // MIN_BLOCK_BYTES
-    # threads; a 128-node ring's block of BLOCK_BYTES holds 8 samples, under
-    # a tile, so its pass stays on one thread
+    # threads; a 128-node ring's block of BLOCK_BYTES would hold 8 samples,
+    # under a tile, so its pass stays on one thread with blocks of a tile
     monkeypatch.setattr(ctqw, "_cpus", lambda: 64)
     ring = MoleculeGraph(name="ring", node_count=128,
                          edges=tuple((k, k % 128 + 1, 1.5) for k in range(1, 129)))
@@ -463,11 +453,14 @@ def test_evolve_threads_keep_the_smallest_block_and_a_tile(monkeypatch):
         def reduce(B):
             seen.add(threading.current_thread())
             longest.append(len(B))
-            return (B[:, 0, 0],)
+            return B[:, 0, 0]
 
-        aw.evolve(p, t_max, 0.01, reduce)
+        stream_rows(p, t_max, 0.01, reduce)
         assert len(seen) == threads
-        assert 16 * g.node_count ** 2 * max(longest) <= ctqw.BLOCK_BYTES // threads
+        if g is ring:
+            assert max(longest) == ctqw.TILE
+        else:
+            assert 16 * g.node_count ** 2 * max(longest) <= ctqw.BLOCK_BYTES // threads
     assert ctqw.BLOCK_BYTES // ctqw.MIN_BLOCK_BYTES == 4
 
 
@@ -480,8 +473,8 @@ def test_evolve_gives_the_same_bits_on_1_and_3_threads_random_graphs(g):
 @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
 def test_evolve_raises_a_helper_threads_error_after_joining(monkeypatch, error):
     # anthracene's 20001 samples are one more than whole tiles, so only the
-    # last of its blocks is ragged, and of 3 threads a helper evolves it
-    monkeypatch.setattr(ctqw, "_cpus", lambda: 3)
+    # last of its 126 blocks is ragged, and of 4 threads a helper evolves it
+    monkeypatch.setattr(ctqw, "_cpus", lambda: 4)
     p = aw.propagator(aw.hamiltonian(aw.load_molecule("anthracene")))
     raised_in = []
 
@@ -489,11 +482,11 @@ def test_evolve_raises_a_helper_threads_error_after_joining(monkeypatch, error):
         if len(B) % ctqw.TILE:
             raised_in.append(threading.current_thread())
             raise error("the last block")
-        return (B[:, 0, 0],)
+        return B[:, 0, 0]
 
     before = threading.active_count()
     with pytest.raises(error, match="the last block"):
-        aw.evolve(p, 200.0, 0.01, reduce)
+        stream_rows(p, 200.0, 0.01, reduce)
     assert len(raised_in) == 1 and raised_in[0] is not threading.main_thread()
     assert threading.active_count() == before
 
@@ -517,11 +510,11 @@ def test_evolve_stops_every_thread_at_its_next_block(monkeypatch, error):
                 raise error("the caller's block")
         else:
             assert raised.wait(timeout=60)
-        return (B[:, 0, 0],)
+        return B[:, 0, 0]
 
     before = threading.active_count()
     with pytest.raises(error, match="the caller's block"):
-        aw.evolve(p, 200.0, 0.01, reduce)
+        stream_rows(p, 200.0, 0.01, reduce)
     assert threading.active_count() == before
     helpers = [count for thread, count in calls.items() if thread is not threading.main_thread()]
     assert len(helpers) == 2 and max(helpers) <= 2
@@ -532,14 +525,14 @@ def test_a_reduce_may_call_evolve(monkeypatch):
     # outer block starts an inner pass with helpers of its own
     monkeypatch.setattr(ctqw, "_cpus", lambda: 2)
     p = aw.propagator(aw.hamiltonian(aw.load_molecule("benzene")))
-    expected = aw.evolve(p, 50.0, 0.01, lambda B: (B[:, 0, 0],))[1][0]
+    expected = stream_rows(p, 50.0, 0.01, lambda B: B[:, 0, 0])[1]
 
     def reduce(B):
-        assert np.array_equal(aw.evolve(p, 50.0, 0.01, lambda B: (B[:, 0, 0],))[1][0], expected)
-        return (B[:, 0, 0],)
+        assert np.array_equal(stream_rows(p, 50.0, 0.01, lambda B: B[:, 0, 0])[1], expected)
+        return B[:, 0, 0]
 
     before = threading.active_count()
-    assert np.array_equal(aw.evolve(p, 50.0, 0.01, reduce)[1][0], expected)
+    assert np.array_equal(stream_rows(p, 50.0, 0.01, reduce)[1], expected)
     assert threading.active_count() == before
 
 
@@ -569,7 +562,7 @@ def test_unitary_peak_memory_is_the_triangle():
 
 
 @pytest.mark.parametrize("molecule, t_max", [*((name, 200.0) for name in aw.CATALOG),
-                                             (50, 20.0), (128, 1.0)])
+                                             (50, 20.0), (128, 1.0), (256, 1.0)])
 def test_observe_memory_beyond_outputs_is_the_stated_bound(molecule, t_max):
     # the module docstring's bound: one block plus the pairs and the
     # eigenvector rows gathered to build them; every grid spans several blocks
@@ -591,8 +584,8 @@ def test_observe_memory_beyond_outputs_is_the_stated_bound(molecule, t_max):
     assert peak - outputs <= ctqw.BLOCK_BYTES + 16 * n * n * (n + 1) // 2
 
 
-# t_max 5, dt 0.01 gives 501 samples: blocks of 7 leave a ragged 4-sample
-# tail, blocks of 10 a single sample
+# t_max 5, dt 0.01 gives 501 samples: a BLOCK_BYTES of 7 or 10 samples
+# is under a tile, so both give 16-sample blocks with a ragged 5-sample tail
 @pytest.mark.parametrize("block", [None, 7, 10])
 def test_streamed_observables_equal_series(monkeypatch, block):
     for name in aw.CATALOG:
