@@ -16,19 +16,19 @@ GEMM runs on the calling thread, at every N; all of them are one matmul.
 evolve is the one pass over a grid: it evolves blocks and hands each to
 its caller's sink, so nothing here holds every B(t) of a grid unless the
 sink keeps it. It shares the blocks among one thread per CPU the process
-may run on, each block of BLOCK_BYTES / threads, with at most
-BLOCK_BYTES // MIN_BLOCK_BYTES threads, and no more than a block of
-BLOCK_BYTES holds whole tiles; every block is whole tiles, at least one.
-Beyond what the sink keeps, a pass holds at most
-BLOCK_BYTES + 16 N^2 (N + 1) / 2 bytes across all its threads. The
-N^2 (N + 1) / 2 pair entries, computed once per pass and shared, take 8
-bytes each, plus 8 for the gathered eigenvector rows they are multiplied
-by while they are built; the zero rows that pad the last chunk are fewer
-than the chunks. Up to 90 nodes the threads' blocks' temporaries
-together stay within BLOCK_BYTES; from 91 nodes up a block is one tile,
-whose temporaries take about 192 N^2 bytes, below the 4 N^2 (N + 1)
-bytes of gathered rows freed once the pairs are built (from 47 nodes
-up). The threads give every sample the bits one thread gives it.
+may run on, at most MAX_THREADS, and no more threads than a block holds
+whole tiles. Each thread evolves blocks of BLOCK_BYTES, whole tiles, at
+least one, so a grid's blocks do not depend on the thread count. Beyond
+what the sink keeps, a pass holds at most
+threads BLOCK_BYTES + 16 N^2 (N + 1) / 2 bytes. The N^2 (N + 1) / 2
+pair entries, computed once per pass and shared, take 8 bytes each;
+they are built one eigenvector row at a time, so no gathered rows are
+held, and the zero rows that pad the last chunk are fewer than the
+chunks. Up to 90 nodes a block's temporaries stay within BLOCK_BYTES;
+from 91 nodes up a block is one tile, on one thread, whose temporaries
+take about 192 N^2 bytes, within the other 4 N^2 (N + 1) bytes of the
+bound from 47 nodes up. The threads give every sample the bits one
+thread gives it.
 hbar = 1 throughout.
 """
 from __future__ import annotations
@@ -41,12 +41,18 @@ import numpy as np
 
 from . import graphs
 
-# Bytes of a complex (samples, N, N) block that set its sample count; the
-# upper triangle evolved per block is about half of that. observe at 1, 2,
-# 4 and 8 MB on a 2-core x86 host took 21.6, 19.6, 20.5 and 29.4 ms at
-# N = 14 (20001 samples), 43.7, 47.3, 48.5 and 49.0 ms at N = 22 (20001)
-# and 31.0, 23.3, 22.8 and 25.1 ms at N = 50 (2001): 2 MB is within 8% of
-# the fastest size at each N.
+# Bytes of one thread's complex (samples, N, N) block, which set its
+# sample count; the upper triangle evolved per block is about half of
+# that. observe on one thread at 1, 2, 4 and 8 MB on a 2-core x86 host
+# took 21.6, 19.6, 20.5 and 29.4 ms at N = 14 (20001 samples), 43.7,
+# 47.3, 48.5 and 49.0 ms at N = 22 (20001) and 31.0, 23.3, 22.8 and 25.1
+# ms at N = 50 (2001): 2 MB is within 8% of the fastest size at each N,
+# and 1.5 MB was no faster at N = 50 (29.3-29.9 ms of CPU against
+# 28.7-29.1). Each thread hands the GIL over a few times per block: on 2
+# threads the five stability passes of acenes 1-5 made 1,400-1,500
+# voluntary context switches with blocks of 1 MB each, against 320-420
+# with blocks of 2 MB each and fewer numpy calls per block, and took
+# 93-104 ms of wall (165-182 of CPU) against 75-95 (140-170).
 BLOCK_BYTES = 2 << 20
 # Samples per tile of the product: each block is padded with zero phases
 # to whole tiles. OpenBLAS's real GEMM rounds a ragged column tile its own
@@ -62,13 +68,11 @@ TILE = 16
 # small, and then each of evolve's threads wakes its own BLAS threads (the
 # manifest's blas_build names the BLAS).
 SERIAL_GEMM = 65536 * 4
-# Smallest block evolve gives a thread, so at most BLOCK_BYTES //
-# MIN_BLOCK_BYTES = 4 threads. On a 2-core x86 host the five stability
-# passes of acenes 1-5 took 103-108 ms of CPU on one thread at
-# BLOCK_BYTES, 114-116 at a quarter of it, 134-138 at an eighth and
-# 506-521 at a 64th; forced onto the 2 CPUs, 4 threads took 111-120 ms of
-# wall against 103-108 for 2 and 105-111 for 1, and 8 threads 214-249.
-MIN_BLOCK_BYTES = BLOCK_BYTES // 4
+# Most threads evolve runs. On a 2-core x86 host, forced onto the 2 CPUs,
+# the five stability passes of acenes 1-5 took 111-120 ms of wall on 4
+# threads against 103-108 on 2 and 105-111 on 1, and 214-249 on 8, when
+# the threads shared one BLOCK_BYTES of blocks.
+MAX_THREADS = 4
 # Largest sampling grid accepted; checked before anything is allocated.
 MAX_SAMPLES = 10_000_000
 
@@ -136,8 +140,12 @@ def _triangle(p):
     chunks = -(-len(j) // max(1, SERIAL_GEMM // (2 * TILE * n)))
     rows = -(-len(j) // chunks)
     pairs = np.zeros((chunks * rows, n))
-    pairs[:len(j)] = Q[j]
-    pairs[:len(j)] *= Q[k]
+    # the pairs of one row a at a time, Q[a] times Q[a:], so no (pairs, N)
+    # gather of eigenvector rows is made: the pairs are the only N^3 array
+    r = 0
+    for a in range(n):
+        np.multiply(Q[a], Q[a:], out=pairs[r:r + n - a])
+        r += n - a
     return pairs.reshape(chunks, 1, rows, n), index
 
 
@@ -150,7 +158,10 @@ def _unitaries(p, pairs, times):
     # in a full tile (see TILE), a lone one too
     tiles = -(-m // TILE)
     phases = np.empty((n, tiles * TILE), dtype=complex)
-    np.exp(np.outer(p.eigenvalues, times) * -1j, out=phases[:, :m])
+    lam_t = phases[:, :m]
+    np.multiply.outer(p.eigenvalues, times, out=lam_t)
+    np.multiply(lam_t, -1j, out=lam_t)
+    np.exp(lam_t, out=lam_t)
     phases[:, m:] = 0
     # a real GEMM over the interleaved real and imaginary parts: half the
     # flops of the complex product, and pairs is not cast to complex. t is
@@ -171,6 +182,14 @@ def _square(tri, index):
     """The (samples, N, N) symmetric matrices whose upper triangles are the
     rows of tri, gathered by the index of _triangle; t stays the fastest axis."""
     return tri[index].transpose(2, 0, 1)
+
+
+def _occupancies(p, pairs, index, times):
+    """The (samples, N, N) B(t) = |U(t)|^2 at each of times, squared in
+    place; the triangle is freed on return, so only B reaches the sink."""
+    tri = np.abs(_unitaries(p, pairs, times))
+    np.square(tri, out=tri)
+    return _square(tri, index)
 
 
 def _check_phases(p, t):
@@ -271,6 +290,15 @@ def _share(blocks, threads, run):
         raise errors[0]
 
 
+def _block(n):
+    """Samples per block and threads of a pass at N = n: the whole tiles
+    of BLOCK_BYTES, at least one, and a thread per CPU, at most
+    MAX_THREADS and no more than a block holds tiles."""
+    step = BLOCK_BYTES // (16 * n * n)
+    threads = max(1, min(_cpus(), MAX_THREADS, step // TILE))
+    return max(TILE, step - step % TILE), threads
+
+
 def evolve(p, times, sink):
     """Stream B(t) over times, a grid that _grid validated for p.
 
@@ -281,19 +309,13 @@ def evolve(p, times, sink):
     blocks are shared among up to one thread per CPU, so sink is called
     from several threads at once, each call with rows of its own.
     """
-    n = len(p.eigenvalues)
     # a thread per CPU, as every GEMM stays on its thread (see _unitaries);
-    # the threads' blocks together take BLOCK_BYTES, and each holds at
-    # least MIN_BLOCK_BYTES and a whole tile
-    step = BLOCK_BYTES // (16 * n * n)
-    threads = max(1, min(_cpus(), BLOCK_BYTES // MIN_BLOCK_BYTES, step // TILE))
-    step //= threads
-    # whole tiles, at least one, so only the last block is padded
-    step = max(TILE, step - step % TILE)
+    # whole tiles per block, so only the last block is padded
+    step, threads = _block(len(p.eigenvalues))
     bounds = list(range(0, len(times), step)) + [len(times)]
     pairs, index = _triangle(p)
 
     def run(start, stop):
-        sink(start, stop, _square(np.abs(_unitaries(p, pairs, times[start:stop])) ** 2, index))
+        sink(start, stop, _occupancies(p, pairs, index, times[start:stop]))
 
     _share(list(zip(bounds, bounds[1:])), threads, run)

@@ -19,8 +19,9 @@ import yaml
 
 CATALOG = ("benzene", "naphthalene", "anthracene", "phenanthrene")
 # Largest node count accepted, checked before anything N-sized is allocated.
-# The CTQW's peak memory grows as about 8 N^3 bytes (136 MB at 256, traced
-# by tracemalloc); 256 is 5x the largest benchmarked molecule (N = 50).
+# The CTQW's peak memory grows as about 4 N^3 bytes (81 MB beyond its
+# outputs for an observe pass at 256, traced by tracemalloc); 256 is 5x the
+# largest benchmarked molecule (N = 50).
 MAX_NODES = 256
 # Characters that would split or quote a CSV cell the CLI writes unquoted.
 _CSV_BREAKING = frozenset(',"\r\n')

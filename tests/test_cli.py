@@ -847,10 +847,11 @@ def test_stability_bytes_match_unstreamed(runner, tmp_path):
         ("molecule", "mean_trp", "rank"), rows)
 
 
-def test_stability_holds_one_molecules_observables(tmp_path):
+def test_stability_holds_one_molecules_observables(tmp_path, monkeypatch):
     # the TRP array of the largest molecule, 8 * N bytes per sample, plus
     # one block and 1 MiB for the rest; its MAXP array, or a second
     # molecule's TRP, would not fit
+    monkeypatch.setattr(ctqw, "_cpus", lambda: 1)
     samples = len(ctqw._grid(200.0, 0.01))
     largest = max(aw.load_molecule(name).node_count for name in aw.CATALOG)
     tracemalloc.start()

@@ -345,6 +345,12 @@ def ladder(rungs):
     return MoleculeGraph(name="ladder", node_count=2 * rungs, edges=tuple(edges))
 
 
+def ring(n):
+    """A cycle of n nodes, every bond of weight 1.5."""
+    return MoleculeGraph(name="ring", node_count=n,
+                         edges=tuple((k, k % n + 1, 1.5) for k in range(1, n + 1)))
+
+
 def acene(rings):
     """Two chains of 2 * rings + 1 nodes joined by a rung at every other
     position, with distinct weights: the linear acene's 4 * rings + 2 nodes."""
@@ -377,9 +383,7 @@ def test_every_block_length_gives_the_complex_products_bits(g):
 def test_every_gemm_is_within_serial_gemm(n):
     # each chunk of pairs times a tile is one GEMM, small enough for OpenBLAS
     # to keep on the calling thread; the zero rows pad only the last chunk
-    ring = MoleculeGraph(name="ring", node_count=n,
-                         edges=tuple((k, k % n + 1, 1.5) for k in range(1, n + 1)))
-    pairs, _ = ctqw._triangle(aw.propagator(aw.hamiltonian(ring)))
+    pairs, _ = ctqw._triangle(aw.propagator(aw.hamiltonian(ring(n))))
     chunks, _, rows, _ = pairs.shape
     assert rows * n * 2 * ctqw.TILE <= ctqw.SERIAL_GEMM
     assert 0 <= chunks * rows - n * (n + 1) // 2 < chunks
@@ -398,7 +402,7 @@ def test_blocked_series_equals_whole_grid(t_max):
     # for N = 10 and 8 for N = 14
     for name in aw.CATALOG:
         assert_blocked_equals_whole_grid(aw.load_molecule(name), t_max)
-    # a 50-node block holds 52 samples, so 501 span ten; the reference
+    # a 50-node block holds 48 samples, so 501 span eleven; the reference
     # over 5001 samples would hold 300 MB
     assert_blocked_equals_whole_grid(ladder(25), min(t_max, 5.0))
 
@@ -414,23 +418,31 @@ def assert_same_bits_on_1_and_3_threads(g, t_max):
     # 3 threads on a host of fewer CPUs, switched often: a block whose rows
     # were lost would leave np.empty's garbage in the output
     p = aw.propagator(aw.hamiltonian(g))
-    runs = []
+    n = g.node_count
+    seen = set()
+
+    def reduce(B):
+        seen.add(threading.current_thread())
+        return B
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with pytest.MonkeyPatch.context() as mp:
-            for cpus in (1, 3):
-                mp.setattr(ctqw, "_cpus", lambda cpus=cpus: cpus)
-                runs.append(every_matrix(p, t_max=t_max, dt=0.01))
+            mp.setattr(ctqw, "_cpus", lambda: 1)
+            times, one = every_matrix(p, t_max=t_max, dt=0.01)
+            mp.setattr(ctqw, "_cpus", lambda: 3)
+            times3, three = stream_rows(p, t_max, 0.01, reduce, (n, n))
     finally:
         sys.setswitchinterval(interval)
-    (times, one), (times3, three) = runs
+    assert len(seen) > 1
     assert np.array_equal(times, times3) and np.array_equal(one, three)
 
 
 def test_evolve_gives_the_same_bits_on_1_and_3_threads():
-    # on 3 threads 5001 samples span 5 blocks at N = 6 and 25 at N = 14;
-    # the pairs of a 24-node ladder are one chunk, of a 26-node one two
+    # 5001 samples span 2 blocks at N = 6 and 8 at N = 14, so N = 6 runs
+    # 2 threads; the pairs of a 24-node ladder are one chunk, of a 26-node
+    # one two
     for name in aw.CATALOG:
         assert_same_bits_on_1_and_3_threads(aw.load_molecule(name), 50.0)
     for rungs, chunks in ((12, 1), (13, 2)):
@@ -439,14 +451,13 @@ def test_evolve_gives_the_same_bits_on_1_and_3_threads():
         assert_same_bits_on_1_and_3_threads(g, 20.0)
 
 
-def test_evolve_threads_keep_the_smallest_block_and_a_tile(monkeypatch):
-    # on 64 CPUs anthracene's blocks go to BLOCK_BYTES // MIN_BLOCK_BYTES
+def test_evolve_threads_each_take_a_whole_block_and_a_tile(monkeypatch):
+    # on 64 CPUs anthracene's blocks of BLOCK_BYTES go to MAX_THREADS
     # threads; a 128-node ring's block of BLOCK_BYTES would hold 8 samples,
     # under a tile, so its pass stays on one thread with blocks of a tile
     monkeypatch.setattr(ctqw, "_cpus", lambda: 64)
-    ring = MoleculeGraph(name="ring", node_count=128,
-                         edges=tuple((k, k % 128 + 1, 1.5) for k in range(1, 129)))
-    for g, t_max, threads in ((aw.load_molecule("anthracene"), 200.0, 4), (ring, 1.0, 1)):
+    ring128 = ring(128)
+    for g, t_max, threads in ((aw.load_molecule("anthracene"), 200.0, 4), (ring128, 1.0, 1)):
         p = aw.propagator(aw.hamiltonian(g))
         seen, longest = set(), []
 
@@ -457,23 +468,45 @@ def test_evolve_threads_keep_the_smallest_block_and_a_tile(monkeypatch):
 
         stream_rows(p, t_max, 0.01, reduce)
         assert len(seen) == threads
-        if g is ring:
+        if g is ring128:
             assert max(longest) == ctqw.TILE
         else:
-            assert 16 * g.node_count ** 2 * max(longest) <= ctqw.BLOCK_BYTES // threads
-    assert ctqw.BLOCK_BYTES // ctqw.MIN_BLOCK_BYTES == 4
+            assert 16 * g.node_count ** 2 * max(longest) <= ctqw.BLOCK_BYTES
+    assert ctqw.MAX_THREADS == 4
 
 
+@pytest.mark.parametrize("molecule, t_max", [*((name, 50.0) for name in aw.CATALOG), (50, 5.0)])
+def test_evolve_blocks_do_not_depend_on_the_cpu_count(monkeypatch, molecule, t_max):
+    # every thread takes blocks of BLOCK_BYTES, so the CPU count moves only
+    # which thread evolves a block; each grid spans at least 2 blocks
+    g = ring(molecule) if isinstance(molecule, int) else aw.load_molecule(molecule)
+    p = aw.propagator(aw.hamiltonian(g))
+    times = ctqw._grid(t_max, 0.01, p)
+    runs = []
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(ctqw, "_cpus", lambda cpus=cpus: cpus)
+        bounds = []
+        ctqw.evolve(p, times, lambda start, stop, B: bounds.append((start, stop)))
+        obs = aw.observe(p, t_max, 0.01)
+        runs.append((sorted(bounds), obs.maxp, obs.trp))
+    (bounds, maxp, trp), *others = runs
+    assert len(bounds) > 1
+    for other in others:
+        assert other[0] == bounds
+        assert np.array_equal(other[1], maxp) and np.array_equal(other[2], trp)
+
+
+# 15001 samples span at least 2 blocks at every N from 3 up
 @settings(max_examples=20, deadline=None)
 @given(g=connected_graphs())
 def test_evolve_gives_the_same_bits_on_1_and_3_threads_random_graphs(g):
-    assert_same_bits_on_1_and_3_threads(g, 50.0)
+    assert_same_bits_on_1_and_3_threads(g, 150.0)
 
 
 @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
 def test_evolve_raises_a_helper_threads_error_after_joining(monkeypatch, error):
     # anthracene's 20001 samples are one more than whole tiles, so only the
-    # last of its 126 blocks is ragged, and of 4 threads a helper evolves it
+    # last of its 31 blocks is ragged, and of 4 threads a helper evolves it
     monkeypatch.setattr(ctqw, "_cpus", lambda: 4)
     p = aw.propagator(aw.hamiltonian(aw.load_molecule("anthracene")))
     raised_in = []
@@ -495,7 +528,7 @@ def test_evolve_raises_a_helper_threads_error_after_joining(monkeypatch, error):
 def test_evolve_stops_every_thread_at_its_next_block(monkeypatch, error):
     # the caller raises on its second block while each helper waits in the
     # reduce of its first: the helpers finish that block, and at most one
-    # more that they began before they saw the error, of 32 each
+    # more that they began before they saw the error, of 10 each
     monkeypatch.setattr(ctqw, "_cpus", lambda: 3)
     p = aw.propagator(aw.hamiltonian(aw.load_molecule("anthracene")))
     calls = {}
@@ -521,7 +554,7 @@ def test_evolve_stops_every_thread_at_its_next_block(monkeypatch, error):
 
 
 def test_a_reduce_may_call_evolve(monkeypatch):
-    # each 5001-sample pass of benzene is 3 blocks on 2 threads, so every
+    # each 5001-sample pass of benzene is 2 blocks on 2 threads, so every
     # outer block starts an inner pass with helpers of its own
     monkeypatch.setattr(ctqw, "_cpus", lambda: 2)
     p = aw.propagator(aw.hamiltonian(aw.load_molecule("benzene")))
@@ -546,12 +579,10 @@ def test_unitary_equals_whole_grid(t):
 
 def test_unitary_peak_memory_is_the_triangle():
     # the module docstring's bound for a pass, here of one sample: the j <= k
-    # pairs and the eigenvector rows gathered to build them take about
-    # 8 N^3 bytes, and all N^2 pair columns would take 16 N^3
+    # pairs take about 4 N^3 bytes, and all N^2 pair columns, 8 N^3 bytes,
+    # with one tile's temporaries would not fit
     n = 128
-    ring = MoleculeGraph(name="ring", node_count=n,
-                         edges=tuple((k, k % n + 1, 1.5) for k in range(1, n + 1)))
-    p = aw.propagator(aw.hamiltonian(ring))
+    p = aw.propagator(aw.hamiltonian(ring(n)))
     tracemalloc.start()
     try:
         aw.unitary(p, 1.0)
@@ -561,17 +592,12 @@ def test_unitary_peak_memory_is_the_triangle():
     assert peak <= ctqw.BLOCK_BYTES + 16 * n * n * (n + 1) // 2
 
 
-@pytest.mark.parametrize("molecule, t_max", [*((name, 200.0) for name in aw.CATALOG),
-                                             (50, 20.0), (128, 1.0), (256, 1.0)])
-def test_observe_memory_beyond_outputs_is_the_stated_bound(molecule, t_max):
-    # the module docstring's bound: one block plus the pairs and the
-    # eigenvector rows gathered to build them; every grid spans several blocks
-    if isinstance(molecule, int):
-        g = MoleculeGraph(name="ring", node_count=molecule,
-                          edges=tuple((k, k % molecule + 1, 1.5) for k in range(1, molecule + 1)))
-    else:
-        g = aw.load_molecule(molecule)
+def assert_observe_memory_beyond_outputs_is_the_stated_bound(molecule, t_max):
+    # the module docstring's bound: a block per thread plus the pairs; every
+    # grid spans several blocks
+    g = ring(molecule) if isinstance(molecule, int) else aw.load_molecule(molecule)
     n = g.node_count
+    threads = ctqw._block(n)[1]
     p = aw.propagator(aw.hamiltonian(g))
     tracemalloc.start()
     try:
@@ -581,7 +607,20 @@ def test_observe_memory_beyond_outputs_is_the_stated_bound(molecule, t_max):
         tracemalloc.stop()
     assert len(obs.times) > 2 * ctqw.BLOCK_BYTES // (16 * n * n)
     outputs = obs.times.nbytes + obs.maxp.nbytes + obs.trp.nbytes
-    assert peak - outputs <= ctqw.BLOCK_BYTES + 16 * n * n * (n + 1) // 2
+    assert peak - outputs <= threads * ctqw.BLOCK_BYTES + 16 * n * n * (n + 1) // 2
+    return threads
+
+
+@pytest.mark.parametrize("molecule, t_max", [*((name, 200.0) for name in aw.CATALOG),
+                                             (50, 20.0), (128, 1.0), (256, 1.0)])
+def test_observe_memory_beyond_outputs_is_the_stated_bound(molecule, t_max):
+    assert_observe_memory_beyond_outputs_is_the_stated_bound(molecule, t_max)
+
+
+@pytest.mark.parametrize("molecule, t_max", [("anthracene", 200.0), (50, 20.0)])
+def test_observe_memory_on_one_cpu_is_one_block_and_the_pairs(monkeypatch, molecule, t_max):
+    monkeypatch.setattr(ctqw, "_cpus", lambda: 1)
+    assert assert_observe_memory_beyond_outputs_is_the_stated_bound(molecule, t_max) == 1
 
 
 # t_max 5, dt 0.01 gives 501 samples: a BLOCK_BYTES of 7 or 10 samples
