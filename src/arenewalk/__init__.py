@@ -22,13 +22,9 @@ from .errors import ComputationError
 from .graphs import (
     CATALOG,
     MoleculeGraph,
-    degrees,
     load_molecule,
-    weighted_degrees,
 )
 from .metrics import (
-    MODE_CATALOG,
-    ModePattern,
     ModeReport,
     SiteObservables,
     SiteReport,
@@ -37,7 +33,6 @@ from .metrics import (
     classify_modes,
     detect_period,
     observe,
-    site_observables,
     site_reports,
     stability_entry,
     stability_order,
@@ -46,8 +41,6 @@ from .metrics import (
 __all__ = [
     "CATALOG",
     "ComputationError",
-    "MODE_CATALOG",
-    "ModePattern",
     "ModeReport",
     "MoleculeGraph",
     "NodeRanking",
@@ -58,7 +51,6 @@ __all__ = [
     "StabilityReport",
     "badger_bond_order",
     "classify_modes",
-    "degrees",
     "detect_period",
     "evolve_ensemble",
     "hamiltonian",
@@ -66,10 +58,8 @@ __all__ = [
     "observe",
     "propagator",
     "rank_nodes",
-    "site_observables",
     "site_reports",
     "stability_entry",
     "stability_order",
     "unitary",
-    "weighted_degrees",
 ]

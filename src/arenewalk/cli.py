@@ -17,18 +17,15 @@ formatted, and `_atomic_write` writes the bytes chunks it gets to a
 binary file, so no text layer encodes a copy of each table.
 
 `_rows` is the only table writer but one: `simulate`'s t column is
-formatted once by "%.12g" itself, since nearly every default-grid time
-is outside the fast path below, where `_rows` took about twice as long.
-Every "%.12g" cell `_rows` writes has the bytes of CPython's correctly
-rounded "%.12g". A value in [1e-4, 1)
-prints as its 12 digits, an int rounded from the value scaled by a power
-of ten: the scaled product is within 2**-14 of exact, so the int is right
-whenever the product's fraction is more than 1e-3 from 1/2. Every other
-value, and every fraction within that guard, is printed by "%.12g" in the
-same single % call that formats the table. That call's format is built
-per run of lines that share their cells' specs, one line of format
-repeated by the run's length: on the catalog and the benchmark's acenes,
-a default-grid series keeps its specs for 27 to 126 lines on average.
+formatted once per run by "%.12g" itself and turned into slots once, since
+nearly every default-grid time is outside the fast path below. `_rows`
+lays each table out as one row of 4-byte words per line, with a fixed
+slot per cell and per run of literal text, padded with 0xFF, a byte
+UTF-8 never writes; one translate drops the padding. Every "%.12g" cell
+has the bytes of CPython's correctly rounded "%.12g": most values in
+[1e-4, 1) print from their 12 digits, looked up 4 at a time as words of
+ASCII, and every other value, 0.2% of a default-grid series, is printed
+by "%.12g" itself into its slot.
 """
 from __future__ import annotations
 
@@ -51,82 +48,119 @@ EXIT_CONFIG = 2
 EXIT_COMPUTATION = 3
 
 
-# the spec of a "%.12g" cell by its _g12 code: the decade d of a fast cell, or 4
-_G12_SPECS = (b"0.%d", b"0.0%d", b"0.00%d", b"0.000%d", b"%.12g")
+# the padding of a slot: UTF-8 never writes this byte
+_PAD = b"\xff"
+# a "%.12g" slot in 4-byte words: the longest "%.12g" of a double has 19 bytes
+_G12_WORDS = 5
 _DECADE_SCALES = np.array([1e12, 1e13, 1e14, 1e15])
+# "0." and the decade's zeros, padded to two words: the first and the second
+# word for each decade d of a fast cell
+_PREFIX_WORDS = np.frombuffer(b"".join((b"0." + b"0" * d).ljust(8, _PAD) for d in range(4)),
+                              np.uint32).reshape(4, 2).T.copy()
 
 
-def _g12(column):
-    """Spec codes (into _G12_SPECS) and cells that print a float column as
-    "%.12g" would, one cell per value.
+def _digit_words():
+    """The 4 ASCII digits of 0-9999 as one word each, then the same words
+    with their trailing zeros padded out, for the words that end a number."""
+    words = np.empty((2, 10, 10, 10, 10, 4), np.uint8)
+    for k in range(4):
+        words[..., k] = np.arange(48, 58).reshape((10,) + (1,) * (3 - k))
+    words[1, ..., 0, 3] = words[1, ..., 0, 0, 2] = words[1, ..., 0, 0, 0, 1] = _PAD[0]
+    words[1, 0, 0, 0, 0, 0] = _PAD[0]
+    return words.view(np.uint32).ravel()
 
-    A value x in [1e-4, 1) prints through "0." + "0" * d + "%d", with d
-    (0-3) the number of the bounds 0.1, 0.01 and 0.001 that x lies below:
-    each of those doubles lies above its power of ten, so the comparisons
-    are exact. The int is m = rint(x * 10**(12 + d)) with its trailing
-    zeros stripped. The product stays below 10**12 < 2**40, so it is within
-    2**-14 of the exact x * 10**(12 + d), and m holds %.12g's correctly
-    rounded digits whenever the product's fraction is more than 1e-3 from
-    1/2. Every other value keeps the spec "%.12g" and its float: values
-    outside [1e-4, 1), NaN, -0.0, fractions within 1e-3 of 1/2 and digits
-    that carry to 10**12. CPython prints a 12-digit int about three times
-    faster than a float.
+
+_DIGIT_WORDS = _digit_words()
+
+
+def _fast_cells(x):
+    """Which values of the float array x print through their 12 digits, with
+    each value's decade d and its digits m (as floats).
+
+    A value x in [1e-4, 1) prints as "0." + "0" * d + the digits of m with
+    their trailing zeros stripped, with d (0-3) the number of the bounds
+    0.1, 0.01 and 0.001 that x lies below: each of those doubles lies above
+    its power of ten, so the comparisons are exact. m = rint(x * 10**(12 +
+    d)) stays below 10**12 < 2**40, so the product is within 2**-14 of the
+    exact x * 10**(12 + d), and m holds %.12g's correctly rounded digits
+    whenever the product's fraction is more than 1e-3 from 1/2. Every other
+    value is not fast: values outside [1e-4, 1), NaN, -0.0, fractions within
+    1e-3 of 1/2 and digits that carry to 10**12.
     """
-    x = np.asarray(column, dtype=float)
     inside = (x >= 1e-4) & (x < 1.0)
     y = np.where(inside, x, 0.5)
     d = (y < 0.1).astype(np.intp) + (y < 0.01) + (y < 0.001)
     scaled = y * _DECADE_SCALES[d]
     m = np.rint(scaled)
-    codes = np.where(inside & (np.abs(scaled - m) < 0.499) & (m < 1e12), d, 4)
-    m = m.astype(np.int64)
-    (zeros,) = np.nonzero(m % 10 == 0)
-    while zeros.size:
-        m[zeros] //= 10
-        zeros = zeros[m[zeros] % 10 == 0]
-    cells = m.tolist()
-    (fallback,) = np.nonzero(codes == 4)
-    for i, value in zip(fallback.tolist(), x[fallback].tolist()):
-        cells[i] = value
-    return codes, cells
+    return inside & (np.abs(scaled - m) < 0.499) & (m < 1e12), d, m
+
+
+def _g12(x, out):
+    """Write the "%.12g" text of each value of the float array x into its
+    line's row of out, a (lines, 5) view of 4-byte words, padded with 0xFF.
+    A fast cell (_fast_cells) is its decade's two prefix words and three
+    words of its 12 digits, looked up 4 at a time; the words that end the
+    number come from the table with trailing zeros padded out. Every other
+    cell is printed by "%.12g" itself, left-justified in 20 bytes: "%.12g"
+    writes no spaces, so the justifying spaces become padding."""
+    fast, d, m = _fast_cells(x)
+    high, low = np.divmod(np.where(fast, m, 1e11).astype(np.int64), 10_000)
+    first, middle = np.divmod(high, 10_000)
+    ends = low == 0
+    for k, words in enumerate(_PREFIX_WORDS):
+        out[:, k] = words[d]
+    out[:, 2] = _DIGIT_WORDS[first + 10_000 * (ends & (middle == 0))]
+    out[:, 3] = _DIGIT_WORDS[middle + 10_000 * ends]
+    out[:, 4] = _DIGIT_WORDS[low + 10_000]
+    (slow,) = np.nonzero(~fast)
+    text = np.frombuffer(b"%-20.12g" * slow.size % tuple(x[slow].tolist()), np.uint8)
+    out[slow] = np.where(text == ord(" "), _PAD[0], text).view(np.uint32).reshape(-1, _G12_WORDS)
+
+
+def _slots(cells):
+    """A column of bytes cells as a (lines, words) array of 4-byte words,
+    each cell padded with 0xFF to the widest cell's whole words. A cell that
+    holds 0xFF itself is a ValueError, since the padding would drop it. An
+    array of words passes through, so a column shared by many tables is
+    converted once."""
+    if isinstance(cells, np.ndarray):
+        return cells
+    if _PAD in b"".join(cells):
+        raise ValueError("a table cell holds byte 0xff, which the table writer drops")
+    width = -(-max(map(len, cells), default=0) // 4) * 4
+    return np.frombuffer(b"".join([cell.ljust(width, _PAD) for cell in cells]),
+                         np.uint32).reshape(len(cells), width // 4)
 
 
 def _rows(row, *columns):
-    """CSV bytes of one line per entry of the columns: row is the bytes
-    %-format of a single line, applied once to all lines' interleaved
-    cells. A "%s" column holds bytes, encoded by the caller once per table
-    (bytes % takes no str), and is passed on unconverted. Each
-    "%.12g" column takes per-line specs and cells from _g12: a 12-digit int
-    where the scaled value, exact to 2**-14, is more than 1e-3 from a
-    rounding tie, and "%.12g" itself for the rest, which writes the same
-    bytes. "%d" writes str(int). A run of lines whose "%.12g" columns all
-    keep the specs of the line before shares one line of format, built at
-    the run's first line and repeated once per line of the run, so the
-    format is joined from one piece per run."""
-    count, width = len(columns[0]), len(columns)
-    cells = [None] * (width * count)
-    texts, codes, k = [b""], [], 0  # the line's text around its "%.12g" specs
-    for token in re.split(rb"(%%|%\.12g|%[sd])", row):
-        if token == b"%.12g":
-            code, cells[k::width] = _g12(columns[k])
-            codes.append(code)
-            texts.append(b"")
+    """CSV bytes of one line per entry of the columns, as a bytearray: the
+    bytes %-format row of a single line, applied to each line's cells. A
+    "%s" column holds bytes, encoded by the caller once per table (bytes %
+    takes no str), or their _slots; "%d" writes str(int) and "%.12g" the
+    bytes of CPython's "%.12g", through _g12. Each line is one row of a
+    table of 4-byte words, with a slot for each cell and each run of
+    literal text, padded with 0xFF; one translate drops the padding."""
+    if _PAD in row:
+        raise ValueError("a table row format holds byte 0xff, which the table writer drops")
+    count, parts, k = len(columns[0]), [], 0
+    for text, spec in re.findall(rb"((?:[^%]|%%)+)|(%\.12g|%[sd])", row):
+        if text:
+            parts.append(_slots([text.replace(b"%%", b"%")])[0])
+            continue
+        column = columns[k]
+        k += 1
+        parts.append(np.asarray(column, dtype=float) if spec == b"%.12g" else _slots(
+            column if spec == b"%s" else [b"%d" % v for v in column]))
+    # a float column takes a "%.12g" slot, which _g12 writes in place
+    offsets = np.cumsum([0] + [_G12_WORDS if p.dtype == float else p.shape[-1] for p in parts])
+    table = bytearray(4 * count * offsets[-1])
+    words = np.frombuffer(table, np.uint32).reshape(count, offsets[-1])
+    for part, start, stop in zip(parts, offsets[:-1], offsets[1:]):
+        if part.dtype == float:
+            _g12(part, words[:, start:stop])
         else:
-            texts[-1] += token
-            if token in (b"%s", b"%d"):
-                cells[k::width] = columns[k]
-        k += token in (b"%s", b"%d", b"%.12g")
-    # a run starts at line 0 and at every line where any spec changes
-    changed = np.zeros(count, dtype=bool)
-    changed[:1] = True
-    for code in codes:
-        changed[1:] |= code[1:] != code[:-1]
-    (starts,) = np.nonzero(changed)
-    lines = np.full(len(starts), texts[0], dtype=object)
-    for code, text in zip(codes, texts[1:]):
-        lines += np.array([spec + text for spec in _G12_SPECS], dtype=object)[code[starts]]
-    lengths = np.diff(starts, append=count).tolist()
-    return b"".join([line * n for line, n in zip(lines.tolist(), lengths)]) % tuple(cells)
+            words[:, start:stop] = part
+    return table.translate(None, _PAD)
 
 
 def _atomic_write(path, chunks):
@@ -310,9 +344,9 @@ def simulate(cfg):
     prop = ctqw.propagator(ctqw.hamiltonian(g))
     obs = metrics.observe(prop, cfg.get("t_max"), cfg.get("dt"))
     reports = metrics.site_reports(g, obs)
-    # t is formatted once; each node's block of rows is formatted only as
-    # it is written, so one node's rows are held at a time
-    times = (b"%.12g\n" * len(obs.times) % tuple(obs.times.tolist())).splitlines()
+    # t is formatted and slotted once; each node's block of rows is
+    # formatted only as it is written, so one node's rows are held at a time
+    times = _slots((b"%.12g\n" * len(obs.times) % tuple(obs.times.tolist())).splitlines())
     name = g.name.encode()
     prefix = name.replace(b"%", b"%%")
     series = (_rows(b"%s,%d,%%s,%%.12g,%%.12g\n" % (prefix, k + 1), times,

@@ -232,41 +232,31 @@ def stability_order(entries):
 
 
 @dataclass(frozen=True)
-class ModePattern:
+class _ModePattern:
     """One candidate delocalization pattern: the sites that carry a
     localized double bond under it."""
 
     mode_id: str
     endpoints: frozenset
-    description: str
 
 
-MODE_CATALOG = {
+_MODE_CATALOG = {
     "benzene": (
-        ModePattern("fully-delocalized", frozenset(),
-                    "single aromatic ring, no fixed double bonds"),
+        _ModePattern("fully-delocalized", frozenset()),
     ),
     "naphthalene": (
-        ModePattern("fully-delocalized", frozenset(),
-                    "delocalization spread over the whole perimeter"),
-        ModePattern("perimeter-localized", frozenset({1, 2, 3, 5, 6, 7, 8, 10}),
-                    "double bonds fixed at (2,3), (5,6), (7,8), (1,10); central bond single"),
+        _ModePattern("fully-delocalized", frozenset()),
+        _ModePattern("perimeter-localized", frozenset({1, 2, 3, 5, 6, 7, 8, 10})),
     ),
     "anthracene": (
-        ModePattern("central-localized-a", frozenset({4, 5, 12, 13}),
-                    "double bonds at (4,5) and (12,13) flanking the middle ring"),
-        ModePattern("outer-localized", frozenset({1, 2, 3, 7, 8, 9, 10, 14}),
-                    "double bonds on the strong outer bonds (2,3), (7,8), (9,10), (1,14)"),
-        ModePattern("central-localized-b", frozenset({5, 6, 11, 12}),
-                    "double bonds at (5,6) and (11,12) flanking the middle ring"),
+        _ModePattern("central-localized-a", frozenset({4, 5, 12, 13})),
+        _ModePattern("outer-localized", frozenset({1, 2, 3, 7, 8, 9, 10, 14})),
+        _ModePattern("central-localized-b", frozenset({5, 6, 11, 12})),
     ),
     "phenanthrene": (
-        ModePattern("fully-delocalized", frozenset(),
-                    "delocalization spread over all three rings"),
-        ModePattern("outer-localized", frozenset({1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13, 14}),
-                    "delocalization confined to the two outer rings"),
-        ModePattern("bridged-biphenyl", frozenset({11, 12}),
-                    "biphenyl-like outer rings joined through the localized (11,12) bond"),
+        _ModePattern("fully-delocalized", frozenset()),
+        _ModePattern("outer-localized", frozenset({1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13, 14})),
+        _ModePattern("bridged-biphenyl", frozenset({11, 12})),
     ),
 }
 
@@ -323,7 +313,7 @@ def classify_modes(reports, g):
     thr = _two_means_threshold(values)
     high = frozenset(k for k in range(1, g.node_count + 1)
                      if thr is not None and values[k - 1] > thr)
-    patterns = MODE_CATALOG.get(g.name, ())
+    patterns = _MODE_CATALOG.get(g.name, ())
     matched = ()
     if patterns:
         scores = [_jaccard(high, p.endpoints) for p in patterns]

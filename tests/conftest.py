@@ -55,7 +55,7 @@ def reference_layout(g, coin="unweighted"):
             cyc_next[base + i] = base + (i + 1) % deg[x]
             cross[base + i] = first[y] + int(np.searchsorted(nbrs[y], x))
     node_of = np.repeat(np.arange(n), deg)
-    alpha = (aw.weighted_degrees(g) if coin == "weighted" else deg) / 2.0
+    alpha = (aw.graphs.weighted_degrees(g) if coin == "weighted" else deg) / 2.0
     return SimpleNamespace(
         node_of=node_of, first=first, deg=deg, cyc_next=cyc_next, cross=cross,
         a=np.sqrt(1.0 / (alpha + 1.0))[node_of], b=np.sqrt(alpha / (alpha + 1.0))[node_of])

@@ -18,6 +18,22 @@ def test_all_lists_every_public_name():
     assert not hasattr(aw, "badger_force_constant")
     assert not hasattr(aw.bondorder, "badger_force_constant")
     assert not hasattr(aw, "evolve")
+    # read only by classify_modes, which keeps them private
+    assert not hasattr(aw, "MODE_CATALOG")
+    assert not hasattr(aw, "ModePattern")
+    assert not hasattr(aw.metrics, "MODE_CATALOG")
+    assert not hasattr(aw.metrics, "ModePattern")
+    # module functions, read by the library and its tests only
+    assert not hasattr(aw, "site_observables")
+    assert not hasattr(aw, "degrees")
+    assert not hasattr(aw, "weighted_degrees")
+    assert len(aw.__all__) == 23
+
+
+def test_mode_patterns_hold_no_description():
+    # nothing read the patterns' descriptions
+    fields = {f.name for f in dataclasses.fields(aw.metrics._ModePattern)}
+    assert fields == {"mode_id", "endpoints"}
 
 
 def test_result_records_hold_no_echoed_inputs():

@@ -99,7 +99,7 @@ def test_simulate_values_match_library(runner, tmp_path):
     assert res.exit_code == 0, res.output
     g = aw.load_molecule("naphthalene")
     _, mats = every_matrix(aw.propagator(aw.hamiltonian(g)), t_max=2.0, dt=1.0)
-    maxp, trp = aw.site_observables(mats)
+    maxp, trp = aw.metrics.site_observables(mats)
     rows = read_csv(os.path.join(out, "site_series.csv"))[1:]
     for row in rows:
         node, t = int(row[1]), float(row[2])
@@ -344,20 +344,25 @@ def unstreamed_observables(g, t_max, dt):
     return times, columns, mp_all, tp_all
 
 
-@pytest.mark.parametrize("molecule", ["anthracene", "percent"])
+@pytest.mark.parametrize("molecule", ["anthracene", "percent", "nul-utf8"])
 def test_simulate_bytes_match_unstreamed_rows(runner, tmp_path, molecule):
-    if molecule == "percent":
-        # a '%' in the name must reach the CSV verbatim
+    # a '%', a NUL (from YAML's "\0" escape) or multi-byte UTF-8 in the
+    # name must reach the CSV verbatim; each name is given as YAML and as read
+    names = {"anthracene": None, "percent": ("50%s-ring", "50%s-ring"),
+             "nul-utf8": (r'"naphthal\u00e8ne\0%d"', "naphthal\u00e8ne\0%d")}[molecule]
+    if names:
         g0 = aw.load_molecule("naphthalene")
         edges = "".join(f"  - [{i}, {j}, {w!r}]\n" for i, j, w in g0.edges)
-        molecule = str(tmp_path / "percent.yaml")
-        Path(molecule).write_text(f"name: 50%s-ring\nnodes: 10\nedges:\n{edges}")
+        molecule = str(tmp_path / f"{molecule}.yaml")
+        Path(molecule).write_text(f"name: {names[0]}\nnodes: 10\nedges:\n{edges}",
+                                  encoding="utf-8")
     out = str(tmp_path / "run")
     res = runner.invoke(
         main, ["simulate", "-m", molecule, "--t-max", "5", "--dt", "0.01", "--out", out]
     )
     assert res.exit_code == 0, res.output
     g = aw.load_molecule(molecule)
+    assert names is None or g.name == names[1]
     times, columns, mp_all, tp_all = unstreamed_observables(g, 5.0, 0.01)
     rows = [(g.name, str(k), g12(t), g12(mp), g12(tp))
             for k, (mp_col, tp_col) in enumerate(columns, start=1)

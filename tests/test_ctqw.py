@@ -636,5 +636,5 @@ def test_streamed_observables_equal_series(monkeypatch, block):
             assert np.array_equal(every_matrix(p, t_max=5.0, dt=0.01)[1], mats)
         obs = aw.observe(p, 5.0, 0.01)
         assert np.array_equal(obs.times, times)
-        maxp, trp = aw.site_observables(mats)
+        maxp, trp = aw.metrics.site_observables(mats)
         assert np.array_equal(obs.maxp, maxp) and np.array_equal(obs.trp, trp)

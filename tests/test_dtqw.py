@@ -103,7 +103,7 @@ def test_degree_coin_orthogonal_all_degrees(d):
 def test_degree_coin_weighted_kind():
     g = aw.load_molecule("naphthalene")
     a, b = coin_coefficients(g, 4, coin="weighted")
-    alpha = aw.weighted_degrees(g)[3] / 2.0
+    alpha = aw.graphs.weighted_degrees(g)[3] / 2.0
     npt.assert_allclose(a, math.sqrt(1.0 / (alpha + 1.0)), atol=1e-12)
     npt.assert_allclose(b, math.sqrt(alpha / (alpha + 1.0)), atol=1e-12)
     npt.assert_allclose(a**2 + b**2, 1.0, atol=1e-12)

@@ -182,7 +182,8 @@ def test_adjacency_single_edge():
 def assert_matrices_match_edge_loops(g):
     A = loop_adjacency(g)
     for got, want in ((g.adjacency, A), (aw.hamiltonian(g), np.diag(A.sum(axis=1)) - A),
-                      (aw.degrees(g), loop_degrees(g)), (aw.weighted_degrees(g), A.sum(axis=1))):
+                      (aw.graphs.degrees(g), loop_degrees(g)),
+                      (aw.graphs.weighted_degrees(g), A.sum(axis=1))):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
@@ -254,20 +255,21 @@ def test_node_ceiling_checked_before_allocation(n):
 def test_node_ceiling_boundary():
     n = graphs.MAX_NODES
     g = MoleculeGraph(name="path", node_count=n, edges=tuple((k, k + 1, 1.0) for k in range(1, n)))
-    assert aw.degrees(g).sum() == 2 * (n - 1)
+    assert aw.graphs.degrees(g).sum() == 2 * (n - 1)
 
 
 def test_weighted_degree_spot_value():
     # anthracene node 4: bonds 3-4 (1.304), 4-5 (1.452), 4-13 (1.246)
     g = aw.load_molecule("anthracene")
-    npt.assert_allclose(aw.weighted_degrees(g)[3], 1.304 + 1.452 + 1.246, rtol=0, atol=1e-12)
+    npt.assert_allclose(aw.graphs.weighted_degrees(g)[3], 1.304 + 1.452 + 1.246,
+                        rtol=0, atol=1e-12)
 
 
 def test_degrees_vs_weighted_degrees():
     g = aw.load_molecule("naphthalene")
-    assert list(aw.degrees(g)) == [2, 2, 2, 3, 2, 2, 2, 2, 3, 2]
-    assert aw.degrees(g).sum() == 2 * len(g.edges)
-    npt.assert_allclose(aw.weighted_degrees(g).sum(), 2 * sum(w for _, _, w in g.edges))
+    assert list(aw.graphs.degrees(g)) == [2, 2, 2, 3, 2, 2, 2, 2, 3, 2]
+    assert aw.graphs.degrees(g).sum() == 2 * len(g.edges)
+    npt.assert_allclose(aw.graphs.weighted_degrees(g).sum(), 2 * sum(w for _, _, w in g.edges))
 
 
 def test_laplacian_naphthalene_fusion_diagonal():
@@ -440,7 +442,7 @@ def test_largest_finite_weighted_degree_accepted():
     # the Laplacian and the Hamiltonian are finite
     g = MoleculeGraph(name="heavy", node_count=3, edges=((1, 2, 8e307), (2, 3, 8e307)))
     assert np.isfinite(aw.hamiltonian(g)).all()
-    assert aw.weighted_degrees(g)[1] == 1.6e308
+    assert aw.graphs.weighted_degrees(g)[1] == 1.6e308
 
 
 def test_integer_weights_and_numpy_indices_accepted():

@@ -29,19 +29,19 @@ def first_columns(*cols):
 # ---------------------------------------------------------------- maxp / trp
 
 def test_maxp_simple_column():
-    mp, _ = aw.site_observables(first_columns([0.2, 0.3, 0.5]))
+    mp, _ = aw.metrics.site_observables(first_columns([0.2, 0.3, 0.5]))
     npt.assert_allclose(mp[:, 0], [0.5])
 
 
 def test_trp_drops_one_max_one_min():
     # N = 3: drop 0.5 and 0.2, divide the remainder by N - 2
-    _, tp = aw.site_observables(first_columns([0.2, 0.3, 0.5]))
+    _, tp = aw.metrics.site_observables(first_columns([0.2, 0.3, 0.5]))
     npt.assert_allclose(tp[:, 0], [0.3])
 
 
 def test_uniform_column_pins_both_metrics():
     n = 5
-    mp, tp = aw.site_observables(np.full((1, n, n), 1.0 / n))
+    mp, tp = aw.metrics.site_observables(np.full((1, n, n), 1.0 / n))
     npt.assert_allclose(mp[:, 2], [1.0 / n], atol=1e-15)
     npt.assert_allclose(tp[:, 2], [1.0 / n], atol=1e-15)
 
@@ -69,7 +69,7 @@ def test_metric_bounds_and_order(full_series):
 def test_metrics_match_brute_force(full_series):
     _, p, _ = full_series["benzene"]
     _, mats = every_matrix(p, t_max=1.99, dt=0.01)
-    maxp, trp = aw.site_observables(mats)
+    maxp, trp = aw.metrics.site_observables(mats)
     for node in (1, 4):
         for i in range(len(mats)):
             col = [mats[i][j, node - 1] for j in range(6)]
@@ -106,7 +106,7 @@ def test_trp_unitarity_identity_random(g):
 
 def test_metrics_need_three_sites():
     with pytest.raises(ValueError):
-        aw.site_observables(np.eye(2)[np.newaxis])
+        aw.metrics.site_observables(np.eye(2)[np.newaxis])
 
 
 @settings(max_examples=10, deadline=None)
