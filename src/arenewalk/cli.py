@@ -16,16 +16,15 @@ names, labels and class tags are encoded once before its rows are
 formatted, and `_atomic_write` writes the bytes chunks it gets to a
 binary file, so no text layer encodes a copy of each table.
 
-`_rows` is the only table writer but one: `simulate`'s t column is
-formatted once per run by "%.12g" itself and turned into slots once, since
-nearly every default-grid time is outside the fast path below. `_rows`
-lays each table out as one row of 4-byte words per line, with a fixed
-slot per cell and per run of literal text, padded with 0xFF, a byte
-UTF-8 never writes; one translate drops the padding. Every "%.12g" cell
-has the bytes of CPython's correctly rounded "%.12g": most values in
-[1e-4, 1) print from their 12 digits, looked up 4 at a time as words of
-ASCII, and every other value, 0.2% of a default-grid series, is printed
-by "%.12g" itself into its slot.
+`_rows` is the only table writer. It lays each table out as one row of
+4-byte words per line, with a fixed slot per cell and per run of literal
+text, padded with 0xFF, a byte UTF-8 never writes; one translate drops
+the padding. A table written in blocks, such as `simulate`'s series with
+a block per node, is laid out once, and each block rewrites only its own
+slots. Every "%.12g" cell has the bytes of CPython's correctly rounded
+"%.12g": most values in [1e-4, 1e4) print from their 12 digits, looked up
+4 at a time as words of ASCII, and every other value, 0.1-0.3% of a
+default-grid series, is printed by "%.12g" itself into its slot.
 """
 from __future__ import annotations
 
@@ -50,81 +49,141 @@ EXIT_COMPUTATION = 3
 
 # the padding of a slot: UTF-8 never writes this byte
 _PAD = b"\xff"
-# a "%.12g" slot in 4-byte words: the longest "%.12g" of a double has 19 bytes
+# a "%.12g" slot in 4-byte words: the longest "%.12g" of a double has 19
+# bytes, and a one-byte literal may come before it
 _G12_WORDS = 5
-_DECADE_SCALES = np.array([1e12, 1e13, 1e14, 1e15])
-# "0." and the decade's zeros, padded to two words: the first and the second
-# word for each decade d of a fast cell
-_PREFIX_WORDS = np.frombuffer(b"".join((b"0." + b"0" * d).ljust(8, _PAD) for d in range(4)),
-                              np.uint32).reshape(4, 2).T.copy()
+# by the decade d of _fast_cells, d = -4..-1 read from the end: the scale
+# that gives a value's 12 digits, and for a value of -d integer digits the
+# divisor that splits them off and the shift that moves the fraction
+# digits to the front of the 12
+_DECADE_SCALES = np.array([1e12, 1e13, 1e14, 1e15, 1e8, 1e9, 1e10, 1e11])
+_INT_DIVISORS = np.array([10**12] * 4 + [10**8, 10**9, 10**10, 10**11])
+_FRACTION_SHIFTS = np.array([1] * 4 + [10**4, 10**3, 10**2, 10])
 
 
-def _digit_words():
-    """The 4 ASCII digits of 0-9999 as one word each, then the same words
-    with their trailing zeros padded out, for the words that end a number."""
-    words = np.empty((2, 10, 10, 10, 10, 4), np.uint8)
+def _digit_bytes():
+    """The 4 ASCII digits of 0-9999, then the same digits with their
+    trailing zeros padded out, for the words that end a number: (2, 10**4, 4)."""
+    digits = np.empty((2, 10, 10, 10, 10, 4), np.uint8)
     for k in range(4):
-        words[..., k] = np.arange(48, 58).reshape((10,) + (1,) * (3 - k))
-    words[1, ..., 0, 3] = words[1, ..., 0, 0, 2] = words[1, ..., 0, 0, 0, 1] = _PAD[0]
-    words[1, 0, 0, 0, 0, 0] = _PAD[0]
-    return words.view(np.uint32).ravel()
+        digits[..., k] = np.arange(48, 58).reshape((10,) + (1,) * (3 - k))
+    digits[1, ..., 0, 3] = digits[1, ..., 0, 0, 2] = digits[1, ..., 0, 0, 0, 1] = _PAD[0]
+    digits[1, 0, 0, 0, 0, 0] = _PAD[0]
+    return digits.reshape(2, 10_000, 4)
 
 
-_DIGIT_WORDS = _digit_words()
+_DIGITS = _digit_bytes()
+_DIGIT_WORDS = _DIGITS.view(np.uint32).ravel()
+
+
+def _head_bytes(digits):
+    """The first two words of a fast cell, as (10**4 * 2 + 4, 8) bytes
+    padded with 0xFF: row d (0-3) "0." and d zeros, row 4 + i the "%d" of i
+    and a point, and row 10004 + i the "%d" of i alone, for i in 0-9999."""
+    heads = np.full((2 * 10_000 + 4, 8), _PAD[0], np.uint8)
+    for d in range(4):
+        heads[d, :2 + d] = np.frombuffer(b"0." + b"0" * d, np.uint8)
+    for width in range(1, 5):
+        ints = slice(10 ** (width - 1) if width > 1 else 0, 10 ** width)
+        for base in (4, 10_004):
+            heads[base:][ints, :width] = digits[ints, 4 - width:]
+        heads[4:][ints, width] = ord(".")
+    return heads
+
+
+_HEADS = _head_bytes(_DIGITS[0])
+
+
+def _heads(lit):
+    """_HEADS as one 8-byte item per row, with the literal lit, of at most
+    one byte, before each head."""
+    heads = _HEADS
+    if lit:
+        # every row's bytes one place on (its last byte is padding), then lit
+        heads = np.empty_like(_HEADS)
+        heads.ravel()[1:] = _HEADS.ravel()[:-1]
+        heads[:, 0] = lit[0]
+    return heads.view(np.uint64).ravel()
 
 
 def _fast_cells(x):
-    """Which values of the float array x print through their 12 digits, with
-    each value's decade d and its digits m (as floats).
+    """Which values of the float array x print through their 12 digits,
+    with each value's head (a row of _HEADS) and its 12 digits after the
+    head (int64, zeros padding the fraction digits' right).
 
     A value x in [1e-4, 1) prints as "0." + "0" * d + the digits of m with
     their trailing zeros stripped, with d (0-3) the number of the bounds
     0.1, 0.01 and 0.001 that x lies below: each of those doubles lies above
-    its power of ten, so the comparisons are exact. m = rint(x * 10**(12 +
-    d)) stays below 10**12 < 2**40, so the product is within 2**-14 of the
-    exact x * 10**(12 + d), and m holds %.12g's correctly rounded digits
-    whenever the product's fraction is more than 1e-3 from 1/2. Every other
-    value is not fast: values outside [1e-4, 1), NaN, -0.0, fractions within
-    1e-3 of 1/2 and digits that carry to 10**12.
+    its power of ten, so the comparisons are exact. A value in [1, 1e4),
+    with d = -1 to -4 for its 1 to 4 integer digits (its bounds are exact
+    powers of ten), prints as the integer part of m, then, if any fraction
+    digit is not 0, a point and the fraction digits with their trailing
+    zeros stripped. m = rint(x * 10**(12 + d)) stays below 10**12 < 2**40,
+    so the product is within 2**-14 of the exact x * 10**(12 + d), and m
+    holds %.12g's correctly rounded digits whenever the product's fraction
+    is more than 1e-3 from 1/2. Every other value is not fast: values
+    outside [1e-4, 1e4), NaN, -0.0, fractions within 1e-3 of 1/2 and
+    digits that carry to 10**12. Values from 1 up are taken only in a
+    column that holds one (and no NaN), so the other columns skip their
+    comparisons.
     """
-    inside = (x >= 1e-4) & (x < 1.0)
+    wide = x.max(initial=0.0) >= 1.0
+    inside = (x >= 1e-4) & (x < (1e4 if wide else 1.0))
     y = np.where(inside, x, 0.5)
     d = (y < 0.1).astype(np.intp) + (y < 0.01) + (y < 0.001)
+    if wide:
+        d -= (y >= 1.0).astype(np.intp) + (y >= 10.0) + (y >= 100.0) + (y >= 1000.0)
     scaled = y * _DECADE_SCALES[d]
     m = np.rint(scaled)
-    return inside & (np.abs(scaled - m) < 0.499) & (m < 1e12), d, m
+    fast = inside & (np.abs(scaled - m) < 0.499) & (m < 1e12)
+    digits = np.where(fast, m, 1e11).astype(np.int64)
+    if not wide:
+        return fast, d, digits
+    whole, fraction = np.divmod(digits, _INT_DIVISORS[d])
+    head = np.where(d < 0, 4 + whole + 10_000 * (fraction == 0), d)
+    return fast, head, fraction * _FRACTION_SHIFTS[d]
 
 
-def _g12(x, out):
-    """Write the "%.12g" text of each value of the float array x into its
-    line's row of out, a (lines, 5) view of 4-byte words, padded with 0xFF.
-    A fast cell (_fast_cells) is its decade's two prefix words and three
-    words of its 12 digits, looked up 4 at a time; the words that end the
-    number come from the table with trailing zeros padded out. Every other
-    cell is printed by "%.12g" itself, left-justified in 20 bytes: "%.12g"
+def _g12(x, out, lit, heads):
+    """Write lit, of at most one byte, and the "%.12g" text of each value
+    of the float array x into its line's row of out, a (lines, 5) view of
+    4-byte words, padded with 0xFF. A fast cell (_fast_cells) is its head's
+    8 bytes from heads (_heads of lit) and three words of its 12 digits,
+    looked up 4 at a time; the words that end the number come from the
+    table with trailing zeros padded out. Every other cell is lit and
+    "%.12g" itself, left-justified in the rest of the 20 bytes: "%.12g"
     writes no spaces, so the justifying spaces become padding."""
-    fast, d, m = _fast_cells(x)
-    high, low = np.divmod(np.where(fast, m, 1e11).astype(np.int64), 10_000)
-    first, middle = np.divmod(high, 10_000)
+    # one gather of a strided column, such as a node's of a (samples, N)
+    # array, in place of a strided read per pass: 0.8 against 1.4 ms per
+    # 20001 values
+    x = np.ascontiguousarray(x)
+    fast, head, digits = _fast_cells(x)
+    # floor division by a constant, with the remainder by subtraction, is
+    # several times faster than divmod
+    high = digits // 10_000
+    low = digits - 10_000 * high
+    first = high // 10_000
+    middle = high - 10_000 * first
     ends = low == 0
-    for k, words in enumerate(_PREFIX_WORDS):
-        out[:, k] = words[d]
+    out[:, :2] = heads[head].view(np.uint32).reshape(-1, 2)
     out[:, 2] = _DIGIT_WORDS[first + 10_000 * (ends & (middle == 0))]
     out[:, 3] = _DIGIT_WORDS[middle + 10_000 * ends]
     out[:, 4] = _DIGIT_WORDS[low + 10_000]
     (slow,) = np.nonzero(~fast)
-    text = np.frombuffer(b"%-20.12g" * slow.size % tuple(x[slow].tolist()), np.uint8)
-    out[slow] = np.where(text == ord(" "), _PAD[0], text).view(np.uint32).reshape(-1, _G12_WORDS)
+    if slow.size:
+        width = 4 * _G12_WORDS - len(lit)
+        text = np.frombuffer(b"%%-%d.12g" % width * slow.size % tuple(x[slow].tolist()),
+                             np.uint8).reshape(-1, width)
+        cells = np.empty((slow.size, 4 * _G12_WORDS), np.uint8)
+        cells[:, :len(lit)] = np.frombuffer(lit, np.uint8)
+        cells[:, len(lit):] = np.where(text == ord(" "), _PAD[0], text)
+        out[slow] = cells.view(np.uint32)
 
 
 def _slots(cells):
     """A column of bytes cells as a (lines, words) array of 4-byte words,
     each cell padded with 0xFF to the widest cell's whole words. A cell that
-    holds 0xFF itself is a ValueError, since the padding would drop it. An
-    array of words passes through, so a column shared by many tables is
-    converted once."""
-    if isinstance(cells, np.ndarray):
-        return cells
+    holds 0xFF itself is a ValueError, since the padding would drop it."""
     if _PAD in b"".join(cells):
         raise ValueError("a table cell holds byte 0xff, which the table writer drops")
     width = -(-max(map(len, cells), default=0) // 4) * 4
@@ -132,35 +191,75 @@ def _slots(cells):
                          np.uint32).reshape(len(cells), width // 4)
 
 
+def _cell_slots(column, spec):
+    """The _slots of a "%s" or "%d" column; a 2-D array's cells, all of its
+    blocks at once, so every block's cells get one width."""
+    blocks = isinstance(column, np.ndarray) and column.ndim == 2
+    cells = column.ravel().tolist() if blocks else column
+    slots = _slots(cells if spec == b"%s" else [b"%d" % v for v in cells])
+    return slots.reshape(column.shape + slots.shape[1:]) if blocks else slots
+
+
 def _rows(row, *columns):
-    """CSV bytes of one line per entry of the columns, as a bytearray: the
-    bytes %-format row of a single line, applied to each line's cells. A
-    "%s" column holds bytes, encoded by the caller once per table (bytes %
-    takes no str), or their _slots; "%d" writes str(int) and "%.12g" the
-    bytes of CPython's "%.12g", through _g12. Each line is one row of a
-    table of 4-byte words, with a slot for each cell and each run of
-    literal text, padded with 0xFF; one translate drops the padding."""
+    """CSV bytes of a table, one bytearray per block of lines: the bytes
+    %-format row of a single line, applied to each line's cells. A "%s"
+    column holds bytes, encoded by the caller once per table (bytes % takes
+    no str); "%d" writes str(int) and "%.12g" the bytes of CPython's
+    "%.12g", through _g12. A column is one cell per line, the same in every
+    block, or a 2-D numpy array with a row per block: a cell per line, or,
+    in a "%s" or "%d" column, one cell for all of the block's lines. There
+    is one block unless a column is 2-D.
+
+    Every block is one table of 4-byte words, a row per line, with a fixed
+    slot for each cell and each run of literal text, padded with 0xFF; a
+    one-byte run right before a "%.12g" cell shares that cell's slot. The
+    blocks share the table: the slots they share are written once, each
+    block rewrites only its own, and one translate per block drops the
+    padding."""
     if _PAD in row:
         raise ValueError("a table row format holds byte 0xff, which the table writer drops")
-    count, parts, k = len(columns[0]), [], 0
+    columns = iter(columns)
+    # each part is a float column and the literal its slot holds, or words
+    # with None; own says whether each block has its own cells, on an axis
+    # before the lines
+    parts, lines, lit = [], [], b""
     for text, spec in re.findall(rb"((?:[^%]|%%)+)|(%\.12g|%[sd])", row):
         if text:
-            parts.append(_slots([text.replace(b"%%", b"%")])[0])
+            lit = text.replace(b"%%", b"%")
             continue
-        column = columns[k]
-        k += 1
-        parts.append(np.asarray(column, dtype=float) if spec == b"%.12g" else _slots(
-            column if spec == b"%s" else [b"%d" % v for v in column]))
-    # a float column takes a "%.12g" slot, which _g12 writes in place
-    offsets = np.cumsum([0] + [_G12_WORDS if p.dtype == float else p.shape[-1] for p in parts])
+        if lit and (spec != b"%.12g" or len(lit) > 1):
+            parts.append((_slots([lit])[0], None, False))
+            lit = b""
+        column = next(columns)
+        if spec == b"%.12g":
+            cells = np.asarray(column, dtype=float)
+            parts.append((cells, lit, cells.ndim == 2))
+            lines.append(cells.shape[-1])
+        else:
+            cells = _cell_slots(column, spec)
+            parts.append((cells, None, cells.ndim == 3))
+            lines.append(cells.shape[-2])
+        lit = b""
+    if lit:
+        parts.append((_slots([lit])[0], None, False))
+    count = max(lines, default=0)
+    blocks = max((len(cells) for cells, _, own in parts if own), default=1)
+    offsets = np.cumsum([0] + [_G12_WORDS if lit is not None else cells.shape[-1]
+                               for cells, lit, _ in parts])
     table = bytearray(4 * count * offsets[-1])
     words = np.frombuffer(table, np.uint32).reshape(count, offsets[-1])
-    for part, start, stop in zip(parts, offsets[:-1], offsets[1:]):
-        if part.dtype == float:
-            _g12(part, words[:, start:stop])
-        else:
-            words[:, start:stop] = part
-    return table.translate(None, _PAD)
+    heads = {lit: _heads(lit) for _, lit, _ in parts if lit is not None}
+    for block in range(blocks):
+        for (cells, lit, own), start, stop in zip(parts, offsets[:-1], offsets[1:]):
+            if block and not own:
+                continue
+            if own:
+                cells = cells[block]
+            if lit is None:
+                words[:, start:stop] = cells
+            else:
+                _g12(cells, words[:, start:stop], lit, heads[lit])
+        yield table.translate(None, _PAD)
 
 
 def _atomic_write(path, chunks):
@@ -344,18 +443,16 @@ def simulate(cfg):
     prop = ctqw.propagator(ctqw.hamiltonian(g))
     obs = metrics.observe(prop, cfg.get("t_max"), cfg.get("dt"))
     reports = metrics.site_reports(g, obs)
-    # t is formatted and slotted once; each node's block of rows is
-    # formatted only as it is written, so one node's rows are held at a time
-    times = _slots((b"%.12g\n" * len(obs.times) % tuple(obs.times.tolist())).splitlines())
     name = g.name.encode()
-    prefix = name.replace(b"%", b"%%")
-    series = (_rows(b"%s,%d,%%s,%%.12g,%%.12g\n" % (prefix, k + 1), times,
-                    obs.maxp[:, k], obs.trp[:, k]) for k in range(g.node_count))
+    # a block of rows per node, each formatted only as it is written, so
+    # one node's rows are held at a time; t and the text are written once
+    series = _rows(name.replace(b"%", b"%%") + b",%d,%.12g,%.12g,%.12g\n",
+                   np.arange(1, g.node_count + 1)[:, None], obs.times, obs.maxp.T, obs.trp.T)
     report = _rows(b"%s,%d,%s,%.12g,%.12g\n", [name] * len(reports),
                    [r.node for r in reports], [r.class_id.encode() for r in reports],
                    [r.maxp_mean for r in reports], [r.trp_mean for r in reports])
     return {"site_series.csv": itertools.chain([b"molecule,node,t,maxp,trp\n"], series),
-            "site_report.csv": [b"molecule,node,class,maxp_mean,trp_mean\n", report]}
+            "site_report.csv": [b"molecule,node,class,maxp_mean,trp_mean\n", *report]}
 
 
 @_writer(
@@ -378,7 +475,7 @@ def rank(cfg):
     ranking = dtqw.rank_nodes(g, steps=cfg.get("steps"), start=cfg.get("start"),
                               coin=cfg.get("coin_degree"))
     cfg["steps"] = ranking.steps
-    return {"ranks.csv": [b"node,label,score,rank\n", _rows(
+    return {"ranks.csv": [b"node,label,score,rank\n", *_rows(
         b"%d,%s,%.12g,%d\n", ranking.nodes, [label.encode() for label in ranking.labels],
         ranking.scores, ranking.ranks)]}
 
@@ -416,7 +513,7 @@ def stability(cfg):
     report = metrics.stability_order(entries)
     click.echo(report.order_string())
     rows = report.rows
-    return {"stability.csv": [b"molecule,mean_trp,rank\n", _rows(
+    return {"stability.csv": [b"molecule,mean_trp,rank\n", *_rows(
         b"%s,%.12g,%d\n", [r.molecule.encode() for r in rows], [r.mean_trp for r in rows],
         [r.rank for r in rows])]}
 
@@ -440,7 +537,7 @@ def export_graph(molecule, out):
     row = b"%s" + b",%.12g" * g.node_count + b"\n"
     for fname, M in (("adjacency.csv", g.adjacency),
                      ("laplacian.csv", ctqw.hamiltonian(g))):
-        _atomic_write(os.path.join(out, fname), [header, _rows(row, labels, *M.T)])
+        _atomic_write(os.path.join(out, fname), [header, *_rows(row, labels, *M.T)])
     click.echo(f"export-graph: wrote adjacency.csv, laplacian.csv to {out}")
 
 

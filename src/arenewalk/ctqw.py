@@ -20,15 +20,17 @@ may run on, at most MAX_THREADS, and no more threads than a block holds
 whole tiles. Each thread evolves blocks of BLOCK_BYTES, whole tiles, at
 least one, so a grid's blocks do not depend on the thread count. Beyond
 what the sink keeps, a pass holds at most
-threads BLOCK_BYTES + 16 N^2 (N + 1) / 2 bytes. The N^2 (N + 1) / 2
-pair entries, computed once per pass and shared, take 8 bytes each;
-they are built one eigenvector row at a time, so no gathered rows are
-held, and the zero rows that pad the last chunk are fewer than the
-chunks. Up to 90 nodes a block's temporaries stay within BLOCK_BYTES;
-from 91 nodes up a block is one tile, on one thread, whose temporaries
-take about 192 N^2 bytes, within the other 4 N^2 (N + 1) bytes of the
-bound from 47 nodes up. The threads give every sample the bits one
-thread gives it.
+4 N^2 (N + 1) + threads max(BLOCK_BYTES, 224 N^2) bytes. The
+N^2 (N + 1) / 2 pair entries, computed once per pass and shared, take 8
+bytes each; they are built one eigenvector row at a time, so no gathered
+rows are held, and the zero rows that pad the last chunk are fewer than
+the chunks. Each thread adds one block's temporaries: they stay within
+BLOCK_BYTES up to 100 nodes, and from 64 nodes up, where a block is one
+or two tiles, they take about 200 N^2 bytes. Traced by tracemalloc on a
+2-core x86 host, that term per thread was 0.71-0.88 BLOCK_BYTES on the
+catalog and on rings of 40 and 50 nodes, and 201-208 N^2 on rings of 64
+to 256 nodes. The threads give every sample the bits one thread gives
+it.
 hbar = 1 throughout.
 """
 from __future__ import annotations

@@ -344,10 +344,13 @@ def unstreamed_observables(g, t_max, dt):
     return times, columns, mp_all, tp_all
 
 
-@pytest.mark.parametrize("molecule", ["anthracene", "percent", "nul-utf8"])
-def test_simulate_bytes_match_unstreamed_rows(runner, tmp_path, molecule):
+@pytest.mark.parametrize("molecule, grid", [
+    ("anthracene", ("5", "0.01")), ("percent", ("5", "0.01")), ("nul-utf8", ("5", "0.01")),
+    ("anthracene", ("1500", "0.7071"))], ids=["anthracene", "percent", "nul-utf8", "t-max-1500"])
+def test_simulate_bytes_match_unstreamed_rows(runner, tmp_path, molecule, grid):
     # a '%', a NUL (from YAML's "\0" escape) or multi-byte UTF-8 in the
-    # name must reach the CSV verbatim; each name is given as YAML and as read
+    # name must reach the CSV verbatim; each name is given as YAML and as
+    # read. The 1500 grid's t has up to 4 integer digits.
     names = {"anthracene": None, "percent": ("50%s-ring", "50%s-ring"),
              "nul-utf8": (r'"naphthal\u00e8ne\0%d"', "naphthal\u00e8ne\0%d")}[molecule]
     if names:
@@ -358,12 +361,12 @@ def test_simulate_bytes_match_unstreamed_rows(runner, tmp_path, molecule):
                                   encoding="utf-8")
     out = str(tmp_path / "run")
     res = runner.invoke(
-        main, ["simulate", "-m", molecule, "--t-max", "5", "--dt", "0.01", "--out", out]
+        main, ["simulate", "-m", molecule, "--t-max", grid[0], "--dt", grid[1], "--out", out]
     )
     assert res.exit_code == 0, res.output
     g = aw.load_molecule(molecule)
     assert names is None or g.name == names[1]
-    times, columns, mp_all, tp_all = unstreamed_observables(g, 5.0, 0.01)
+    times, columns, mp_all, tp_all = unstreamed_observables(g, *map(float, grid))
     rows = [(g.name, str(k), g12(t), g12(mp), g12(tp))
             for k, (mp_col, tp_col) in enumerate(columns, start=1)
             for t, mp, tp in zip(times, mp_col, tp_col)]
