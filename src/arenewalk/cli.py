@@ -208,7 +208,9 @@ def _rows(row, *columns):
     "%.12g", through _g12. A column is one cell per line, the same in every
     block, or a 2-D numpy array with a row per block: a cell per line, or,
     in a "%s" or "%d" column, one cell for all of the block's lines. There
-    is one block unless a column is 2-D.
+    is one block unless a column is 2-D. Any other conversion, a column
+    count other than the row's specs, or columns whose line or block
+    counts differ is a ValueError before the first block.
 
     Every block is one table of 4-byte words, a row per line, with a fixed
     slot for each cell and each run of literal text, padded with 0xFF; a
@@ -218,12 +220,21 @@ def _rows(row, *columns):
     padding."""
     if _PAD in row:
         raise ValueError("a table row format holds byte 0xff, which the table writer drops")
+    found = re.findall(rb"((?:[^%]|%%)+)|(%\.12g|%[sd])", row)
+    # findall skips a "%" that starts no spec of these
+    if b"".join(text + spec for text, spec in found) != row:
+        raise ValueError(f"table row format {row!r} holds a conversion other than "
+                         "%s, %d and %.12g")
+    specs = sum(1 for _, spec in found if spec)
+    if len(columns) != specs:
+        raise ValueError(f"table row format {row!r} has {specs} specs, got {len(columns)} columns")
     columns = iter(columns)
     # each part is a float column and the literal its slot holds, or words
     # with None; own says whether each block has its own cells, on an axis
-    # before the lines
+    # before the lines. lines holds each column's line count, and whether
+    # it may be one cell for every line of a block
     parts, lines, lit = [], [], b""
-    for text, spec in re.findall(rb"((?:[^%]|%%)+)|(%\.12g|%[sd])", row):
+    for text, spec in found:
         if text:
             lit = text.replace(b"%%", b"%")
             continue
@@ -234,16 +245,22 @@ def _rows(row, *columns):
         if spec == b"%.12g":
             cells = np.asarray(column, dtype=float)
             parts.append((cells, lit, cells.ndim == 2))
-            lines.append(cells.shape[-1])
+            lines.append((cells.shape[-1], False))
         else:
             cells = _cell_slots(column, spec)
             parts.append((cells, None, cells.ndim == 3))
-            lines.append(cells.shape[-2])
+            lines.append((cells.shape[-2], cells.ndim == 3))
         lit = b""
     if lit:
         parts.append((_slots([lit])[0], None, False))
-    count = max(lines, default=0)
-    blocks = max((len(cells) for cells, _, own in parts if own), default=1)
+    count = max((n for n, _ in lines), default=0)
+    if any(n != count and not (n == 1 and spread) for n, spread in lines):
+        raise ValueError(f"table columns have {[n for n, _ in lines]} lines; each must "
+                         f"have {count}, or a 2-D %s or %d column one per block")
+    blocks = {len(cells) for cells, _, own in parts if own}
+    if len(blocks) > 1:
+        raise ValueError(f"2-D table columns have {sorted(blocks)} blocks, not one count")
+    blocks = max(blocks, default=1)
     offsets = np.cumsum([0] + [_G12_WORDS if lit is not None else cells.shape[-1]
                                for cells, lit, _ in parts])
     table = bytearray(4 * count * offsets[-1])

@@ -16,21 +16,20 @@ GEMM runs on the calling thread, at every N; all of them are one matmul.
 evolve is the one pass over a grid: it evolves blocks and hands each to
 its caller's sink, so nothing here holds every B(t) of a grid unless the
 sink keeps it. It shares the blocks among one thread per CPU the process
-may run on, at most MAX_THREADS, and no more threads than a block holds
-whole tiles. Each thread evolves blocks of BLOCK_BYTES, whole tiles, at
-least one, so a grid's blocks do not depend on the thread count. Beyond
-what the sink keeps, a pass holds at most
-4 N^2 (N + 1) + threads max(BLOCK_BYTES, 224 N^2) bytes. The
+may run on, at most MAX_THREADS, at every N. Each thread evolves blocks
+of BLOCK_BYTES, whole tiles, at least one, so a grid's blocks do not
+depend on the thread count. Beyond what the sink keeps, a pass holds
+at most 4 N^2 (N + 1) + threads max(BLOCK_BYTES, 224 N^2) bytes. The
 N^2 (N + 1) / 2 pair entries, computed once per pass and shared, take 8
 bytes each; they are built one eigenvector row at a time, so no gathered
 rows are held, and the zero rows that pad the last chunk are fewer than
 the chunks. Each thread adds one block's temporaries: they stay within
-BLOCK_BYTES up to 100 nodes, and from 64 nodes up, where a block is one
-or two tiles, they take about 200 N^2 bytes. Traced by tracemalloc on a
-2-core x86 host, that term per thread was 0.71-0.88 BLOCK_BYTES on the
-catalog and on rings of 40 and 50 nodes, and 201-208 N^2 on rings of 64
-to 256 nodes. The threads give every sample the bits one thread gives
-it.
+BLOCK_BYTES up to 100 nodes, and from 65 nodes up, where a block is one
+tile, they take about 200 N^2 bytes. Traced by tracemalloc on a 2-core
+x86 host, on 2 threads, that term per thread was 0.70-0.83 BLOCK_BYTES
+on the catalog and on rings of 40, 50 and 64 nodes, and 193-197 N^2 on
+acenes of 66 and 98 nodes and rings of 128 to 256 nodes. The threads
+give every sample the bits one thread gives it.
 hbar = 1 throughout.
 """
 from __future__ import annotations
@@ -70,10 +69,10 @@ TILE = 16
 # small, and then each of evolve's threads wakes its own BLAS threads (the
 # manifest's blas_build names the BLAS).
 SERIAL_GEMM = 65536 * 4
-# Most threads evolve runs. On a 2-core x86 host, forced onto the 2 CPUs,
-# the five stability passes of acenes 1-5 took 111-120 ms of wall on 4
-# threads against 103-108 on 2 and 105-111 on 1, and 214-249 on 8, when
-# the threads shared one BLOCK_BYTES of blocks.
+# Most threads evolve runs. On a 2-core x86 host, with the CPU count
+# forced, the five stability passes of acenes 1-5 took a median of 132-139
+# ms of wall on 4 threads against 113-119 on 2 and 188-205 on 1, and
+# 172-177 on 8 (two runs of 9 and 11 alternating rounds).
 MAX_THREADS = 4
 # Largest sampling grid accepted; checked before anything is allocated.
 MAX_SAMPLES = 10_000_000
@@ -292,15 +291,6 @@ def _share(blocks, threads, run):
         raise errors[0]
 
 
-def _block(n):
-    """Samples per block and threads of a pass at N = n: the whole tiles
-    of BLOCK_BYTES, at least one, and a thread per CPU, at most
-    MAX_THREADS and no more than a block holds tiles."""
-    step = BLOCK_BYTES // (16 * n * n)
-    threads = max(1, min(_cpus(), MAX_THREADS, step // TILE))
-    return max(TILE, step - step % TILE), threads
-
-
 def evolve(p, times, sink):
     """Stream B(t) over times, a grid that _grid validated for p.
 
@@ -311,13 +301,15 @@ def evolve(p, times, sink):
     blocks are shared among up to one thread per CPU, so sink is called
     from several threads at once, each call with rows of its own.
     """
-    # a thread per CPU, as every GEMM stays on its thread (see _unitaries);
-    # whole tiles per block, so only the last block is padded
-    step, threads = _block(len(p.eigenvalues))
+    # whole tiles of BLOCK_BYTES per block, at least one, so only the last
+    # block is padded; a thread per CPU, as every GEMM stays on its thread
+    # (see _unitaries)
+    n = len(p.eigenvalues)
+    step = max(1, BLOCK_BYTES // (16 * TILE * n * n)) * TILE
     bounds = list(range(0, len(times), step)) + [len(times)]
     pairs, index = _triangle(p)
 
     def run(start, stop):
         sink(start, stop, _occupancies(p, pairs, index, times[start:stop]))
 
-    _share(list(zip(bounds, bounds[1:])), threads, run)
+    _share(list(zip(bounds, bounds[1:])), min(_cpus(), MAX_THREADS), run)

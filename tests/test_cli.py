@@ -539,6 +539,27 @@ def test_rank_rejects_malformed_molecule_file(runner, tmp_path, name, field):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("text, message", [
+    pytest.param("name: dot\nnodes: 1\nedges: []\n", "graph has an isolated node",
+                 id="one-node"),
+    pytest.param(f"- name: allyl\n- nodes: 3\n- {CHAIN}\n", "expected a mapping", id="list"),
+    pytest.param("name: allyl\nnodes: 3\nedges: [[1, 2, 1.5], [2, 3]]\n",
+                 "is not an (i, j, weight) triple", id="pair-edge"),
+    pytest.param(f"name: allyl\nnodes: 3\n{CHAIN}\nlabels: [a, b]\n",
+                 "labels length must equal node_count", id="short-labels"),
+    pytest.param(f"name: allyl\nnodes: 3\n{CHAIN}\nclasses: [[1, 2, 3], []]\n",
+                 "empty equivalence class", id="empty-class"),
+])
+def test_rank_names_what_is_wrong_with_a_molecule(runner, tmp_path, text, message):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    out = tmp_path / "x"
+    res = runner.invoke(main, ["rank", "-m", str(path), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert not os.path.exists(out)
+
+
 def test_absent_classes_write_the_bytes_of_singleton_classes(runner, tmp_path):
     # a symmetric chain, so pooling C1 with C3 would show in both files
     outputs = []
@@ -779,6 +800,25 @@ def test_replay_rejects_explicit_options(runner, tmp_path, command, options):
     assert res.exit_code == 2, res.output
     for flag in options[::2]:
         assert {"-m": "--molecule"}.get(flag, flag) in res.output
+    assert not os.path.exists(replay)
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    pytest.param("rank", lambda text: text[:-2], "malformed manifest", id="malformed-json"),
+    pytest.param("simulate", lambda text: text, "records command 'rank', not 'simulate'",
+                 id="other-command"),
+    pytest.param("rank", lambda text: json.dumps({**json.loads(text), "config": ["benzene"]}),
+                 "has no config mapping", id="config-list"),
+])
+def test_replay_names_what_is_wrong_with_a_manifest(runner, tmp_path, command, edit, message):
+    out = str(tmp_path / "run")
+    assert runner.invoke(main, [*REPLAY_ARGV["rank"], "--out", out]).exit_code == 0
+    manifest = Path(out, "manifest.json")
+    manifest.write_text(edit(manifest.read_text()))
+    replay = str(tmp_path / "replay")
+    res = runner.invoke(main, [command, "--from-manifest", str(manifest), "--out", replay])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
     assert not os.path.exists(replay)
 
 

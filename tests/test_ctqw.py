@@ -442,22 +442,23 @@ def assert_same_bits_on_1_and_3_threads(g, t_max):
 def test_evolve_gives_the_same_bits_on_1_and_3_threads():
     # 5001 samples span 2 blocks at N = 6 and 8 at N = 14, so N = 6 runs
     # 2 threads; the pairs of a 24-node ladder are one chunk, of a 26-node
-    # one two
+    # one two; a 66-node acene's 301 samples are 19 blocks of one tile
     for name in aw.CATALOG:
         assert_same_bits_on_1_and_3_threads(aw.load_molecule(name), 50.0)
     for rungs, chunks in ((12, 1), (13, 2)):
         g = ladder(rungs)
         assert len(ctqw._triangle(aw.propagator(aw.hamiltonian(g)))[0]) == chunks
         assert_same_bits_on_1_and_3_threads(g, 20.0)
+    assert_same_bits_on_1_and_3_threads(acene(16), 3.0)
 
 
 def test_evolve_threads_each_take_a_whole_block_and_a_tile(monkeypatch):
-    # on 64 CPUs anthracene's blocks of BLOCK_BYTES go to MAX_THREADS
-    # threads; a 128-node ring's block of BLOCK_BYTES would hold 8 samples,
-    # under a tile, so its pass stays on one thread with blocks of a tile
+    # on 64 CPUs the blocks go to MAX_THREADS threads at every N:
+    # anthracene's of BLOCK_BYTES, and a 128-node ring's of a tile, as its
+    # BLOCK_BYTES would hold 8 samples, under a tile
     monkeypatch.setattr(ctqw, "_cpus", lambda: 64)
     ring128 = ring(128)
-    for g, t_max, threads in ((aw.load_molecule("anthracene"), 200.0, 4), (ring128, 1.0, 1)):
+    for g, t_max, threads in ((aw.load_molecule("anthracene"), 200.0, 4), (ring128, 1.0, 4)):
         p = aw.propagator(aw.hamiltonian(g))
         seen, longest = set(), []
 
@@ -553,6 +554,58 @@ def test_evolve_stops_every_thread_at_its_next_block(monkeypatch, error):
     assert len(helpers) == 2 and max(helpers) <= 2
 
 
+def test_evolve_raises_a_helper_that_did_not_start_after_joining_the_others(monkeypatch):
+    # of 3 threads the second helper fails to start: the first one, already
+    # running, stops at its next block and is joined before the error
+    monkeypatch.setattr(ctqw, "_cpus", lambda: 3)
+    p = aw.propagator(aw.hamiltonian(aw.load_molecule("anthracene")))
+    start, started = threading.Thread.start, []
+
+    def failing_start(thread):
+        started.append(thread)
+        if len(started) == 2:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", failing_start)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        aw.observe(p, 200.0, 0.01)
+    assert len(started) == 2 and not started[0].is_alive()
+    assert threading.active_count() == before
+
+
+def test_evolve_joins_every_helper_after_an_interrupt_while_joining(monkeypatch):
+    # each helper waits in the reduce of its first block until the caller,
+    # done with its own blocks, is interrupted in its first join; the
+    # helpers then stop at their next block, and are joined before the
+    # interrupt is raised
+    monkeypatch.setattr(ctqw, "_cpus", lambda: 3)
+    p = aw.propagator(aw.hamiltonian(aw.load_molecule("anthracene")))
+    join, released = threading.Thread.join, threading.Event()
+    helpers = set()
+
+    def interrupted_join(thread, timeout=None):
+        if not released.is_set():
+            released.set()
+            raise KeyboardInterrupt
+        join(thread, timeout)
+
+    def reduce(B):
+        if threading.current_thread() is not threading.main_thread():
+            helpers.add(threading.current_thread())
+            assert released.wait(timeout=60)
+        return B[:, 0, 0]
+
+    monkeypatch.setattr(threading.Thread, "join", interrupted_join)
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        stream_rows(p, 200.0, 0.01, reduce)
+    assert released.is_set() and len(helpers) == 2
+    assert not any(helper.is_alive() for helper in helpers)
+    assert threading.active_count() == before
+
+
 def test_a_reduce_may_call_evolve(monkeypatch):
     # each 5001-sample pass of benzene is 2 blocks on 2 threads, so every
     # outer block starts an inner pass with helpers of its own
@@ -594,21 +647,30 @@ def test_unitary_peak_memory_is_the_triangle():
 
 def assert_observe_memory_beyond_outputs_is_the_stated_bound(molecule, t_max):
     # the module docstring's bound: the pairs plus one block's temporaries
-    # per thread; every grid spans several blocks. The pairs' gathered
-    # eigenvector rows, another 4 N^2 (N + 1) bytes, do not fit from 128
-    # nodes up
+    # per thread that ran; every grid spans several blocks. The pairs'
+    # gathered eigenvector rows, another 4 N^2 (N + 1) bytes, do not fit
+    # from 128 nodes up
     g = ring(molecule) if isinstance(molecule, int) else aw.load_molecule(molecule)
     n = g.node_count
-    threads = ctqw._block(n)[1]
     p = aw.propagator(aw.hamiltonian(g))
-    tracemalloc.start()
-    try:
-        obs = aw.observe(p, t_max, 0.01)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    seen = set()
+    occupancies = ctqw._occupancies
+
+    def spy(*args):
+        seen.add(threading.current_thread())
+        return occupancies(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ctqw, "_occupancies", spy)
+        tracemalloc.start()
+        try:
+            obs = aw.observe(p, t_max, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert len(obs.times) > 2 * ctqw.BLOCK_BYTES // (16 * n * n)
     outputs = obs.times.nbytes + obs.maxp.nbytes + obs.trp.nbytes
+    threads = len(seen)
     assert peak - outputs <= 4 * n * n * (n + 1) + threads * max(ctqw.BLOCK_BYTES, 224 * n * n)
     return threads
 

@@ -413,6 +413,13 @@ def test_readers_reject_series_of_another_molecule():
         aw.site_reports(benzene, series)
 
 
+def test_site_reports_reject_an_empty_series():
+    benzene = aw.load_molecule("benzene")
+    empty = aw.SiteObservables(np.empty(0), np.empty((0, 6)), np.empty((0, 6)))
+    with pytest.raises(ValueError, match="empty series"):
+        aw.site_reports(benzene, empty)
+
+
 @pytest.mark.parametrize("bad",[float("nan"), float("inf")])
 def test_stability_rejects_non_finite_mean_trp(bad):
     # neither ranking a NaN first nor tying it with its neighbour is right

@@ -238,6 +238,23 @@ def test_rows_rejects_the_padding_byte_in_any_block(bad):
         next(_rows(b"%d,%s\n", nodes, [b"x", b"\xff"]))
 
 
+@pytest.mark.parametrize("row, columns, match", [
+    # "%f" would lose its "%" and shift the columns
+    (b"%s,%f,%.12g\n", ([b"a"], [1.5], [0.25]), "conversion other than"),
+    (b"%s,%.12g\n", ([b"a"],), "2 specs, got 1 columns"),
+    (b"%d\n", ([1, 2], [3, 4]), "1 specs, got 2 columns"),
+    # a short 1-D column, of names or of values, would repeat on every line
+    (b"%s,%.12g\n", ([b"a"], [1.5, 2.5, 0.25]), r"\[1, 3\] lines"),
+    (b"%s,%.12g\n", ([b"a", b"b", b"c"], [1.5]), r"\[3, 1\] lines"),
+    (b"%d,%.12g\n", (np.array([[1], [2], [3]]), np.array([[0.5, 0.25], [0.1, 0.2]])),
+     r"\[2, 3\] blocks"),
+], ids=["other-conversion", "fewer-columns", "more-columns", "one-name", "one-value",
+        "block-counts"])
+def test_rows_refuses_what_it_cannot_write(row, columns, match):
+    with pytest.raises(ValueError, match=match):
+        next(_rows(row, *columns))
+
+
 FOLD_ROW = b",%.12g;%.12g %.12g%%%.12g\t%s%.12g,,%.12g\n"
 
 
